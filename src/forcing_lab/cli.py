@@ -140,7 +140,9 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _finish_report(report: Report, args, config: SweepConfig, elapsed: float) -> int:
+def _finish_report(report: Report, args, config: SweepConfig, start: float) -> int:
+    """Write the requested reports, then print the summary and the wall time
+    since ``start``, report writes included."""
     if args.json_path:
         with open(args.json_path, "w") as fh:
             fh.write(report.to_json())
@@ -158,6 +160,7 @@ def _finish_report(report: Report, args, config: SweepConfig, elapsed: float) ->
             a=totals["aborted"],
         )
     )
+    elapsed = time.monotonic() - start
     print(f"wall time: {elapsed:.2f}s (workers={config.workers})", file=sys.stderr)
     if config.strict_conjectures and totals["counterexample"] > 0:
         return EXIT_STRICT_CONJECTURE
@@ -183,7 +186,7 @@ def cmd_verify(args) -> int:
     except FileNotFoundError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    return _finish_report(report, args, config, time.monotonic() - start)
+    return _finish_report(report, args, config, start)
 
 
 def cmd_sweep(args) -> int:
@@ -204,7 +207,7 @@ def cmd_sweep(args) -> int:
     )
     start = time.monotonic()
     report = run_sweep(config)
-    return _finish_report(report, args, config, time.monotonic() - start)
+    return _finish_report(report, args, config, start)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -377,11 +377,12 @@ class ExactBound:
     b: Fraction = Fraction(0)
 
     def cmp(self, t) -> int:
-        """Sign of (self - t) for rational t."""
-        t = Fraction(t)
-        if self.c == 0 or self.b == 0:
-            d = self.a - t
+        """Sign of (self - t) for rational t (an int or a Fraction)."""
+        if not self.c or not self.b:
+            # cross-multiplied by the positive denominators of a and t
+            d = self.a.numerator * t.denominator - t.numerator * self.a.denominator
             return (d > 0) - (d < 0)
+        t = Fraction(t)
         if self.b < 0:
             raise GraphError("negative radicand in exact bound")
         d = t - self.a  # compare c*sqrt(b) against d
@@ -394,12 +395,6 @@ class ExactBound:
             return -1
         return (d * d > lhs_sq) - (d * d < lhs_sq)
 
-    def holds_as_lower_bound(self, observed: int) -> bool:
-        return self.cmp(observed) <= 0
-
-    def holds_as_upper_bound(self, observed: int) -> bool:
-        return self.cmp(observed) >= 0
-
     def equals(self, observed: int) -> bool:
         return self.cmp(observed) == 0
 
@@ -407,7 +402,7 @@ class ExactBound:
         return float(self.a) + float(self.c) * float(self.b) ** 0.5
 
     def __str__(self) -> str:
-        if self.c == 0 or self.b == 0:
+        if not self.c or not self.b:
             return str(self.a)
         return f"{self.a}+{self.c}*sqrt({self.b})"
 
@@ -418,7 +413,6 @@ class BoundInfo:
     kind: str  # "f_lower" | "F_upper"
     value: ExactBound
     applicable: bool
-    hypothesis: str
 
 
 @dataclass(frozen=True)
@@ -433,6 +427,15 @@ class BoundReport:
             if b.bound_id == bound_id:
                 return b
         raise KeyError(bound_id)
+
+
+def _cor_3_5_bound(n: int, e: int) -> ExactBound:
+    """F(G) <= (n-e-1)/2 + sqrt(e^2 + 2(n+1)e - 3n^2 - 2n + 1)/2."""
+    return ExactBound(
+        Fraction(n - e - 1, 2),
+        Fraction(1, 2),
+        Fraction(e * e + 2 * (n + 1) * e - 3 * n * n - 2 * n + 1),
+    )
 
 
 def bound_values(
@@ -470,60 +473,43 @@ def bound_values(
             "f_lower",
             ExactBound(n - half, Fraction(-1), Fraction(2 * n * n - n - e) + Fraction(1, 4)),
             True,
-            "",
         ),
         BoundInfo(
             "COR_2_4",
             "f_lower",
             ExactBound(n - half, Fraction(-1), Fraction(2 * n * n - 2 * e) + Fraction(1, 4)),
             bool(bipartite),
-            "bipartite",
         ),
         BoundInfo(
             "THM_2_5",
             "f_lower",
             ExactBound(Fraction(delta - 1)),
             bool(bipartite),
-            "bipartite",
         ),
         BoundInfo(
             "THM_2_8",
             "f_lower",
             ExactBound(Fraction(delta - 1, 2)),
             bool(split or cograph),
-            "split or cograph",
         ),
         BoundInfo(
             "PROP_3_2",
             "F_upper",
             ExactBound(Fraction(e - n, 2)),
             True,
-            "",
         ),
         BoundInfo(
             "COR_3_1",
             "F_upper",
             ExactBound(Fraction(e - n, 2) if e >= 3 * n - 2 else Fraction(e - 2 * n + 1)),
             connected,
-            "connected",
         ),
-        BoundInfo(
-            "COR_3_5",
-            "F_upper",
-            ExactBound(
-                Fraction(n - e - 1, 2),
-                half,
-                Fraction(e * e + 2 * (n + 1) * e - 3 * n * n - 2 * n + 1),
-            ),
-            True,
-            "",
-        ),
+        BoundInfo("COR_3_5", "F_upper", _cor_3_5_bound(n, e), True),
         BoundInfo(
             "CONJ_5_1",
             "F_upper",
             ExactBound(Fraction(n * e - n * n, e)) if e else ExactBound(Fraction(0)),
             e >= 1,
-            "",
         ),
     ]
     return BoundReport(n, e, delta, tuple(bounds))

@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from . import __version__
 from .errors import GraphError
@@ -276,9 +277,6 @@ def run_shard(
                     ]
                 )
                 continue
-            if require_pm and not has_perfect_matching(g):
-                consume(verify_graph(g, limits=limits))
-                continue
             consume(verify_graph(g, limits=limits))
         return kept, counts, graphs
 
@@ -305,6 +303,11 @@ def _merge_counts(into: dict, other: dict) -> None:
 
 # ---------------------------------------------------------------------------
 # checkpointing (cursor only, records appended per completed shard)
+#
+# The cursor names the completed shards and the byte length of the records
+# file after their records.  Resuming truncates the file to that length, so
+# records of a shard whose cursor update never landed, or a torn last line,
+# are dropped and that shard is verified again.
 
 
 def _checkpoint_paths(config: SweepConfig) -> tuple[str, str]:
@@ -314,16 +317,19 @@ def _checkpoint_paths(config: SweepConfig) -> tuple[str, str]:
 
 def _load_checkpoint(config: SweepConfig) -> tuple[int, list[VerdictRecord], dict, int]:
     cursor_path, records_path = _checkpoint_paths(config)
-    if not os.path.exists(cursor_path):
-        return 0, [], {}, 0
-    with open(cursor_path) as fh:
-        state = json.load(fh)
-    if state.get("fingerprint") != config.fingerprint():
-        raise GraphError("checkpoint belongs to a different sweep config")
+    state = {"completed_shards": 0, "records_offset": 0}
+    if os.path.exists(cursor_path):
+        with open(cursor_path) as fh:
+            state = json.load(fh)
+        if state.get("fingerprint") != config.fingerprint():
+            raise GraphError("checkpoint belongs to a different sweep config")
     records: list[VerdictRecord] = []
     counts: dict = {}
     graphs = 0
-    with open(records_path) as fh:
+    if not os.path.exists(records_path):
+        return 0, records, counts, graphs
+    with open(records_path, "r+") as fh:
+        fh.truncate(state.get("records_offset", os.path.getsize(records_path)))
         for line in fh:
             obj = json.loads(line)
             if "shard_counts" in obj:
@@ -353,12 +359,11 @@ def _append_checkpoint(
     graphs: int,
 ) -> None:
     cursor_path, records_path = _checkpoint_paths(config)
-    with open(records_path, "a") as fh:
+    with open(records_path, "ab") as fh:
         for rec in records:
-            fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
-        fh.write(
-            json.dumps({"shard_counts": counts, "shard_graphs": graphs}) + "\n"
-        )
+            fh.write((json.dumps(rec.to_json_dict(), sort_keys=True) + "\n").encode())
+        fh.write((json.dumps({"shard_counts": counts, "shard_graphs": graphs}) + "\n").encode())
+        offset = fh.tell()
     tmp = cursor_path + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(
@@ -366,6 +371,7 @@ def _append_checkpoint(
                 "schema_version": SCHEMA_VERSION,
                 "fingerprint": config.fingerprint(),
                 "completed_shards": completed,
+                "records_offset": offset,
             },
             fh,
         )
@@ -390,8 +396,9 @@ def run_sweep(config: SweepConfig) -> Report:
         for shard in todo
     ]
     completed = start_shard
-    if config.workers <= 1 or not todo:
-        results: Iterable = map(_run_shard_star, args)
+    parallel = config.workers > 1 and bool(todo)
+    with multiprocessing.Pool(config.workers) if parallel else nullcontext() as pool:
+        results = pool.imap(_run_shard_star, args) if parallel else map(_run_shard_star, args)
         for shard_records, shard_counts, shard_graphs in results:
             records.extend(shard_records)
             _merge_counts(counts, shard_counts)
@@ -401,19 +408,6 @@ def run_sweep(config: SweepConfig) -> Report:
                 _append_checkpoint(
                     config, completed, shard_records, shard_counts, shard_graphs
                 )
-    else:
-        with multiprocessing.Pool(config.workers) as pool:
-            for shard_records, shard_counts, shard_graphs in pool.imap(
-                _run_shard_star, args
-            ):
-                records.extend(shard_records)
-                _merge_counts(counts, shard_counts)
-                graphs += shard_graphs
-                completed += 1
-                if config.checkpoint:
-                    _append_checkpoint(
-                        config, completed, shard_records, shard_counts, shard_graphs
-                    )
     return build_report(config, records, counts, graphs)
 
 

@@ -4,17 +4,28 @@ conjecture, producing VerdictRecords.
 Statuses: pass / fail / inapplicable / counterexample / aborted.  A fail
 means a proved statement was violated (an artifact bug); a counterexample
 is reserved for the open conjecture, whose violation would be a research
-finding rather than a bug.  Equality cases of characterized theorems are
-classified against the named extremal graphs; bounds that are merely tight
-report equality_matches_extremal when the graph matches a known tight
-example and n/a otherwise.
+finding rather than a bug.
+
+Each statement is one entry of the table THEOREMS.  A bound entry declares
+when it applies, the observed quantity (e, f, F or Af), the bound with its
+record string and direction, and one of these equality policies:
+
+- characterized: equality must be a named extremal graph, else it fails;
+- tight: equality on a named example gives equality_matches_extremal,
+  any other equality n/a;
+- none: the equality case is always n/a (CONJ_5_1 reports a violation as
+  a counterexample);
+- iff: f = n-d exactly when a class predicate holds.
+
+LEM_3_3 (checked per perfect matching) and PROBLEM_5_4_CANDIDATE (a record
+only for the graphs it flags) are custom entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import GraphError, ResourceLimitError
 from .families import (
@@ -40,6 +51,7 @@ from .solver import (
     DEFAULT_LIMITS,
     ExactBound,
     SolverLimits,
+    _cor_3_5_bound,
     anti_forcing_values,
     bound_values,
     cycle_packing,
@@ -58,6 +70,12 @@ EQ_STRICT = "strict"
 EQ_MATCH = "equality_matches_extremal"
 EQ_MISMATCH = "equality_mismatch"
 EQ_NA = "n/a"
+
+# equality policies of bound entries (see the module docstring)
+_CHARACTERIZED = "characterized"
+_TIGHT = "tight"
+_NONE = "none"
+_SOLVER = "solver"  # a bound kind: bound_values supplies kind, value and applicability
 
 
 @dataclass
@@ -84,43 +102,19 @@ class VerdictRecord:
         }
 
 
+# the per-graph inputs every verdict record carries, in CSV column order
+_INPUTS = ("n", "e", "delta", "f", "F", "Af", "r", "connected", "bipartite", "split", "cograph")
 CSV_COLUMNS = (
-    "graph6",
-    "theorem_id",
-    "n",
-    "e",
-    "delta",
-    "f",
-    "F",
-    "Af",
-    "r",
-    "connected",
-    "bipartite",
-    "split",
-    "cograph",
-    "bound",
-    "observed",
-    "status",
-    "equality_case",
+    "graph6", "theorem_id", *_INPUTS, "bound", "observed", "status", "equality_case"
 )
 
 
 def record_csv_row(rec: VerdictRecord) -> list:
-    ins = rec.inputs
+    ins = rec.inputs.get
     return [
         rec.graph_id,
         rec.theorem_id,
-        ins.get("n"),
-        ins.get("e"),
-        ins.get("delta"),
-        ins.get("f"),
-        ins.get("F"),
-        ins.get("Af"),
-        ins.get("r"),
-        ins.get("connected"),
-        ins.get("bipartite"),
-        ins.get("split"),
-        ins.get("cograph"),
+        *map(ins, _INPUTS),
         rec.bound,
         rec.observed,
         rec.status,
@@ -264,13 +258,6 @@ def looks_like_H_hat_join(g: Graph, n: int, k: int) -> bool:
     return looks_like_H_hat(induced_subgraph(g, g.full_mask & ~drop), n - k)
 
 
-def _matches_extremal(g: Graph, target: Graph, recognizer: Optional[bool]) -> bool:
-    """Structural verdict when available, else brute-force isomorphism."""
-    if recognizer is not None:
-        return recognizer
-    return are_isomorphic(g, target)
-
-
 def is_nk2(g: Graph) -> bool:
     return all(mask.bit_count() == 2 for mask in components(g)) and g.order % 2 == 0
 
@@ -297,447 +284,315 @@ def is_c4_k2_union(g: Graph, n_cycles: int) -> bool:
     return cycles == n_cycles
 
 
+# ---------------------------------------------------------------------------
+# the theorem table
+
+
+class _Extremal(NamedTuple):
+    """Graphs attaining a bound: ``name`` is formatted with n and k, and
+    ``test(g, n, k)`` decides membership, where k is f(G)."""
+
+    name: str
+    test: Callable[[Graph, int, Optional[int]], bool]
+
+
+class _Facts:
+    """What the checks read about one graph, computed once."""
+
+    def __init__(self, g: Graph, graph_id: str, limits: SolverLimits):
+        self.g, self.graph_id = g, graph_id
+        self.n, self.e, self.delta = g.order // 2, g.edge_count, g.min_degree
+        self.bipartite = bipartition_of(g) is not None
+        self.connected = is_connected(g)
+        self.report = classify(g)
+        self.split, self.cograph = self.report.is_split, self.report.is_cograph
+        self.spec = spectrum(g, limits=limits)
+        self.f, self.F = self.spec.f_min, self.spec.f_max
+        self.Af = max(anti_forcing_values(g, limits=limits))
+        self.r = self.e - g.order + 1 if self.connected else None
+        self.inputs = {key: getattr(self, key) for key in _INPUTS}
+        self.bounds = bound_values(
+            g, bipartite=self.bipartite, split=self.split, cograph=self.cograph
+        )
+
+    def witness(self) -> str:
+        """Detail of a failed record: every matching with its forcing number."""
+        per = ";".join(
+            "matching=" + ",".join(f"{u}-{v}" for u, v in m.edges) + f" f={val}"
+            for m, val in self.spec.per_matching
+        )
+        return f"graph6={self.graph_id} {per}"
+
+
+# A check's verdict on one graph is (bound, observed, status, equality_case,
+# detail), or None for no record; a detail of None stands for the witness.
+
+
+@dataclass(frozen=True)
+class _Bound:
+    """``observed <= bound`` for a ``<quantity>_upper`` kind and ``>=`` for
+    ``<quantity>_lower``, the quantity being e, f, F or Af.  The default kind
+    takes kind, value and applicability from ``bound_values``; otherwise
+    ``value`` gives the rational bound, or None where the graph has none."""
+
+    theorem_id: str
+    policy: str
+    kind: str = _SOLVER
+    value: Optional[Callable[[_Facts], Optional[Fraction]]] = None
+    applies: Callable[[_Facts], bool] = lambda c: True
+    label: Optional[str] = None  # the record's bound string, if not the value
+    extremal: Optional[_Extremal] = None
+    violation: str = FAIL
+    shown: bool = True  # False records no observed value
+
+    def verdict(self, c: _Facts):
+        if self.kind == _SOLVER:
+            info = c.bounds.get(self.theorem_id)
+            kind, bound, applies = info.kind, info.value, info.applicable
+        else:
+            value = self.value(c)
+            kind, applies = self.kind, self.applies(c)
+            bound = None if value is None else ExactBound(value)
+        quantity, side = kind.split("_")
+        observed = c.inputs[quantity]
+        label = self.label if self.label is not None else "" if bound is None else str(bound)
+        shown = observed if self.shown else None
+        if not applies:
+            return label, shown, INAPPLICABLE, EQ_NA, ""
+        slack = bound.cmp(observed) if side == "upper" else -bound.cmp(observed)
+        if slack < 0:
+            return label, shown, self.violation, EQ_NA, None
+        if slack > 0 or self.policy == _NONE:
+            return label, shown, PASS, EQ_NA if self.policy == _NONE else EQ_STRICT, ""
+        try:
+            ok = self.extremal is not None and self.extremal.test(c.g, c.n, c.f)
+        except GraphError as exc:
+            if self.policy == _CHARACTERIZED:
+                return label, shown, ABORTED, EQ_NA, str(exc)
+            ok = False
+        if ok:
+            return label, shown, PASS, EQ_MATCH, ""
+        if self.policy == _TIGHT:
+            return label, shown, PASS, EQ_NA, ""
+        return label, shown, FAIL, EQ_MISMATCH, None
+
+
+@dataclass(frozen=True)
+class _Iff:
+    """``f(G) = n - deficit`` exactly when ``predicted`` holds."""
+
+    theorem_id: str
+    label: str
+    deficit: int
+    predicted: Callable[[_Facts], bool]
+    applies: Callable[[_Facts], bool] = lambda c: True
+
+    def verdict(self, c: _Facts):
+        if not self.applies(c):
+            return self.label, None, INAPPLICABLE, EQ_NA, ""
+        observed = c.f == c.n - self.deficit
+        if self.predicted(c) != observed:
+            return self.label, int(observed), FAIL, EQ_NA, None
+        return self.label, int(observed), PASS, EQ_MATCH if observed else EQ_NA, ""
+
+
+class _Custom(NamedTuple):
+    theorem_id: str
+    verdict: Callable[[_Facts], Optional[tuple]]
+
+
+def _lemma_3_3(c: _Facts):
+    """Every perfect matching M has an edge of degree sum >= 2n/(n-f(G,M)),
+    and equality needs n-f(G,M) to divide n."""
+    label, n, any_equality = "max degree-sum >= 2n/(n-f(G,M))", c.n, False
+    for m, fv in c.spec.per_matching:
+        target = ExactBound(Fraction(2 * n, n - fv))
+        best = max(c.g.degree(u) + c.g.degree(v) for u, v in m.edges)
+        slack = -target.cmp(best)
+        if slack < 0:
+            detail = f"matching {m.edges} has max degree sum {best} < {target}"
+            return label, None, FAIL, EQ_NA, detail
+        if slack == 0:
+            any_equality = True
+            if n % (n - fv) != 0:
+                detail = f"equality at matching {m.edges} but {n - fv} does not divide {n}"
+                return label, None, FAIL, EQ_NA, detail
+    return label, None, PASS, EQ_MATCH if any_equality else EQ_STRICT, ""
+
+
+def _hhat_or_matching_join(g: Graph, n: int, k: int) -> bool:
+    small = g.order <= ISO_FALLBACK_CAP
+    return k <= n - 1 and (
+        (are_isomorphic(g, make_H_hat_join(n, k)) if small else looks_like_H_hat_join(g, n, k))
+        or (small and are_isomorphic(g, make_matching_join(n, k)))
+    )
+
+
+_HHAT_JOIN = _Extremal(
+    "HhatJoin:{n},{k}",
+    lambda g, n, k: looks_like_H_hat_join(g, n, k) or are_isomorphic(g, make_H_hat_join(n, k)),
+)
+_H_NK = _Extremal("H:{n},{k}", lambda g, n, k: looks_like_H(g, n, k))
+_NK2_OR_KNN = _Extremal(
+    "nK2:{n} or Knn:{n}", lambda g, n, k: is_nk2(g) or is_complete_bipartite_balanced(g)
+)
+
+
+def _conjecture_bound(c: _Facts) -> Fraction:
+    return Fraction(c.n * c.n, c.n - c.F)
+
+
+THEOREMS = (
+    # size of unique-perfect-matching graphs, and at f(G) = k
+    _Bound(
+        "THM_1_4", _CHARACTERIZED, "e_upper", lambda c: Fraction(c.n * (c.n + 1), 2),
+        applies=lambda c: c.bipartite and c.f == 0,
+        extremal=_Extremal(
+            "H:{n},0", lambda g, n, k: looks_like_H(g, n, 0) or are_isomorphic(g, make_H(n, 0))
+        ),
+    ),
+    _Bound(
+        "THM_1_5", _CHARACTERIZED, "e_upper", lambda c: Fraction(c.n * c.n),
+        applies=lambda c: c.f == 0,
+        extremal=_Extremal(
+            "Hhat:{n}", lambda g, n, k: looks_like_H_hat(g, n) or are_isomorphic(g, make_H_hat(n))
+        ),
+    ),
+    _Bound(
+        "THM_2_1", _CHARACTERIZED, "e_upper",
+        lambda c: Fraction(c.n * c.n + 2 * c.n * c.f - c.f * c.f - c.f), extremal=_HHAT_JOIN,
+    ),
+    _Bound(
+        "THM_2_3", _CHARACTERIZED, "e_upper",
+        lambda c: Fraction((c.n - c.f) * (c.n + c.f + 1), 2) + c.n * c.f,
+        applies=lambda c: c.bipartite, extremal=_H_NK,
+    ),
+    # lower bounds on f
+    _Bound("COR_2_2", _CHARACTERIZED, extremal=_HHAT_JOIN),
+    _Bound("COR_2_4", _CHARACTERIZED, extremal=_H_NK),
+    _Bound(
+        "THM_2_5", _TIGHT,
+        extremal=_Extremal("H:{n},delta-1", lambda g, n, k: looks_like_H(g, n, g.min_degree - 1)),
+    ),
+    _Bound(
+        "THM_2_8", _TIGHT,
+        extremal=_Extremal("HhatJoin:{n},{k} or MJoin:{n},{k}", _hhat_or_matching_join),
+    ),
+    # upper bounds on F, and the size at F(G) = k
+    _Bound("COR_3_1", _TIGHT),
+    _Bound(
+        "PROP_3_2", _CHARACTERIZED,
+        extremal=_Extremal(
+            "C4s and K2s",
+            lambda g, n, k: (g.edge_count - n) % 2 == 0
+            and is_c4_k2_union(g, (g.edge_count - n) // 2),
+        ),
+    ),
+    _Custom("LEM_3_3", _lemma_3_3),
+    _Bound(
+        "THM_3_4", _TIGHT, "e_lower", lambda c: Fraction(c.n * (c.n + 1), c.n - c.F) - c.F - 1,
+        extremal=_NK2_OR_KNN,
+    ),
+    _Bound("COR_3_5", _TIGHT, extremal=_NK2_OR_KNN),
+    # anti-forcing
+    _Bound("F_LE_AF", _NONE, "F_upper", lambda c: c.Af),
+    _Bound("AF_CYCLOMATIC", _NONE, "Af_upper", lambda c: c.r, applies=lambda c: c.connected),
+    _Bound(
+        "AF_EDGE_BOUND", _NONE, "Af_upper",
+        lambda c: Fraction(2 * c.e - 2 * c.n, 4) if c.connected else None,
+        applies=lambda c: c.connected,
+    ),
+    # characterizations of f = n-1 and f = n-2
+    _Iff(
+        "THM_4_2", "f=n-1 iff K_{n,n}", 1, lambda c: is_complete_bipartite_balanced(c.g),
+        applies=lambda c: c.bipartite,
+    ),
+    _Iff(
+        "THM_4_3", "f=n-1 iff complete multipartite or K_{n,n}+sides", 1,
+        lambda c: recognize_f_n1(c.g),
+    ),
+    _Iff(
+        "THM_4_5", "f=n-2 iff G1 or G2 member", 2,
+        lambda c: c.report.g1_member or c.report.g2_member,
+        applies=lambda c: c.bipartite and c.n >= 2,
+    ),
+    _Bound(
+        "REM_4_8", _NONE, "F_upper", lambda c: c.n - 2,
+        applies=lambda c: c.bipartite and c.n >= 2 and c.f == c.n - 2,
+        label="every matching forces n-2", shown=False,
+    ),
+    # open problem: no pass/fail semantics, the record flags the graph for study
+    _Custom(
+        "PROBLEM_5_4_CANDIDATE",
+        lambda c: ("non-bipartite with f=n-2 (uncharacterized)", c.f, INAPPLICABLE, EQ_NA, "")
+        if not c.bipartite and c.n >= 2 and c.f == c.n - 2
+        else None,
+    ),
+    # the conjecture e >= n^2/(n-F), and the range where it is proved
+    _Bound(
+        "PROP_5_2_5_3", _NONE, "e_lower", _conjecture_bound,
+        applies=lambda c: 2 * c.F <= c.n or c.F >= c.n - 2,
+        label="e(n-F) >= n^2 in the proved range",
+    ),
+    _Bound("CONJ_5_1", _NONE, "e_lower", _conjecture_bound, violation=COUNTEREXAMPLE),
+)
+
+_BY_ID = {check.theorem_id: check for check in THEOREMS}
+
+
 def verify_equality_case(theorem_id: str, g: Graph, k: Optional[int] = None) -> VerdictRecord:
-    """Decide isomorphism to the theorem's named extremal graph."""
+    """Decide membership in the theorem's named extremal graphs; ``k`` is
+    f(G) for the families that depend on it."""
     n = g.order // 2
     graph_id = graph6_encode(g)
     inputs = {"n": n, "e": g.edge_count}
+    extremal = getattr(_BY_ID.get(theorem_id), "extremal", None)
     try:
-        if theorem_id == "THM_1_4":
-            ok = _matches_extremal(
-                g, make_H(n, 0), looks_like_H(g, n, 0) or None
-            )
-            name = f"H:{n},0"
-        elif theorem_id == "THM_1_5":
-            ok = _matches_extremal(
-                g, make_H_hat(n), looks_like_H_hat(g, n) or None
-            )
-            name = f"Hhat:{n}"
-        elif theorem_id in ("THM_2_1", "COR_2_2"):
-            assert k is not None
-            ok = _matches_extremal(
-                g, make_H_hat_join(n, k), looks_like_H_hat_join(g, n, k) or None
-            )
-            name = f"HhatJoin:{n},{k}"
-        elif theorem_id in ("THM_2_3", "COR_2_4"):
-            assert k is not None
-            ok = looks_like_H(g, n, k)
-            name = f"H:{n},{k}"
-        elif theorem_id in ("THM_3_4", "COR_3_5"):
-            ok = is_nk2(g) or is_complete_bipartite_balanced(g)
-            name = f"nK2:{n} or Knn:{n}"
-        else:
+        if extremal is None:
             raise GraphError(f"no extremal family registered for {theorem_id}")
+        ok = extremal.test(g, n, k)
     except GraphError as exc:
         return VerdictRecord(
             theorem_id, graph_id, inputs, "isomorphism", None, ABORTED, EQ_NA, str(exc)
         )
-    return VerdictRecord(
-        theorem_id,
-        graph_id,
-        inputs,
-        f"extremal {name}",
-        None,
-        PASS if ok else FAIL,
-        EQ_MATCH if ok else EQ_MISMATCH,
-        "",
-    )
+    bound = "extremal " + extremal.name.format(n=n, k=k)
+    status, equality = (PASS, EQ_MATCH) if ok else (FAIL, EQ_MISMATCH)
+    return VerdictRecord(theorem_id, graph_id, inputs, bound, None, status, equality, "")
 
 
 # ---------------------------------------------------------------------------
 # per-graph verification
 
 
-def _fmt_fraction(x: Fraction) -> str:
-    return str(x)
+def _lone_record(theorem_id: str, g: Graph, graph_id: str, status: str, detail: str):
+    inputs = {"n": g.order // 2, "e": g.edge_count}
+    return [VerdictRecord(theorem_id, graph_id, inputs, "", None, status, EQ_NA, detail)]
 
 
 def verify_graph(g: Graph, *, limits: SolverLimits = DEFAULT_LIMITS) -> list[VerdictRecord]:
-    """One record per applicable statement; see the module docstring for the
-    status semantics."""
+    """One record per statement of THEOREMS; see the module docstring for
+    the status semantics."""
     graph_id = graph6_encode(g)
     if g.order % 2 or not has_perfect_matching(g):
-        return [
-            VerdictRecord(
-                "NO_PERFECT_MATCHING",
-                graph_id,
-                {"n": g.order // 2, "e": g.edge_count},
-                "",
-                None,
-                INAPPLICABLE,
-                EQ_NA,
-                "graph has no perfect matching",
-            )
-        ]
+        return _lone_record(
+            "NO_PERFECT_MATCHING", g, graph_id, INAPPLICABLE, "graph has no perfect matching"
+        )
     try:
-        return _verify_graph_inner(g, graph_id, limits)
+        c = _Facts(g, graph_id, limits)
     except ResourceLimitError as exc:
-        return [
-            VerdictRecord(
-                "RESOURCE",
-                graph_id,
-                {"n": g.order // 2, "e": g.edge_count},
-                "",
-                None,
-                ABORTED,
-                EQ_NA,
-                str(exc),
-            )
-        ]
-
-
-def _verify_graph_inner(
-    g: Graph, graph_id: str, limits: SolverLimits
-) -> list[VerdictRecord]:
-    n = g.order // 2
-    e = g.edge_count
-    delta = g.min_degree
-    bip = bipartition_of(g)
-    bipartite = bip is not None
-    connected = is_connected(g)
-    report = classify(g)
-    spec = spectrum(g, limits=limits)
-    f_min, f_max = spec.f_min, spec.f_max
-    af_vals = anti_forcing_values(g, limits=limits)
-    af_max = max(af_vals)
-    r = e - g.order + 1 if connected else None
-    inputs = {
-        "n": n,
-        "e": e,
-        "delta": delta,
-        "f": f_min,
-        "F": f_max,
-        "Af": af_max,
-        "r": r,
-        "connected": connected,
-        "bipartite": bipartite,
-        "split": report.is_split,
-        "cograph": report.is_cograph,
-    }
-    bounds = bound_values(
-        g, bipartite=bipartite, split=report.is_split, cograph=report.is_cograph
-    )
-    records: list[VerdictRecord] = []
-
-    def rec(theorem_id, bound, observed, status, equality=EQ_NA, detail=""):
+        return _lone_record("RESOURCE", g, graph_id, ABORTED, str(exc))
+    records = []
+    for check in THEOREMS:
+        verdict = check.verdict(c)
+        if verdict is None:
+            continue
+        bound, observed, status, equality, detail = verdict
+        detail = c.witness() if detail is None else detail
         records.append(
             VerdictRecord(
-                theorem_id, graph_id, inputs, str(bound), observed, status, equality, detail
+                check.theorem_id, graph_id, c.inputs, bound, observed, status, equality, detail
             )
         )
-
-    def fail_detail() -> str:
-        witness = ";".join(
-            "matching=" + ",".join(f"{u}-{v}" for u, v in m.edges) + f" f={val}"
-            for m, val in spec.per_matching
-        )
-        return f"graph6={graph_id} {witness}"
-
-    def size_upper(theorem_id, bound: Fraction, extremal_k: Optional[int], applicable: bool):
-        """Upper bounds on e with an iff equality characterization."""
-        if not applicable:
-            rec(theorem_id, _fmt_fraction(bound), e, INAPPLICABLE)
-            return
-        if Fraction(e) > bound:
-            rec(theorem_id, _fmt_fraction(bound), e, FAIL, EQ_NA, fail_detail())
-            return
-        if Fraction(e) < bound:
-            rec(theorem_id, _fmt_fraction(bound), e, PASS, EQ_STRICT)
-            return
-        eq = verify_equality_case(theorem_id, g, extremal_k)
-        if eq.status == ABORTED:
-            rec(theorem_id, _fmt_fraction(bound), e, ABORTED, EQ_NA, eq.detail)
-        elif eq.equality_case == EQ_MATCH:
-            rec(theorem_id, _fmt_fraction(bound), e, PASS, EQ_MATCH)
-        else:
-            rec(theorem_id, _fmt_fraction(bound), e, FAIL, EQ_MISMATCH, fail_detail())
-
-    # THM_1_4 / THM_1_5: size of unique-perfect-matching graphs
-    size_upper("THM_1_4", Fraction(n * (n + 1), 2), None, bipartite and f_min == 0)
-    size_upper("THM_1_5", Fraction(n * n), None, f_min == 0)
-    # THM_2_1 / THM_2_3: size bounds at f(G) = k
-    k = f_min
-    size_upper("THM_2_1", Fraction(n * n + 2 * n * k - k * k - k), k, True)
-    size_upper(
-        "THM_2_3",
-        Fraction((n - k) * (n + k + 1), 2) + n * k,
-        k,
-        bipartite,
-    )
-
-    def f_lower(theorem_id, info, characterized_k: Optional[int]):
-        if not info.applicable:
-            rec(theorem_id, info.value, f_min, INAPPLICABLE)
-            return
-        cmpres = info.value.cmp(f_min)
-        if cmpres > 0:
-            rec(theorem_id, info.value, f_min, FAIL, EQ_NA, fail_detail())
-            return
-        if cmpres < 0:
-            rec(theorem_id, info.value, f_min, PASS, EQ_STRICT)
-            return
-        if characterized_k is None:
-            rec(theorem_id, info.value, f_min, PASS, EQ_MATCH)
-            return
-        eq = verify_equality_case(theorem_id, g, characterized_k)
-        if eq.status == ABORTED:
-            rec(theorem_id, info.value, f_min, ABORTED, EQ_NA, eq.detail)
-        elif eq.equality_case == EQ_MATCH:
-            rec(theorem_id, info.value, f_min, PASS, EQ_MATCH)
-        else:
-            rec(theorem_id, info.value, f_min, FAIL, EQ_MISMATCH, fail_detail())
-
-    f_lower("COR_2_2", bounds.get("COR_2_2"), f_min)
-    f_lower("COR_2_4", bounds.get("COR_2_4"), f_min if bipartite else None)
-
-    # degree bounds (tight but not characterized: no mismatch possible)
-    info = bounds.get("THM_2_5")
-    if not info.applicable:
-        rec("THM_2_5", info.value, f_min, INAPPLICABLE)
-    elif info.value.cmp(f_min) > 0:
-        rec("THM_2_5", info.value, f_min, FAIL, EQ_NA, fail_detail())
-    else:
-        rec(
-            "THM_2_5",
-            info.value,
-            f_min,
-            PASS,
-            EQ_MATCH
-            if info.value.equals(f_min) and looks_like_H(g, n, delta - 1)
-            else (EQ_STRICT if not info.value.equals(f_min) else EQ_NA),
-        )
-    info = bounds.get("THM_2_8")
-    if not info.applicable:
-        rec("THM_2_8", info.value, f_min, INAPPLICABLE)
-    elif info.value.cmp(f_min) > 0:
-        rec("THM_2_8", info.value, f_min, FAIL, EQ_NA, fail_detail())
-    else:
-        eq_flag = EQ_STRICT
-        if info.value.equals(f_min):
-            kk = f_min
-            tight = (
-                kk <= n - 1
-                and (
-                    are_isomorphic(g, make_H_hat_join(n, kk))
-                    if g.order <= ISO_FALLBACK_CAP
-                    else looks_like_H_hat_join(g, n, kk)
-                )
-            ) or (
-                kk <= n - 1
-                and g.order <= ISO_FALLBACK_CAP
-                and are_isomorphic(g, make_matching_join(n, kk))
-            )
-            eq_flag = EQ_MATCH if tight else EQ_NA
-        rec("THM_2_8", info.value, f_min, PASS, eq_flag)
-
-    # F upper bounds
-    info = bounds.get("COR_3_1")
-    if not info.applicable:
-        rec("COR_3_1", info.value, f_max, INAPPLICABLE)
-    else:
-        ok = info.value.cmp(f_max) >= 0
-        rec(
-            "COR_3_1",
-            info.value,
-            f_max,
-            PASS if ok else FAIL,
-            EQ_NA if not ok else (EQ_NA if info.value.equals(f_max) else EQ_STRICT),
-            "" if ok else fail_detail(),
-        )
-
-    info = bounds.get("PROP_3_2")
-    cmpres = info.value.cmp(f_max)
-    if cmpres < 0:
-        rec("PROP_3_2", info.value, f_max, FAIL, EQ_NA, fail_detail())
-    elif cmpres > 0:
-        rec("PROP_3_2", info.value, f_max, PASS, EQ_STRICT)
-    else:
-        ok = is_c4_k2_union(g, (e - n) // 2) if (e - n) % 2 == 0 else False
-        rec(
-            "PROP_3_2",
-            info.value,
-            f_max,
-            PASS if ok else FAIL,
-            EQ_MATCH if ok else EQ_MISMATCH,
-            "" if ok else fail_detail(),
-        )
-
-    # LEM_3_3: some matching edge has a large degree sum, per matching
-    lemma_ok = True
-    lemma_detail = ""
-    any_equality = False
-    for m, fv in spec.per_matching:
-        target = Fraction(2 * n, n - fv)
-        best = max(g.degree(u) + g.degree(v) for u, v in m.edges)
-        if Fraction(best) < target:
-            lemma_ok = False
-            lemma_detail = (
-                f"matching {m.edges} has max degree sum {best} < {target}"
-            )
-            break
-        if Fraction(best) == target:
-            any_equality = True
-            if n % (n - fv) != 0:
-                lemma_ok = False
-                lemma_detail = (
-                    f"equality at matching {m.edges} but {n - fv} does not divide {n}"
-                )
-                break
-    rec(
-        "LEM_3_3",
-        "max degree-sum >= 2n/(n-f(G,M))",
-        None,
-        PASS if lemma_ok else FAIL,
-        (EQ_MATCH if any_equality else EQ_STRICT) if lemma_ok else EQ_NA,
-        lemma_detail if not lemma_ok else "",
-    )
-
-    # THM_3_4: size lower bound at F(G) = k
-    kF = f_max
-    lhs = Fraction(e + kF + 1) * (n - kF)
-    rhs = Fraction(n * (n + 1))
-    bound_str = f"{Fraction(n * (n + 1), n - kF) - kF - 1}"
-    if lhs < rhs:
-        rec("THM_3_4", bound_str, e, FAIL, EQ_NA, fail_detail())
-    elif lhs > rhs:
-        rec("THM_3_4", bound_str, e, PASS, EQ_STRICT)
-    else:
-        eq = verify_equality_case("THM_3_4", g)
-        rec(
-            "THM_3_4",
-            bound_str,
-            e,
-            PASS,
-            EQ_MATCH if eq.equality_case == EQ_MATCH else EQ_NA,
-        )
-
-    info = bounds.get("COR_3_5")
-    cmpres = info.value.cmp(f_max)
-    if cmpres < 0:
-        rec("COR_3_5", info.value, f_max, FAIL, EQ_NA, fail_detail())
-    else:
-        eq_flag = EQ_STRICT
-        if cmpres == 0:
-            eq = verify_equality_case("COR_3_5", g)
-            eq_flag = EQ_MATCH if eq.equality_case == EQ_MATCH else EQ_NA
-        rec("COR_3_5", info.value, f_max, PASS, eq_flag)
-
-    # anti-forcing comparisons
-    af = max(af_vals)
-    rec(
-        "F_LE_AF",
-        str(af),
-        f_max,
-        PASS if f_max <= af else FAIL,
-        EQ_NA,
-        "" if f_max <= af else fail_detail(),
-    )
-    if connected:
-        rec(
-            "AF_CYCLOMATIC",
-            str(r),
-            af,
-            PASS if af <= r else FAIL,
-            EQ_NA,
-            "" if af <= r else fail_detail(),
-        )
-        edge_bound = Fraction(2 * e - g.order, 4)
-        rec(
-            "AF_EDGE_BOUND",
-            _fmt_fraction(edge_bound),
-            af,
-            PASS if Fraction(af) <= edge_bound else FAIL,
-            EQ_NA,
-            "" if Fraction(af) <= edge_bound else fail_detail(),
-        )
-    else:
-        rec("AF_CYCLOMATIC", "", af, INAPPLICABLE)
-        rec("AF_EDGE_BOUND", "", af, INAPPLICABLE)
-
-    # characterizations
-    if bipartite:
-        predicted = is_complete_bipartite_balanced(g)
-        observed = f_min == n - 1
-        rec(
-            "THM_4_2",
-            "f=n-1 iff K_{n,n}",
-            int(observed),
-            PASS if predicted == observed else FAIL,
-            EQ_MATCH if observed and predicted else EQ_NA,
-            "" if predicted == observed else fail_detail(),
-        )
-    else:
-        rec("THM_4_2", "f=n-1 iff K_{n,n}", None, INAPPLICABLE)
-
-    predicted = recognize_f_n1(g)
-    observed = f_min == n - 1
-    rec(
-        "THM_4_3",
-        "f=n-1 iff complete multipartite or K_{n,n}+sides",
-        int(observed),
-        PASS if predicted == observed else FAIL,
-        EQ_MATCH if observed and predicted else EQ_NA,
-        "" if predicted == observed else fail_detail(),
-    )
-
-    if bipartite and n >= 2:
-        member = report.g1_member or report.g2_member
-        observed = f_min == n - 2
-        rec(
-            "THM_4_5",
-            "f=n-2 iff G1 or G2 member",
-            int(observed),
-            PASS if member == observed else FAIL,
-            EQ_MATCH if member and observed else EQ_NA,
-            "" if member == observed else fail_detail(),
-        )
-        if observed:
-            all_eq = all(v == n - 2 for _, v in spec.per_matching)
-            rec(
-                "REM_4_8",
-                "every matching forces n-2",
-                None,
-                PASS if all_eq else FAIL,
-                EQ_NA,
-                "" if all_eq else fail_detail(),
-            )
-        else:
-            rec("REM_4_8", "every matching forces n-2", None, INAPPLICABLE)
-    else:
-        rec("THM_4_5", "f=n-2 iff G1 or G2 member", None, INAPPLICABLE)
-        rec("REM_4_8", "every matching forces n-2", None, INAPPLICABLE)
-
-    # exploratory: non-bipartite graphs with f = n-2 (open problem; no
-    # pass/fail semantics, the record only flags the graph for study)
-    if not bipartite and n >= 2 and f_min == n - 2:
-        rec(
-            "PROBLEM_5_4_CANDIDATE",
-            "non-bipartite with f=n-2 (uncharacterized)",
-            f_min,
-            INAPPLICABLE,
-        )
-
-    # conjecture and its proved special cases
-    conj_holds = e * (n - f_max) >= n * n
-    if 2 * f_max <= n or f_max >= n - 2:
-        rec(
-            "PROP_5_2_5_3",
-            "e(n-F) >= n^2 in the proved range",
-            e,
-            PASS if conj_holds else FAIL,
-            EQ_NA,
-            "" if conj_holds else fail_detail(),
-        )
-    else:
-        rec("PROP_5_2_5_3", "e(n-F) >= n^2 in the proved range", e, INAPPLICABLE)
-    rec(
-        "CONJ_5_1",
-        str(Fraction(n * n, n - f_max)),
-        e,
-        PASS if conj_holds else COUNTEREXAMPLE,
-        EQ_NA,
-        "" if conj_holds else fail_detail(),
-    )
     return records
 
 
@@ -809,30 +664,22 @@ def verify_pachter_kim(
 ) -> VerdictRecord:
     """f(G,M) = C(G,M) for every matching; call this only on graphs built as
     plane bipartite (grids, even cycles, unions of 4-cycles)."""
-    graph_id = graph6_encode(g)
     spec = spectrum(g, limits=limits)
+    detail = ""
     for m, fv in spec.per_matching:
         c = cycle_packing(g, m, limits=limits)
         if c != fv:
-            return VerdictRecord(
-                "PK_MINIMAX",
-                graph_id,
-                {"n": g.order // 2, "e": g.edge_count},
-                "f(G,M)=C(G,M)",
-                None,
-                FAIL,
-                EQ_NA,
-                f"matching {m.edges}: f={fv}, C={c}",
-            )
+            detail = f"matching {m.edges}: f={fv}, C={c}"
+            break
     return VerdictRecord(
         "PK_MINIMAX",
-        graph_id,
+        graph6_encode(g),
         {"n": g.order // 2, "e": g.edge_count},
         "f(G,M)=C(G,M)",
         None,
-        PASS,
+        FAIL if detail else PASS,
         EQ_NA,
-        "",
+        detail,
     )
 
 
@@ -847,8 +694,7 @@ def verify_crossover_remark(
             continue
         es = list(e_values) if e_values is not None else list(range(n, 2 * n * n - n + 1))
         for e in es:
-            radicand = Fraction(e * e + 2 * (n + 1) * e - 3 * n * n - 2 * n + 1)
-            cor35 = ExactBound(Fraction(n - e - 1, 2), Fraction(1, 2), radicand)
+            cor35 = _cor_3_5_bound(n, e)
             checks = []
             if 3 * e > 7 * n - 2:
                 checks.append(("(e-n)/2", Fraction(e - n, 2)))

@@ -2,7 +2,12 @@ import random
 
 import pytest
 
+import forcing_lab
 from forcing_lab.graphs import build_graph
+
+
+def pytest_report_header(config):
+    return f"forcing_lab kernel backend: {forcing_lab.BACKEND_NAME}"
 
 
 def random_graph(order: int, p: float, rng: random.Random):

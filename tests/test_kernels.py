@@ -151,21 +151,16 @@ def test_cycle_ceiling_sentinel():
 
 
 def test_backend_env_override(tmp_path):
+    import os
     import subprocess
     import sys
 
     code = "import forcing_lab; print(forcing_lab.BACKEND_NAME)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"FORCING_LAB_BACKEND": "python", "PATH": "/usr/bin:/bin"},
-    )
-    assert out.stdout.strip() == "python"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"FORCING_LAB_BACKEND": "compiled", "PATH": "/usr/bin:/bin"},
-    )
-    assert out.stdout.strip() == "compiled"
+    for backend in ("python", "compiled"):
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "FORCING_LAB_BACKEND": backend},
+        )
+        assert out.stdout.strip() == backend

@@ -2,6 +2,8 @@ import argparse
 import json
 from collections import Counter
 
+import pytest
+
 from conftest import random_graph
 from forcing_lab.cli import main
 from forcing_lab.graphs import build_graph, generate, graph6_decode, graph6_encode
@@ -113,6 +115,36 @@ class TestStream:
         assert resumed.to_json() == full.to_json()
         # a second run resumes from the completed cursor and changes nothing
         assert run_sweep(cfg).to_json() == full.to_json()
+
+
+class TestCheckpointCrash:
+    def test_crash_before_cursor_update_does_not_double_count(self, tmp_path, monkeypatch):
+        # order 4 plans two shards; the crash lands after the second shard's
+        # records are appended and before its cursor replaces the old one
+        from forcing_lab import sweep
+
+        ck = tmp_path / "ck.json"
+        cfg = SweepConfig(mode="all_graphs", max_order=4, workers=1, checkpoint=str(ck))
+        full = run_sweep(SweepConfig(mode="all_graphs", max_order=4, workers=1))
+        real_replace = sweep.os.replace
+        calls = []
+
+        def crash_on_second(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("simulated crash")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(sweep.os, "replace", crash_on_second)
+        with pytest.raises(OSError, match="simulated crash"):
+            run_sweep(cfg)
+        monkeypatch.undo()
+        # a torn write after the last completed shard is dropped as well
+        with open(str(ck) + ".records.jsonl", "a") as fh:
+            fh.write('{"theorem_id": "THM_')
+        resumed = run_sweep(cfg)
+        assert resumed.summary["graphs_verified"] == 38
+        assert resumed.to_json() == full.to_json()
 
 
 class TestReportShape:

@@ -160,6 +160,64 @@ class TestVerifyGraph:
         assert recs["REM_4_8"].status == "pass"
 
 
+THEOREM_ORDER = [
+    "THM_1_4", "THM_1_5", "THM_2_1", "THM_2_3", "COR_2_2", "COR_2_4", "THM_2_5",
+    "THM_2_8", "COR_3_1", "PROP_3_2", "LEM_3_3", "THM_3_4", "COR_3_5", "F_LE_AF",
+    "AF_CYCLOMATIC", "AF_EDGE_BOUND", "THM_4_2", "THM_4_3", "THM_4_5", "REM_4_8",
+    "PROBLEM_5_4_CANDIDATE", "PROP_5_2_5_3", "CONJ_5_1",
+]
+
+PAW = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])  # non-bipartite, f = 0 = n-2
+TWO_C4 = disjoint_union(generate("cycle", 4), generate("cycle", 4))
+K33 = generate("complete_bipartite", 3, 3)
+LEM_3_3_BOUND = "max degree-sum >= 2n/(n-f(G,M))"
+
+
+class TestTheoremTable:
+    @pytest.mark.parametrize(
+        "g, candidate",
+        [
+            (K33, False),
+            (TWO_C4, False),
+            (make_H_hat(3), False),  # non-bipartite, f = 0 != n-2
+            (PAW, True),
+            (make_matching_join(3, 1), True),  # non-bipartite, f = 1 = n-2
+        ],
+    )
+    def test_every_statement_once_in_table_order(self, g, candidate):
+        ids = [r.theorem_id for r in verify_graph(g)]
+        expected = [t for t in THEOREM_ORDER if candidate or t != "PROBLEM_5_4_CANDIDATE"]
+        assert ids == expected
+
+    @pytest.mark.parametrize(
+        "g, theorem_id, expected",
+        [
+            (make_H(4, 2), "THM_2_5", ("pass", "equality_matches_extremal", "2")),
+            (generate("cycle", 6), "THM_2_5", ("pass", "n/a", "1")),
+            (generate("cycle", 6), "COR_3_1", ("pass", "n/a", "1")),
+            (TWO_C4, "COR_3_1", ("inapplicable", "n/a", "1")),
+            (K33, "COR_3_5", ("pass", "equality_matches_extremal", "-7/2+1/2*sqrt(121)")),
+            (
+                build_graph(6, [(0, 1), (2, 3), (4, 5)]),
+                "COR_3_5",
+                ("pass", "equality_matches_extremal", "-1/2+1/2*sqrt(1)"),
+            ),
+            (K33, "LEM_3_3", ("pass", "equality_matches_extremal", LEM_3_3_BOUND)),
+            (make_H(4, 2), "LEM_3_3", ("pass", "strict", LEM_3_3_BOUND)),
+            (TWO_C4, "AF_CYCLOMATIC", ("inapplicable", "n/a", "")),
+            (TWO_C4, "AF_EDGE_BOUND", ("inapplicable", "n/a", "")),
+            (
+                PAW,
+                "PROBLEM_5_4_CANDIDATE",
+                ("inapplicable", "n/a", "non-bipartite with f=n-2 (uncharacterized)"),
+            ),
+        ],
+    )
+    def test_policy_verdicts(self, g, theorem_id, expected):
+        rec = records_by_id(verify_graph(g))[theorem_id]
+        assert (rec.status, rec.equality_case, rec.bound) == expected
+
+
 class TestKnownValues:
     def test_small_grid_and_cubes(self):
         recs = verify_known_values(["grid:4x4", "Q:2", "Q:3", "pc:2x3"])
