@@ -24,20 +24,18 @@ class OptionalBuildExt(build_ext):
             print(f"warning: skipping {ext.name} ({exc})", file=sys.stderr)
 
 
+def kernels(source: str) -> Extension:
+    return Extension("forcing_lab._ckernels", [source], extra_compile_args=["-O3"])
+
+
 def extensions():
     try:
         from Cython.Build import cythonize
-    except ImportError:
-        print("warning: Cython not available, using pure-Python kernels", file=sys.stderr)
-        return []
+    except ImportError:  # the generated C is tracked, so a C compiler suffices
+        print("warning: Cython not available, building the tracked _ckernels.c", file=sys.stderr)
+        return [kernels("src/forcing_lab/_ckernels.c")]
     return cythonize(
-        [
-            Extension(
-                "forcing_lab._ckernels",
-                ["src/forcing_lab/_ckernels.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
+        [kernels("src/forcing_lab/_ckernels.pyx")],
         compiler_directives={"language_level": "3"},
     )
 

@@ -392,3 +392,94 @@ def graph6_decode(text: str) -> Graph:
                 rows[j] |= 1 << i
             pos += 1
     return Graph(n, rows)
+
+
+# ---------------------------------------------------------------------------
+# canonical labelling (refinement plus individualization, after McKay and
+# Piperno, "Practical graph isomorphism II", 2014)
+
+
+def _refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
+    """Coarsest equitable colouring below ``colors``.  A colour is the number
+    of vertices in earlier cells, so cells only split in place, ordered by
+    the sorted colours of their neighbours and never by vertex labels."""
+    n = len(colors)
+    cells = len(set(colors))
+    while cells < n:
+        sig = [(colors[v], sorted([colors[u] for u in nbrs[v]])) for v in range(n)]
+        new = colors[:]
+        prev, split = None, 0
+        for i, v in enumerate(sorted(range(n), key=sig.__getitem__)):
+            if sig[v] != prev:
+                prev, start, split = sig[v], i, split + 1
+            new[v] = start
+        if split == cells:
+            break
+        colors, cells = new, split
+    return colors
+
+
+def _canonical_rows(g: Graph) -> tuple[int, ...]:
+    """Adjacency rows of the canonical relabelling: the smallest relabelled
+    rows over the leaves of the individualization tree.  A child is skipped
+    when an automorphism fixing the individualized prefix maps it onto an
+    explored sibling: a twin of one (same neighbourhood apart from each
+    other), or a vertex in its orbit under the automorphisms found so far."""
+    n, adj = g.order, g.adj
+    nbrs = [[u for u in range(n) if row >> u & 1] for row in adj]
+    degrees = sorted(g.degrees)
+    leaves: dict[tuple[int, ...], list[int]] = {}
+    autos: list[list[int]] = []
+
+    def search(colors: list[int], prefix: list[int]) -> None:
+        ranked = sorted(colors)
+        target = next((c for c, d in zip(ranked, ranked[1:]) if c == d), None)
+        if target is None:
+            bits = [1 << c for c in colors]
+            rows = [0] * n
+            for v, c in enumerate(colors):
+                for u in nbrs[v]:
+                    rows[c] |= bits[u]
+            key = tuple(rows)
+            first = leaves.setdefault(key, colors)
+            if first is not colors:
+                where = {c: v for v, c in enumerate(first)}
+                autos.append([where[c] for c in colors])
+            return
+        orbit = list(range(n))
+        seen = 0
+        done: list[int] = []
+        for v in (v for v in range(n) if colors[v] == target):
+            for gamma in autos[seen:]:
+                if all(gamma[p] == p for p in prefix):
+                    for x in range(n):
+                        a, b = orbit[x], orbit[gamma[x]]
+                        if a != b:
+                            orbit = [a if o == b else o for o in orbit]
+            seen = len(autos)
+            if any(
+                orbit[u] == orbit[v] or not (adj[u] ^ adj[v]) & ~(1 << u | 1 << v)
+                for u in done
+            ):
+                continue
+            child = [target + 1 if c == target and u != v else c for u, c in enumerate(colors)]
+            search(_refine(nbrs, child), prefix + [v])
+            done.append(v)
+
+    search(_refine(nbrs, [degrees.index(d) for d in g.degrees]), [])
+    return min(leaves)
+
+
+def canonical_graph6(g: Graph) -> str:
+    """graph6 of the canonical relabelling: equal for two graphs exactly when
+    they are isomorphic."""
+    return graph6_encode(_raw_graph(g.order, _canonical_rows(g)))
+
+
+def are_isomorphic(g: Graph, h: Graph) -> bool:
+    """Exact isomorphism test: cheap invariants first, then canonical forms."""
+    if g.order != h.order or g.edge_count != h.edge_count:
+        return False
+    if sorted(g.degrees) != sorted(h.degrees):
+        return False
+    return _canonical_rows(g) == _canonical_rows(h)

@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 
 from . import __version__
 from .errors import GraphError
-from .graphs import Graph, _raw_graph, build_graph, graph6_decode, graph6_encode
+from .graphs import Graph, _raw_graph, canonical_graph6, graph6_decode, graph6_encode
 from .matchings import has_perfect_matching
 from .solver import DEFAULT_LIMITS, SolverLimits
 from .verify import (
@@ -34,6 +34,10 @@ from .verify import (
 )
 
 SCHEMA_VERSION = 1
+
+# Names the member each class keeps under dedup, so a checkpoint written
+# under another rule is refused instead of resumed with a mixed set.
+_DEDUP_RULE = "equals-canonical_graph6/refine-individualize"
 
 _SHARD_TARGET_BITS = 16  # at most 2**16 edge masks per shard
 
@@ -63,7 +67,7 @@ class SweepConfig:
                 "max_order": self.max_order,
                 "side": self.side,
                 "require_pm": self.require_pm,
-                "dedup": self.dedup,
+                "dedup": _DEDUP_RULE if self.dedup else False,
                 "failures_only": self.failures_only,
                 "limits": [
                     self.limits.pm_limit,
@@ -105,51 +109,7 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# canonical form (optional dedup)
-
-
-def canonical_form(g: Graph) -> tuple[int, ...]:
-    """Lexicographically smallest upper-triangle column string over all
-    vertex orderings (branch and bound over partial orderings)."""
-    n = g.order
-    best: list[Optional[tuple[int, ...]]] = [None]
-
-    def columns_for(placed: list[int]) -> int:
-        j = len(placed) - 1
-        col = 0
-        new = placed[-1]
-        for i in range(j):
-            col = (col << 1) | (1 if g.has_edge(placed[i], new) else 0)
-        return col
-
-    def rec(placed: list[int], cols: tuple[int, ...]):
-        t = len(placed)
-        if best[0] is not None and cols > best[0][: len(cols)]:
-            return
-        if t == n:
-            if best[0] is None or cols < best[0]:
-                best[0] = cols
-            return
-        for v in range(n):
-            if v in placed:
-                continue
-            placed.append(v)
-            rec(placed, cols + (columns_for(placed),) if t >= 1 else cols)
-            placed.pop()
-
-    rec([], ())
-    assert best[0] is not None
-    return best[0]
-
-
-def canonical_graph6(g: Graph) -> str:
-    cols = canonical_form(g)
-    edges = []
-    for j, col in enumerate(cols, start=1):
-        for i in range(j):
-            if (col >> (j - 1 - i)) & 1:
-                edges.append((i, j))
-    return graph6_encode(build_graph(g.order, edges))
+# optional dedup
 
 
 def is_canonical_representative(g: Graph) -> bool:

@@ -4,10 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_graph
 from forcing_lab.errors import GraphError
+from forcing_lab.families import instantiate_family, parse_family_spec
 from forcing_lab.graphs import (
+    are_isomorphic,
     bipartition_of,
     build_graph,
+    canonical_graph6,
     cartesian_product,
     components,
     cyclomatic_number,
@@ -216,3 +220,43 @@ class TestGraph6:
             graph6_decode("D")  # truncated body
         with pytest.raises(GraphError):
             graph6_decode(chr(63 + 40) + "A" * 200)  # order beyond the cap
+
+
+def relabelled(g, rng):
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    return build_graph(g.order, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+class TestCanonicalLabelling:
+    def test_class_counts_match_oeis_a000088(self):
+        for n, classes in zip(range(1, 7), (1, 2, 4, 11, 34, 156)):
+            pairs = list(itertools.combinations(range(n), 2))
+            forms = {
+                canonical_graph6(
+                    build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+                )
+                for mask in range(1 << len(pairs))
+            }
+            assert len(forms) == classes
+
+    def test_invariant_under_relabeling(self, rng):
+        for order in (6, 7):
+            for _ in range(25):
+                g = random_graph(order, 0.5, rng)
+                assert canonical_graph6(g) == canonical_graph6(relabelled(g, rng))
+
+    @pytest.mark.parametrize("spec", ["Knn:16", "HhatJoin:16,8", "cycle:32", "K32"])
+    def test_invariant_on_symmetric_order_32(self, spec, rng):
+        if spec == "K32":
+            g = generate("complete", 32)
+        else:
+            g = instantiate_family(parse_family_spec(spec))
+        h = relabelled(g, rng)
+        assert canonical_graph6(g) == canonical_graph6(h)
+        assert are_isomorphic(g, h)
+
+    def test_relabelled_pairs(self, rng):
+        for _ in range(30):
+            g = random_graph(7, 0.5, rng)
+            assert are_isomorphic(g, relabelled(g, rng))

@@ -4,28 +4,14 @@ from collections import Counter
 
 import pytest
 
-from conftest import random_graph
 from forcing_lab.cli import main
-from forcing_lab.graphs import build_graph, generate, graph6_decode, graph6_encode
-from forcing_lab.sweep import (
-    SweepConfig,
-    build_report,
-    canonical_graph6,
-    plan_shards,
-    run_sweep,
-)
+from forcing_lab.errors import GraphError
+from forcing_lab.graphs import canonical_graph6, generate, graph6_decode, graph6_encode
+from forcing_lab.sweep import SweepConfig, build_report, plan_shards, run_sweep
 from forcing_lab.verify import VerdictRecord
 
 
 class TestCanonicalForm:
-    def test_invariant_under_relabeling(self, rng):
-        for _ in range(25):
-            g = random_graph(6, 0.5, rng)
-            perm = list(range(6))
-            rng.shuffle(perm)
-            h = build_graph(6, [(perm[u], perm[v]) for u, v in g.edges])
-            assert canonical_graph6(g) == canonical_graph6(h)
-
     def test_distinguishes_non_isomorphic(self):
         c6 = generate("cycle", 6)
         from forcing_lab.graphs import disjoint_union
@@ -145,6 +131,36 @@ class TestCheckpointCrash:
         resumed = run_sweep(cfg)
         assert resumed.summary["graphs_verified"] == 38
         assert resumed.to_json() == full.to_json()
+
+
+class TestCheckpointFingerprint:
+    # the fingerprint of an order-4 cursor written while dedup kept, of each
+    # class, the member with the smallest upper-triangle column string
+    EARLIER = (
+        '{"dedup": %s, "failures_only": false, "limits": [100000, 10000000, 1000000], '
+        '"max_order": 4, "mode": "all_graphs", "require_pm": true, "schema": 1, '
+        '"side": 3, "stream_path": null}'
+    )
+
+    def run_and_restamp(self, tmp_path, dedup):
+        ck = tmp_path / "ck.json"
+        cfg = SweepConfig(
+            mode="all_graphs", max_order=4, workers=1, dedup=dedup, checkpoint=str(ck)
+        )
+        report = run_sweep(cfg)
+        cursor = json.loads(ck.read_text())
+        cursor["fingerprint"] = self.EARLIER % json.dumps(dedup)
+        ck.write_text(json.dumps(cursor))
+        return cfg, report
+
+    def test_earlier_labelled_cursor_resumes(self, tmp_path):
+        cfg, report = self.run_and_restamp(tmp_path, dedup=False)
+        assert run_sweep(cfg).to_json() == report.to_json()
+
+    def test_earlier_dedup_cursor_refused(self, tmp_path):
+        cfg, _ = self.run_and_restamp(tmp_path, dedup=True)
+        with pytest.raises(GraphError, match="different sweep config"):
+            run_sweep(cfg)
 
 
 class TestReportShape:
