@@ -19,8 +19,6 @@ from .graphs import Graph, graph6_decode, graph6_encode
 from .solver import (
     SolverLimits,
     anti_forcing_number,
-    anti_forcing_values,
-    cycle_packing,
     forcing_number,
     spectrum,
 )
@@ -71,8 +69,12 @@ def cmd_compute(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        spec = spectrum(g, limits=limits)
-        af_vals = anti_forcing_values(g, limits=limits)
+        spec = spectrum(
+            g, limits=limits, with_cycle_packing=not args.no_cycles, with_anti_forcing=True
+        )
+        if spec.af_error is not None:
+            raise ResourceLimitError(spec.af_error)
+        af_vals = spec.af_values
         f_idx = min(range(len(spec.per_matching)), key=lambda i: spec.per_matching[i][1])
         F_idx = max(range(len(spec.per_matching)), key=lambda i: spec.per_matching[i][1])
         af_idx = max(range(len(af_vals)), key=lambda i: af_vals[i])
@@ -81,11 +83,7 @@ def cmd_compute(args) -> int:
         af_m = spec.per_matching[af_idx][0]
         forcing_witness = forcing_number(g, min_m, limits=limits)
         anti_witness = anti_forcing_number(g, af_m, limits=limits)
-        c_values = None
-        if not args.no_cycles:
-            c_values = [
-                cycle_packing(g, m, limits=limits) for m, _ in spec.per_matching
-            ]
+        c_values = None if spec.c_values is None else list(spec.c_values)
     except ResourceLimitError as exc:
         print(f"resource ceiling: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

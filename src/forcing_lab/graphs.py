@@ -419,17 +419,30 @@ def _refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
     return colors
 
 
-def _canonical_rows(g: Graph) -> tuple[int, ...]:
-    """Adjacency rows of the canonical relabelling: the smallest relabelled
-    rows over the leaves of the individualization tree.  A child is skipped
-    when an automorphism fixing the individualized prefix maps it onto an
-    explored sibling: a twin of one (same neighbourhood apart from each
-    other), or a vertex in its orbit under the automorphisms found so far."""
+def _individualize(g: Graph):
+    """Canonical rows, the automorphisms found and the twin pairs skipped,
+    from one search.
+
+    The rows are the smallest relabelled rows over the leaves of the
+    individualization tree.  A child is skipped when an automorphism fixing
+    the individualized prefix maps it onto an explored sibling: a twin of
+    one (same neighbourhood apart from each other), or a vertex in its
+    orbit under the automorphisms found so far.  Every skipped subtree is
+    then the image of an explored one, so the automorphisms found at equal
+    leaves, with the transpositions of the skipped twins, generate Aut(g);
+    a twin transposition already implied by earlier ones is left out."""
     n, adj = g.order, g.adj
     nbrs = [[u for u in range(n) if row >> u & 1] for row in adj]
     degrees = sorted(g.degrees)
     leaves: dict[tuple[int, ...], list[int]] = {}
     autos: list[list[int]] = []
+    twin_of = list(range(n))  # union-find over the twin transpositions kept
+    twins: list[tuple[int, int]] = []
+
+    def twin_root(v: int) -> int:
+        while twin_of[v] != v:
+            v = twin_of[v]
+        return v
 
     def search(colors: list[int], prefix: list[int]) -> None:
         ranked = sorted(colors)
@@ -457,17 +470,39 @@ def _canonical_rows(g: Graph) -> tuple[int, ...]:
                         if a != b:
                             orbit = [a if o == b else o for o in orbit]
             seen = len(autos)
-            if any(
-                orbit[u] == orbit[v] or not (adj[u] ^ adj[v]) & ~(1 << u | 1 << v)
-                for u in done
-            ):
-                continue
-            child = [target + 1 if c == target and u != v else c for u, c in enumerate(colors)]
-            search(_refine(nbrs, child), prefix + [v])
-            done.append(v)
+            for u in done:
+                if orbit[u] == orbit[v]:
+                    break
+                if not (adj[u] ^ adj[v]) & ~(1 << u | 1 << v):
+                    a, b = twin_root(u), twin_root(v)
+                    if a != b:
+                        twin_of[b] = a
+                        twins.append((u, v))
+                    break
+            else:
+                child = [target + 1 if c == target and u != v else c for u, c in enumerate(colors)]
+                search(_refine(nbrs, child), prefix + [v])
+                done.append(v)
 
     search(_refine(nbrs, [degrees.index(d) for d in g.degrees]), [])
-    return min(leaves)
+    return min(leaves), autos, twins
+
+
+def _canonical_rows(g: Graph) -> tuple[int, ...]:
+    """Adjacency rows of the canonical relabelling (see ``_individualize``)."""
+    return _individualize(g)[0]
+
+
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of Aut(g), each a vertex permutation ``p`` (v -> p[v]),
+    found by the canonical-labelling search."""
+    _, autos, twins = _individualize(g)
+    generators = [tuple(gamma) for gamma in autos]
+    for u, v in twins:
+        swap = list(range(g.order))
+        swap[u], swap[v] = v, u
+        generators.append(tuple(swap))
+    return generators
 
 
 def canonical_graph6(g: Graph) -> str:

@@ -8,6 +8,11 @@ cannot force), and sizes below the best disjoint packing of discovered
 cycles are never tried.  Each failed uniqueness check contributes a new
 cycle, so the search is a lazy minimum-hitting-set computation.  The
 anti-forcing search is the same machinery over the non-matching edges.
+
+f(G,M), af(G,M) and C(G,M) depend only on the isomorphism type of the
+pair (G, M), so on graphs with many perfect matchings ``spectrum`` solves
+one matching per orbit of Aut(G) and copies its values to the rest of the
+orbit; the generators come from the canonical-labelling search.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 from . import _backend
 from .errors import GraphError, MatchingError, NoPerfectMatchingError, ResourceLimitError
-from .graphs import Graph, is_connected
+from .graphs import Graph, automorphism_generators, is_connected
 from .matchings import (
     Matching,
     alternating_cycles,
@@ -51,12 +56,17 @@ class ForcingResult:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """f(G,M) for every perfect matching, hence f(G) and F(G)."""
+    """f(G,M) for every perfect matching, hence f(G) and F(G); C(G,M) and
+    af(G,M) too when asked for, in the same order.  When the af search hits
+    a resource ceiling, ``af_values`` is None, ``af_error`` says why, and
+    C(G,M) is not computed."""
 
     per_matching: tuple[tuple[Matching, int], ...]
     f_min: int
     f_max: int
     c_values: Optional[tuple[int, ...]] = None
+    af_values: Optional[tuple[int, ...]] = None
+    af_error: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +319,14 @@ def cycle_packing(
     return _backend.pack_masks(masks)
 
 
-def spectrum(
-    g: Graph,
-    *,
-    limits: SolverLimits = DEFAULT_LIMITS,
-    with_cycle_packing: bool = False,
-    method: str = "subset_search",
-) -> SpectrumReport:
-    """f(G,M) over every perfect matching (full enumeration)."""
+# Below this many perfect matchings every matching is solved directly; from
+# it on, once per orbit.  At order 8 the automorphism search costs more than
+# it saves for 8-15 matchings and pays from 16 on (K6 has 15, so sweeps of
+# order <= 6 never take the orbit path).
+_ORBIT_MIN_MATCHINGS = 16
+
+
+def _perfect_matchings(g: Graph, limits: SolverLimits) -> list[Matching]:
     if g.order % 2:
         raise NoPerfectMatchingError("odd order graph has no perfect matching")
     pms = enumerate_perfect_matchings(g, limit=limits.pm_limit + 1)
@@ -326,37 +336,100 @@ def spectrum(
         raise ResourceLimitError(
             f"more than {limits.pm_limit} perfect matchings; raise the pm limit"
         )
-    values = []
-    for m in pms:
+    return pms
+
+
+def matching_orbit_firsts(g: Graph, pms: Sequence[Matching]) -> list[int]:
+    """For each matching of ``pms`` (every perfect matching of ``g``), the
+    position of the first matching of its orbit under Aut(g)."""
+    bit = {e: 1 << i for i, e in enumerate(g.edges)}
+    position = {sum(map(bit.__getitem__, m.edges)): i for i, m in enumerate(pms)}
+    first = list(range(len(pms)))
+
+    def find(i: int) -> int:
+        while first[i] != i:
+            first[i] = first[first[i]]
+            i = first[i]
+        return i
+
+    for gamma in automorphism_generators(g):
+        image = {}
+        for u, v in g.edges:
+            a, b = gamma[u], gamma[v]
+            image[(u, v)] = bit[(a, b) if a < b else (b, a)]
+        for i, m in enumerate(pms):
+            a, b = find(i), find(position[sum(map(image.__getitem__, m.edges))])
+            if a != b:
+                first[max(a, b)] = min(a, b)
+    return [find(i) for i in range(len(pms))]
+
+
+def _per_matching(
+    pms: Sequence[Matching], firsts: Optional[list[int]], solve: Callable[[Matching], int]
+) -> tuple[int, ...]:
+    """``solve`` on each matching, or only on the first of each orbit."""
+    if firsts is None:
+        return tuple(solve(m) for m in pms)
+    out: list[int] = []
+    for i, m in enumerate(pms):
+        out.append(solve(m) if firsts[i] == i else out[firsts[i]])
+    return tuple(out)
+
+
+def _orbits(g: Graph, pms: Sequence[Matching]) -> Optional[list[int]]:
+    """``matching_orbit_firsts``, or None where the plain loop is cheaper."""
+    if len(pms) < _ORBIT_MIN_MATCHINGS:
+        return None
+    return matching_orbit_firsts(g, pms)
+
+
+def _anti_forcing_value(g: Graph, m: Matching, limits: SolverLimits) -> int:
+    value = _fast_value(g, m, limits, False)
+    if value is None:
+        value = anti_forcing_number(g, m, limits=limits).value
+    return value
+
+
+def spectrum(
+    g: Graph,
+    *,
+    limits: SolverLimits = DEFAULT_LIMITS,
+    with_cycle_packing: bool = False,
+    with_anti_forcing: bool = False,
+    method: str = "subset_search",
+) -> SpectrumReport:
+    """f(G,M) over every perfect matching (full enumeration), and C(G,M)
+    and af(G,M) on request, each solved once per orbit of Aut(G) when the
+    graph has many perfect matchings."""
+    pms = _perfect_matchings(g, limits)
+    firsts = _orbits(g, pms)
+
+    def forcing_value(m: Matching) -> int:
         value = _fast_value(g, m, limits, True) if method == "subset_search" else None
         if value is None:
             value = forcing_number(g, m, method=method, limits=limits).value
-        values.append(value)
-    per = tuple(zip(pms, values))
-    c_values = None
-    if with_cycle_packing:
-        c_values = tuple(cycle_packing(g, m, limits=limits) for m in pms)
-    return SpectrumReport(per, min(values), max(values), c_values)
+        return value
+
+    values = _per_matching(pms, firsts, forcing_value)
+    c_values = af_values = af_error = None
+    if with_anti_forcing:
+        try:
+            af_values = _per_matching(pms, firsts, lambda m: _anti_forcing_value(g, m, limits))
+        except ResourceLimitError as exc:
+            af_error = str(exc)
+    if with_cycle_packing and af_error is None:
+        c_values = _per_matching(pms, firsts, lambda m: cycle_packing(g, m, limits=limits))
+    return SpectrumReport(
+        tuple(zip(pms, values)), min(values), max(values), c_values, af_values, af_error
+    )
 
 
 def anti_forcing_values(
     g: Graph, *, limits: SolverLimits = DEFAULT_LIMITS
 ) -> tuple[int, ...]:
     """af(G,M) per perfect matching, in enumeration order."""
-    pms = enumerate_perfect_matchings(g, limit=limits.pm_limit + 1)
-    if not pms:
-        raise NoPerfectMatchingError("graph has no perfect matching")
-    if len(pms) > limits.pm_limit:
-        raise ResourceLimitError(
-            f"more than {limits.pm_limit} perfect matchings; raise the pm limit"
-        )
-    out = []
-    for m in pms:
-        value = _fast_value(g, m, limits, False)
-        if value is None:
-            value = anti_forcing_number(g, m, limits=limits).value
-        out.append(value)
-    return tuple(out)
+    pms = _perfect_matchings(g, limits)
+    return _per_matching(pms, _orbits(g, pms), lambda m: _anti_forcing_value(g, m, limits))
 
 
 def max_anti_forcing(g: Graph, *, limits: SolverLimits = DEFAULT_LIMITS) -> int:

@@ -11,7 +11,6 @@ stderr, not into the report.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -357,6 +356,8 @@ def run_sweep(config: SweepConfig) -> Report:
     ]
     completed = start_shard
     parallel = config.workers > 1 and bool(todo)
+    if parallel:
+        import multiprocessing  # here, not at the top: only a pool needs it (about 1 MB)
     with multiprocessing.Pool(config.workers) if parallel else nullcontext() as pool:
         results = pool.imap(_run_shard_star, args) if parallel else map(_run_shard_star, args)
         for shard_records, shard_counts, shard_graphs in results:

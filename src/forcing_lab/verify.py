@@ -53,9 +53,7 @@ from .solver import (
     ExactBound,
     SolverLimits,
     _cor_3_5_bound,
-    anti_forcing_values,
     bound_values,
-    cycle_packing,
     spectrum,
 )
 
@@ -238,9 +236,10 @@ class _Facts:
         self.connected = is_connected(g)
         self.report = classify(g)
         self.split, self.cograph = self.report.is_split, self.report.is_cograph
-        self.spec = spectrum(g, limits=limits)
+        self.spec = spectrum(g, limits=limits, with_anti_forcing=True)
         self.f, self.F = self.spec.f_min, self.spec.f_max
-        self.Af = max(anti_forcing_values(g, limits=limits))
+        af = self.spec.af_values
+        self.Af = None if af is None else max(af)  # None: the af search hit a ceiling
         self.r = self.e - g.order + 1 if self.connected else None
         self.inputs = {key: getattr(self, key) for key in _INPUTS}
         self.bounds = bound_values(
@@ -276,8 +275,11 @@ class _Bound:
     extremal: Optional[_Extremal] = None
     violation: str = FAIL
     shown: bool = True  # False records no observed value
+    reads_af: bool = False  # aborted when the af search hit a ceiling
 
     def verdict(self, c: _Facts):
+        if self.reads_af and c.Af is None:
+            return "", None, ABORTED, EQ_NA, c.spec.af_error
         if self.kind == _SOLVER:
             info = c.bounds.get(self.theorem_id)
             kind, bound, applies = info.kind, info.value, info.applicable
@@ -419,12 +421,15 @@ THEOREMS = (
     ),
     _Bound("COR_3_5", _TIGHT, extremal=_NK2_OR_KNN),
     # anti-forcing
-    _Bound("F_LE_AF", _NONE, "F_upper", lambda c: c.Af),
-    _Bound("AF_CYCLOMATIC", _NONE, "Af_upper", lambda c: c.r, applies=lambda c: c.connected),
+    _Bound("F_LE_AF", _NONE, "F_upper", lambda c: c.Af, reads_af=True),
+    _Bound(
+        "AF_CYCLOMATIC", _NONE, "Af_upper", lambda c: c.r,
+        applies=lambda c: c.connected, reads_af=True,
+    ),
     _Bound(
         "AF_EDGE_BOUND", _NONE, "Af_upper",
         lambda c: Fraction(2 * c.e - 2 * c.n, 4) if c.connected else None,
-        applies=lambda c: c.connected,
+        applies=lambda c: c.connected, reads_af=True,
     ),
     # characterizations of f = n-1 and f = n-2
     _Iff(
@@ -588,10 +593,9 @@ def verify_pachter_kim(
 ) -> VerdictRecord:
     """f(G,M) = C(G,M) for every matching; call this only on graphs built as
     plane bipartite (grids, even cycles, unions of 4-cycles)."""
-    spec = spectrum(g, limits=limits)
+    spec = spectrum(g, limits=limits, with_cycle_packing=True)
     detail = ""
-    for m, fv in spec.per_matching:
-        c = cycle_packing(g, m, limits=limits)
+    for (m, fv), c in zip(spec.per_matching, spec.c_values):
         if c != fv:
             detail = f"matching {m.edges}: f={fv}, C={c}"
             break

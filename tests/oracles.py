@@ -125,6 +125,26 @@ def oracle_cycle_packing(g: Graph, m: tuple[tuple[int, int], ...]) -> int:
     return best
 
 
+def oracle_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every vertex permutation that maps edges onto edges."""
+    return [
+        p
+        for p in itertools.permutations(range(g.order))
+        if all(g.adj[p[u]] >> p[v] & 1 for u, v in g.edges)
+    ]
+
+
+def oracle_matching_orbit_firsts(g: Graph, matchings) -> list[int]:
+    """For each matching (a sorted edge tuple), the first position in
+    ``matchings`` of a matching in its orbit under every automorphism."""
+    position = {m: i for i, m in enumerate(matchings)}
+    autos = oracle_automorphisms(g)
+    return [
+        min(position[tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in m))] for p in autos)
+        for m in matchings
+    ]
+
+
 def oracle_independence_number(g: Graph) -> int:
     best = 0
     for mask in range(1 << g.order):

@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
+from oracles import oracle_automorphisms
 from forcing_lab.errors import GraphError
 from forcing_lab.families import instantiate_family, parse_family_spec
 from forcing_lab.graphs import (
     are_isomorphic,
+    automorphism_generators,
     bipartition_of,
     build_graph,
     canonical_graph6,
@@ -260,3 +262,47 @@ class TestCanonicalLabelling:
         for _ in range(30):
             g = random_graph(7, 0.5, rng)
             assert are_isomorphic(g, relabelled(g, rng))
+
+
+def generated_group(order, generators):
+    """Closure of the generators under composition."""
+    identity = tuple(range(order))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for gamma in generators:
+                q = tuple(gamma[p[v]] for v in range(order))
+                if q not in group:
+                    group.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return group
+
+
+class TestAutomorphismGenerators:
+    @pytest.mark.parametrize(
+        "spec", ["Knn:5", "Q:4", "torus:4x4", "MJoin:6,2", "HhatJoin:6,2", "H:7,2", "cycle:12"]
+    )
+    def test_generators_are_automorphisms(self, spec, rng):
+        for g in (instantiate_family(parse_family_spec(spec)), random_graph(12, 0.4, rng)):
+            edges = set(g.edges)
+            for gamma in automorphism_generators(g):
+                assert sorted(gamma) == list(range(g.order))
+                assert {tuple(sorted((gamma[u], gamma[v]))) for u, v in g.edges} == edges
+
+    def test_generate_the_whole_group_order6(self, rng):
+        for _ in range(150):
+            g = random_graph(6, rng.choice((0.2, 0.5, 0.8)), rng)
+            group = generated_group(6, automorphism_generators(g))
+            assert group == set(oracle_automorphisms(g))
+
+    def test_generate_the_whole_group_symmetric(self):
+        for g, size in (
+            (generate("complete", 6), 720),
+            (generate("complete_bipartite", 3, 3), 72),
+            (generate("cycle", 8), 16),
+            (generate("hypercube", 3), 48),
+            (build_graph(6, [(0, 1), (2, 3), (4, 5)]), 48),
+        ):
+            assert len(generated_group(g.order, automorphism_generators(g))) == size

@@ -1,4 +1,8 @@
+import contextlib
+import hashlib
+import io
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,11 +12,13 @@ from oracles import (
     oracle_cycle_packing,
     oracle_forcing_number,
     oracle_is_forcing_set,
+    oracle_matching_orbit_firsts,
     oracle_perfect_matchings,
 )
 from conftest import random_graph
 from forcing_lab.errors import MatchingError, NoPerfectMatchingError, ResourceLimitError
-from forcing_lab.families import make_H, make_H_hat
+from forcing_lab import cli, solver
+from forcing_lab.families import instantiate_family, make_H, make_H_hat, parse_family_spec
 from forcing_lab.graphs import build_graph, cartesian_product, generate
 from forcing_lab.matchings import enumerate_perfect_matchings, matching_from_edges
 from forcing_lab.solver import (
@@ -24,6 +30,8 @@ from forcing_lab.solver import (
     forcing_number,
     is_anti_forcing_set,
     is_forcing_set,
+    anti_forcing_values,
+    matching_orbit_firsts,
     max_anti_forcing,
     spectrum,
 )
@@ -354,3 +362,96 @@ class TestBoundValues:
                 info = report.get(bound_id)
                 if info.applicable:
                     assert info.value.cmp(sp.f_max) >= 0
+
+
+# compute --json output of the solver before orbit sharing, by sha256
+COMPUTE_JSON_SHA256 = {
+    "Q:3": "1c51906edb6053694557d6bd95326d72753ca1b3b5009471e96c1aa888d709bd",
+    "Q:4": "ba1284886b11107a37d16a267b0e595266e762e99fd43a9f3e44b6d4bc019c1d",
+    "grid:4x4": "473aa901d3c86319b4d1a5b62942aaef83b226b092578fd4e496c6cf3b67d21e",
+    "torus:4x4": "c87cdb890eeef4c5b873cd04d43d88b95084567876cb8d5b4f40a73cfcfa895b",
+    "pc:4x4": "6a9d5705bf245e81107106deb1e7bcbf1a9f528a8291d52df60ff1faf1cc6430",
+    "pc:3x6": "483502abfb3a20ddd293c8a387521104780dd3a4755977a2638bf68c02632400",
+    "H:6,2": "757c0e1bb27ce9a2ff9aaf6e127b8758fe9493ad7e6e1ad9d18959b6e0a82136",
+    "MJoin:6,2": "724f8c3a91679da10efbc4792b08e4c7ea3b4a47d9295d957322699becd7814c",
+    "G4:4,1": "c43b7ff85d71c5029b95ba08d641c09c65a017b36ac2603fc98716f37a27dbeb",
+    "G5:5,1,1": "fc2932f6f881354b47397f8ae70519cf4960918687e7b2c9ee69ac5909c56fc2",
+    "G5:6,1,2": "33763b93b697c366e0f38cf8342d937915ce8a79456494f1ecaa400b346e0c27",
+    "Knn:4": "29cc22daf284785bfd6621f58c24952bcaa0f9a3ce1254d08ed8cafc8bc011ec",
+    "Knn:5": "297694f5cab2ff939eb924d85d7a7cddee3e30361f73d62271343165699bee82",
+    "H:7,2": "49df078693a0723e0468d700272cd7c1a196229140828ed8933025270421a27b",
+    "G4:5,1": "09e060b8848279ebd8fe3e952c60e6dd06fe425f968d0c1f3ebe06eae2ad90b0",
+}
+
+
+def sample_with_matchings(order, count, rng, at_least=1, densities=(0.4, 0.6, 0.8)):
+    out = []
+    while len(out) < count:
+        g = random_graph(order, rng.choice(densities), rng)
+        if len(enumerate_perfect_matchings(g)) >= at_least:
+            out.append(g)
+    return out
+
+
+class TestMatchingOrbits:
+    @pytest.mark.parametrize("order,count", [(6, 300), (8, 12)])
+    def test_equal_brute_force_orbits(self, order, count, rng):
+        for g in sample_with_matchings(order, count, rng):
+            pms = enumerate_perfect_matchings(g)
+            assert matching_orbit_firsts(g, pms) == oracle_matching_orbit_firsts(
+                g, [m.edges for m in pms]
+            )
+
+    def test_few_matchings_skip_the_automorphism_search(self, monkeypatch):
+        def forbidden(g):
+            raise AssertionError("orbit pass below the threshold")
+
+        monkeypatch.setattr(solver, "automorphism_generators", forbidden)
+        k6 = generate("complete", 6)  # 15 perfect matchings
+        sp = spectrum(k6, with_cycle_packing=True, with_anti_forcing=True)
+        assert sp.f_min == sp.f_max == 2
+
+    @pytest.mark.parametrize("spec", sorted(COMPUTE_JSON_SHA256))
+    def test_values_equal_direct_calls(self, spec):
+        g = instantiate_family(parse_family_spec(spec))
+        sp = spectrum(g, with_cycle_packing=True, with_anti_forcing=True)
+        pms = [m for m, _ in sp.per_matching]
+        firsts = matching_orbit_firsts(g, pms)
+        assert len(pms) >= 16 or spec == "Q:3"
+        for (m, f), c in zip(sp.per_matching, sp.c_values):
+            assert f == forcing_number(g, m).value
+            assert c == cycle_packing(g, m)
+        # af directly on a few matchings whose value was copied from their orbit
+        copied = [i for i, first in enumerate(firsts) if first != i]
+        for i in random.Random(spec).sample(copied, min(3, len(copied))):
+            assert sp.af_values[i] == anti_forcing_number(g, pms[i]).value
+
+    def test_random_graphs_with_many_matchings(self, rng):
+        graphs = sample_with_matchings(8, 4, rng, 16)
+        graphs += sample_with_matchings(10, 2, rng, 16, densities=(0.5,))
+        for g in graphs:
+            sp = spectrum(g, with_cycle_packing=True, with_anti_forcing=True)
+            for (m, f), c, af in zip(sp.per_matching, sp.c_values, sp.af_values):
+                assert f == forcing_number(g, m).value
+                assert c == cycle_packing(g, m)
+                assert af == anti_forcing_number(g, m).value
+
+    @pytest.mark.parametrize("spec", sorted(COMPUTE_JSON_SHA256))
+    def test_compute_json_unchanged(self, spec):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["compute", spec, "--json"]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == COMPUTE_JSON_SHA256[spec]
+
+
+class TestAntiForcingCeiling:
+    @pytest.mark.parametrize("spec,node_limit", [("Q:3", 50), ("Knn:5", 200)])
+    def test_af_ceiling_keeps_the_f_values(self, spec, node_limit):
+        g = instantiate_family(parse_family_spec(spec))
+        limits = SolverLimits(node_limit=node_limit)
+        sp = spectrum(g, limits=limits, with_cycle_packing=True, with_anti_forcing=True)
+        assert sp.af_values is None and sp.c_values is None
+        assert "node limit" in sp.af_error
+        assert sp.per_matching == spectrum(g).per_matching
+        with pytest.raises(ResourceLimitError):
+            anti_forcing_values(g, limits=limits)

@@ -15,7 +15,7 @@ from forcing_lab.graphs import (
     disjoint_union,
     generate,
 )
-from forcing_lab.solver import spectrum
+from forcing_lab.solver import SolverLimits, spectrum
 from forcing_lab.verify import (
     looks_like_H,
     looks_like_H_hat,
@@ -173,6 +173,29 @@ PAW = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])  # non-bipartite, f = 0 =
 TWO_C4 = disjoint_union(generate("cycle", 4), generate("cycle", 4))
 K33 = generate("complete_bipartite", 3, 3)
 LEM_3_3_BOUND = "max degree-sum >= 2n/(n-f(G,M))"
+
+
+class TestAntiForcingCeiling:
+    READS_AF = ("F_LE_AF", "AF_CYCLOMATIC", "AF_EDGE_BOUND")
+
+    def test_only_the_af_statements_abort(self):
+        q3 = generate("hypercube", 3)
+        full = verify_graph(q3)
+        capped = verify_graph(q3, limits=SolverLimits(node_limit=50))
+        assert [r.theorem_id for r in capped] == [r.theorem_id for r in full]
+        for before, after in zip(full, capped):
+            assert after.inputs == {**before.inputs, "Af": None}
+            if after.theorem_id in self.READS_AF:
+                assert (after.status, after.bound, after.observed) == ("aborted", "", None)
+                assert after.detail == "subset-search node limit exceeded"
+            else:
+                assert (after.bound, after.observed, after.status, after.equality_case) == (
+                    before.bound, before.observed, before.status, before.equality_case
+                )
+
+    def test_f_ceiling_still_aborts_the_graph(self):
+        capped = verify_graph(generate("hypercube", 3), limits=SolverLimits(node_limit=5))
+        assert [(r.theorem_id, r.status) for r in capped] == [("RESOURCE", "aborted")]
 
 
 class TestTheoremTable:
