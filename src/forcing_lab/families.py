@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .errors import FamilyError
@@ -29,6 +30,13 @@ from .graphs import (
 from .matchings import allowed_edges
 
 
+# The constructors of the extremal graphs are memoized (graphs are immutable
+# and 2n <= 32 bounds the cache), so the theorem table's isomorphism tests
+# build and label each target once per process; the graph keeps its
+# canonical rows.
+
+
+@lru_cache(maxsize=None)
 def make_H(n: int, k: int) -> Graph:
     """H_{n,k}: balanced bipartite, u_i v_j missing exactly when i < j <= n-k."""
     if not (0 <= k <= n - 1) or 2 * n > ORDER_CAP:
@@ -42,10 +50,7 @@ def make_H(n: int, k: int) -> Graph:
     return build_graph(2 * n, edges)
 
 
-def h_bipartition(n: int) -> Bipartition:
-    return Bipartition(tuple(range(n)), tuple(range(n, 2 * n)), True)
-
-
+@lru_cache(maxsize=None)
 def make_H_hat(n: int) -> Graph:
     """H_{n,0} with the V side completed to a clique; unique perfect matching."""
     if n < 1 or 2 * n > ORDER_CAP:
@@ -56,6 +61,7 @@ def make_H_hat(n: int) -> Graph:
     return build_graph(2 * n, edges)
 
 
+@lru_cache(maxsize=None)
 def make_H_hat_join(n: int, k: int) -> Graph:
     """The join of H-hat_{n-k,0} with the complete graph on 2k vertices."""
     if not (0 <= k <= n - 1) or 2 * n > ORDER_CAP:
@@ -66,6 +72,7 @@ def make_H_hat_join(n: int, k: int) -> Graph:
     return join(core, generate("complete", 2 * k))
 
 
+@lru_cache(maxsize=None)
 def make_matching_join(n: int, k: int) -> Graph:
     """(n-k) disjoint edges joined with the complete graph on 2k vertices."""
     if not (0 <= k <= n - 1) or 2 * n > ORDER_CAP:

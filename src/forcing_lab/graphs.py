@@ -21,7 +21,7 @@ GRAPH6_HEADER = ">>graph6<<"
 class Graph:
     """Immutable simple graph: adjacency bit-rows plus a sorted edge list."""
 
-    __slots__ = ("order", "adj", "edges", "_handle")
+    __slots__ = ("order", "adj", "edges", "_handle", "_canon")
 
     def __init__(self, order: int, adj: Sequence[int]):
         if not 0 < order <= ORDER_CAP:
@@ -52,6 +52,7 @@ class Graph:
             ),
         )
         object.__setattr__(self, "_handle", None)
+        object.__setattr__(self, "_canon", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -129,6 +130,7 @@ def _raw_graph(order: int, rows, edges=None) -> Graph:
         g, "edges", tuple(edges) if edges is not None else _edges_from_rows(order, rows)
     )
     object.__setattr__(g, "_handle", None)
+    object.__setattr__(g, "_canon", None)
     return g
 
 
@@ -182,14 +184,6 @@ def subgraph_without_vertices(g: Graph, drop_mask: int) -> Graph:
 
 def induced_subgraph(g: Graph, keep_mask: int) -> Graph:
     return subgraph_without_vertices(g, g.full_mask & ~keep_mask)
-
-
-def subgraph_without_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
-    rows = list(g.adj)
-    for u, v in edges:
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-    return _raw_graph(g.order, rows)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -489,8 +483,11 @@ def _individualize(g: Graph):
 
 
 def _canonical_rows(g: Graph) -> tuple[int, ...]:
-    """Adjacency rows of the canonical relabelling (see ``_individualize``)."""
-    return _individualize(g)[0]
+    """Adjacency rows of the canonical relabelling (see ``_individualize``),
+    computed once per graph."""
+    if g._canon is None:
+        object.__setattr__(g, "_canon", _individualize(g)[0])
+    return g._canon
 
 
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:

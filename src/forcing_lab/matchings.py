@@ -30,9 +30,6 @@ class Matching:
             out[v] = u
         return tuple(out)
 
-    def is_perfect_for(self, g: Graph) -> bool:
-        return self.covered == g.full_mask
-
 
 def matching_from_edges(edges: Sequence[tuple[int, int]]) -> Matching:
     norm = sorted((u, v) if u < v else (v, u) for u, v in edges)
@@ -176,11 +173,6 @@ def is_elementary(g: Graph) -> bool:
     if not is_connected(g):
         return False
     return len(allowed_edges(g)) == g.edge_count
-
-
-def max_independent_set(g: Graph) -> tuple[int, tuple[int, ...]]:
-    size, mask = _backend.mis(g.handle, g.full_mask)
-    return size, tuple(v for v in range(g.order) if (mask >> v) & 1)
 
 
 def independence_number(g: Graph) -> int:

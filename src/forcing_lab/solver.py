@@ -295,7 +295,7 @@ def _fast_value(g: Graph, m: Matching, limits: SolverLimits, forcing: bool):
     deepening) and returns only the optimum size; witness-producing calls
     always take the Python path.
     """
-    fn = getattr(_backend, "forcing_value" if forcing else "anti_forcing_value", None)
+    fn = _backend.forcing_value if forcing else _backend.anti_forcing_value
     if fn is None:
         return None
     value = fn(g.handle, m.mates(g.order), limits.node_limit)
@@ -396,7 +396,6 @@ def spectrum(
     limits: SolverLimits = DEFAULT_LIMITS,
     with_cycle_packing: bool = False,
     with_anti_forcing: bool = False,
-    method: str = "subset_search",
 ) -> SpectrumReport:
     """f(G,M) over every perfect matching (full enumeration), and C(G,M)
     and af(G,M) on request, each solved once per orbit of Aut(G) when the
@@ -405,9 +404,9 @@ def spectrum(
     firsts = _orbits(g, pms)
 
     def forcing_value(m: Matching) -> int:
-        value = _fast_value(g, m, limits, True) if method == "subset_search" else None
+        value = _fast_value(g, m, limits, True)
         if value is None:
-            value = forcing_number(g, m, method=method, limits=limits).value
+            value = forcing_number(g, m, limits=limits).value
         return value
 
     values = _per_matching(pms, firsts, forcing_value)

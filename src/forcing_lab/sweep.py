@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import __version__
@@ -408,7 +408,3 @@ def build_report(
         },
     }
     return Report(records, summary, environment)
-
-
-def verify_stream(path: str, config: SweepConfig) -> Report:
-    return run_sweep(replace(config, mode="stream", stream_path=path))

@@ -5,6 +5,7 @@ sweep (multi-hour) is gated behind FORCING_LAB_FULL_SWEEP=1; its order-6
 reduction is the CI gate and must finish well under two minutes.
 """
 
+import hashlib
 import itertools
 import os
 import random
@@ -250,11 +251,16 @@ def test_criterion_7_conjecture_sweep_order8_full():
     print("ACCEPTANCE criterion 7 (full): PASS — zero counterexamples at order <= 8")
 
 
+# sha256 of the order-6 report, the bytes `sweep --max-order 6 --json` writes
+ORDER_6_REPORT_SHA256 = "ab04ba45b9eb78dddd31cdd1dd8a7278594e57355f2a6128f420dc1a39bd7654"
+
+
 def test_criterion_8_determinism_across_workers():
     start = time.monotonic()
     one = run_sweep(SweepConfig(mode="all_graphs", max_order=6, workers=1)).to_json()
     eight = run_sweep(SweepConfig(mode="all_graphs", max_order=6, workers=8)).to_json()
     assert one == eight
+    assert hashlib.sha256(one.encode()).hexdigest() == ORDER_6_REPORT_SHA256
     print(
         "ACCEPTANCE criterion 8: PASS — byte-identical reports, workers 1 vs 8 "
         f"({time.monotonic() - start:.1f}s)"

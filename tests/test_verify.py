@@ -1,6 +1,5 @@
 import pytest
 
-from conftest import random_graph
 from forcing_lab.families import (
     make_G1_member,
     make_H,
@@ -17,9 +16,8 @@ from forcing_lab.graphs import (
 )
 from forcing_lab.solver import SolverLimits, spectrum
 from forcing_lab.verify import (
-    looks_like_H,
-    looks_like_H_hat,
-    looks_like_H_hat_join,
+    _BY_ID,
+    THEOREMS,
     verify_crossover_remark,
     verify_equality_case,
     verify_graph,
@@ -39,25 +37,43 @@ class TestIsomorphism:
         two_k3 = disjoint_union(generate("cycle", 3), generate("cycle", 3))
         assert not are_isomorphic(c6, two_k3)
 
-    def test_structural_recognizers_agree_with_iso(self):
-        for n in range(1, 5):
-            for k in range(n):
-                target = make_H(n, k)
-                assert looks_like_H(target, n, k)
-                jt = make_H_hat_join(n, k)
-                assert looks_like_H_hat_join(jt, n, k)
-            assert looks_like_H_hat(make_H_hat(n), n)
+    # members of each constructed extremal family named in THEOREMS, as a
+    # function of n and k; THM_2_5 reads k from the minimum degree, and
+    # H_{n,k} has minimum degree k+1
+    MEMBERS = {
+        "THM_1_4": lambda n, k: [make_H(n, 0)],
+        "THM_1_5": lambda n, k: [make_H_hat(n)],
+        "THM_2_1": lambda n, k: [make_H_hat_join(n, k)],
+        "THM_2_3": lambda n, k: [make_H(n, k)],
+        "COR_2_2": lambda n, k: [make_H_hat_join(n, k)],
+        "COR_2_4": lambda n, k: [make_H(n, k)],
+        "THM_2_5": lambda n, k: [make_H(n, k)],
+        "THM_2_8": lambda n, k: [make_H_hat_join(n, k), make_matching_join(n, k)],
+    }
 
-    def test_recognizers_reject_near_misses(self, rng):
-        for _ in range(200):
-            n = rng.randint(2, 4)
-            g = random_graph(2 * n, rng.random(), rng)
-            for k in range(n):
-                assert looks_like_H(g, n, k) == are_isomorphic(g, make_H(n, k))
-                assert looks_like_H_hat_join(g, n, k) == are_isomorphic(
-                    g, make_H_hat_join(n, k)
-                )
-            assert looks_like_H_hat(g, n) == are_isomorphic(g, make_H_hat(n))
+    def test_constructed_extremal_tests_up_to_order_32(self, rng):
+        constructed = {
+            check.theorem_id
+            for check in THEOREMS
+            if getattr(check, "extremal", None) is not None
+            and check.extremal.name.split(":")[0] in ("H", "Hhat", "HhatJoin", "MJoin")
+        }
+        assert constructed == set(self.MEMBERS)
+        for n in (4, 10, 16):
+            for k in sorted({0, 1, n // 2, n - 1}):
+                for theorem_id, members in self.MEMBERS.items():
+                    if theorem_id == "THM_2_5" and k == n - 1:
+                        continue  # K_{n,n} minus an edge is H_{n,n-2}, a member
+                    test = _BY_ID[theorem_id].extremal.test
+                    for member in members(n, k):
+                        order = member.order
+                        perm = list(range(order))
+                        rng.shuffle(perm)
+                        edges = [(perm[u], perm[v]) for u, v in member.edges]
+                        relabelled = build_graph(order, edges)
+                        assert test(relabelled, n, k), (theorem_id, n, k)
+                        edges.pop(rng.randrange(len(edges)))
+                        assert not test(build_graph(order, edges), n, k), (theorem_id, n, k)
 
 
 class TestEqualityCases:
