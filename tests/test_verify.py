@@ -51,7 +51,10 @@ class TestIsomorphism:
         "THM_2_8": lambda n, k: [make_H_hat_join(n, k), make_matching_join(n, k)],
     }
 
-    def test_constructed_extremal_tests_up_to_order_32(self, rng):
+    def _relabelled_members(self, rng):
+        # every constructed-family extremal test of THEOREMS, at n = 4, 10
+        # and 16 (orders 8, 20 and 32) and k in {0, 1, n/2, n-1}, with a
+        # randomly relabelled member: yields (case, test, order, edges, member)
         constructed = {
             check.theorem_id
             for check in THEOREMS
@@ -62,18 +65,29 @@ class TestIsomorphism:
         for n in (4, 10, 16):
             for k in sorted({0, 1, n // 2, n - 1}):
                 for theorem_id, members in self.MEMBERS.items():
-                    if theorem_id == "THM_2_5" and k == n - 1:
-                        continue  # K_{n,n} minus an edge is H_{n,n-2}, a member
                     test = _BY_ID[theorem_id].extremal.test
                     for member in members(n, k):
                         order = member.order
                         perm = list(range(order))
                         rng.shuffle(perm)
                         edges = [(perm[u], perm[v]) for u, v in member.edges]
-                        relabelled = build_graph(order, edges)
-                        assert test(relabelled, n, k), (theorem_id, n, k)
-                        edges.pop(rng.randrange(len(edges)))
-                        assert not test(build_graph(order, edges), n, k), (theorem_id, n, k)
+                        yield (theorem_id, n, k), test, order, edges, member
+
+    def test_structural_recognizers_agree_with_iso(self, rng):
+        for case, test, order, edges, member in self._relabelled_members(rng):
+            relabelled = build_graph(order, edges)
+            assert are_isomorphic(relabelled, member), case
+            assert test(relabelled, case[1], case[2]), case
+
+    def test_recognizers_reject_near_misses(self, rng):
+        for case, test, order, edges, member in self._relabelled_members(rng):
+            theorem_id, n, k = case
+            if theorem_id == "THM_2_5" and k == n - 1:
+                continue  # K_{n,n} minus an edge is H_{n,n-2}, a member
+            edges.pop(rng.randrange(len(edges)))
+            near_miss = build_graph(order, edges)
+            assert not are_isomorphic(near_miss, member), case
+            assert not test(near_miss, n, k), case
 
 
 class TestEqualityCases:
