@@ -2,23 +2,24 @@
 
 The compiled extension is preferred when present; the pure-Python twin is
 the fallback.  ``FORCING_LAB_BACKEND=python`` (or ``compiled``) forces a
-choice, which the benchmark and the parity tests rely on.
+choice, which the benchmark and the parity tests rely on; unset or empty
+means automatic.
 """
 
 from __future__ import annotations
 
 import os
 
-_choice = os.environ.get("FORCING_LAB_BACKEND", "auto").strip().lower()
+_choice = os.environ.get("FORCING_LAB_BACKEND", "").strip().lower()
 
-if _choice in ("auto", ""):
+if _choice == "":
     try:
         from . import _ckernels as _impl  # type: ignore[attr-defined]
     except ImportError:
         from . import _kernels_py as _impl  # type: ignore[no-redef]
-elif _choice in ("compiled", "c"):
+elif _choice == "compiled":
     from . import _ckernels as _impl  # type: ignore[attr-defined, no-redef]
-elif _choice in ("python", "pure", "py"):
+elif _choice == "python":
     from . import _kernels_py as _impl  # type: ignore[no-redef]
 else:
     raise ImportError(f"unknown FORCING_LAB_BACKEND value: {_choice!r}")
@@ -33,7 +34,6 @@ alt_cycles = _impl.alt_cycles
 mis = _impl.mis
 pack_masks = _impl.pack_masks
 
-# optional whole-search fast paths (compiled backend only); the solver falls
-# back to the witness-producing Python search when these are absent
+# the compiled whole-search values (compiled backend only); see solver._value
 forcing_value = getattr(_impl, "forcing_value", None)
 anti_forcing_value = getattr(_impl, "anti_forcing_value", None)

@@ -123,34 +123,6 @@ def alternating_cycles(
     return [_cycle_from_vertices(vs, mates) for vs in raw]
 
 
-def cycles_from_two_matchings(
-    a: Matching, b: Matching, order: int
-) -> list[tuple[int, ...]]:
-    """Vertex tuples of the disjoint alternating cycles in the symmetric
-    difference of two perfect matchings (alternating w.r.t. either one)."""
-    ma = a.mates(order)
-    mb = b.mates(order)
-    seen = 0
-    out = []
-    for v0 in range(order):
-        if (seen >> v0) & 1 or ma[v0] == mb[v0]:
-            continue
-        cyc = [v0]
-        seen |= 1 << v0
-        v = ma[v0]
-        use_b = True
-        while v != v0:
-            cyc.append(v)
-            seen |= 1 << v
-            v = mb[v] if use_b else ma[v]
-            use_b = not use_b
-        # canonical orientation: second vertex is the smaller neighbour of v0
-        if cyc[1] > cyc[-1]:
-            cyc = [cyc[0]] + cyc[:0:-1]
-        out.append(tuple(cyc))
-    return out
-
-
 def allowed_edges(g: Graph) -> tuple[tuple[int, int], ...]:
     """Edges lying in some perfect matching (per-edge residue test)."""
     h = g.handle

@@ -7,7 +7,10 @@ that miss an already-discovered alternating cycle are skipped (such a set
 cannot force), and sizes below the best disjoint packing of discovered
 cycles are never tried.  Each failed uniqueness check contributes a new
 cycle, so the search is a lazy minimum-hitting-set computation.  The
-anti-forcing search is the same machinery over the non-matching edges.
+anti-forcing search is the same search over the non-matching edges, and
+``_min_hitting`` serves both.  The compiled extension runs the same search
+in C for the value alone (``_value``); the witnesses, and the values where
+the extension is missing or declines, come from ``_min_hitting``.
 
 f(G,M), af(G,M) and C(G,M) depend only on the isomorphism type of the
 pair (G, M), so on graphs with many perfect matchings ``spectrum`` solves
@@ -29,7 +32,6 @@ from .matchings import (
     Matching,
     alternating_cycles,
     check_perfect_matching,
-    cycles_from_two_matchings,
     enumerate_perfect_matchings,
 )
 
@@ -183,28 +185,6 @@ def is_anti_forcing_set(g: Graph, m: Matching, x: Sequence[tuple[int, int]]) -> 
     return _backend.pm_count(g.handle, g.full_mask, 2, tuple(x_norm)) == 1
 
 
-def _difference_cycle_edges(
-    m: Matching, other_edges: tuple[tuple[int, int], ...], covered: int, order: int
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """Edges (m-side, other-side) of the first symmetric-difference cycle."""
-    other = Matching(other_edges, covered)
-    cyc = cycles_from_two_matchings(m, other, order)[0]
-    ma = m.mates(order)
-    on_cycle = set(cyc)
-    m_side = {
-        (v, ma[v]) if v < ma[v] else (ma[v], v)
-        for v in cyc
-        if ma[v] >= 0 and ma[v] in on_cycle
-    }
-    mo = other.mates(order)
-    o_side = {
-        (v, mo[v]) if v < mo[v] else (mo[v], v)
-        for v in cyc
-        if mo[v] >= 0 and mo[v] in on_cycle
-    }
-    return tuple(sorted(m_side - o_side)), tuple(sorted(o_side - m_side))
-
-
 def forcing_number(
     g: Graph,
     m: Matching,
@@ -219,12 +199,9 @@ def forcing_number(
     cross-check of the default subset search.
     """
     check_perfect_matching(g, m)
-    universe = m.edges
-    position = {e: i for i, e in enumerate(universe)}
-    h = g.handle
-    full = g.full_mask
-
     if method == "cycle_hitting":
+        universe = m.edges
+        position = {e: i for i, e in enumerate(universe)}
         seeds = []
         for cyc in alternating_cycles(g, m, limits.cycle_limit):
             mask = 0
@@ -239,24 +216,7 @@ def forcing_number(
 
     if method != "subset_search":
         raise ValueError(f"unknown forcing method {method!r}")
-
-    def check(cand: tuple[int, ...]) -> Optional[int]:
-        smask = _vertex_mask([universe[i] for i in cand])
-        active = full & ~smask
-        if _backend.pm_count(h, active, 2) == 1:
-            return None
-        pms = _backend.pm_enumerate(h, active, 2)
-        residual = tuple(e for e in universe if not (smask & (1 << e[0])))
-        other = pms[0] if pms[0] != residual else pms[1]
-        res_matching = Matching(residual, active)
-        m_side, _ = _difference_cycle_edges(res_matching, other, active, g.order)
-        mask = 0
-        for e in m_side:
-            mask |= 1 << position[e]
-        return mask
-
-    value, cand = _lazy_minimum_hitting(len(universe), check, limits.node_limit)
-    witness = tuple(universe[i] for i in cand)
+    value, witness = _min_hitting(g, m, True, limits)
     return ForcingResult(value, m, witness, "subset_search")
 
 
@@ -265,44 +225,69 @@ def anti_forcing_number(
 ) -> ForcingResult:
     """Minimum set of non-matching edges whose removal leaves ``m`` unique."""
     check_perfect_matching(g, m)
-    m_set = set(m.edges)
-    universe = tuple(e for e in g.edges if e not in m_set)
+    value, witness = _min_hitting(g, m, False, limits)
+    return ForcingResult(value, m, witness, "subset_search")
+
+
+def _min_hitting(
+    g: Graph, m: Matching, forcing: bool, limits: SolverLimits
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Size and lexicographically-first witness of a minimum forcing set
+    (``forcing``: a candidate deletes the ends of matching edges) or
+    anti-forcing set (a candidate removes non-matching edges) of ``m``.
+
+    A rejected candidate leaves a second perfect matching; the constraint
+    is the first cycle of its symmetric difference with what remains of
+    ``m``, walked from its lowest vertex, restricted to the universe's side.
+    """
+    mates = m.mates(g.order)
+    if forcing:
+        universe = m.edges
+    else:
+        universe = tuple((u, v) for u, v in g.edges if mates[u] != v)
     position = {e: i for i, e in enumerate(universe)}
     h = g.handle
     full = g.full_mask
 
     def check(cand: tuple[int, ...]) -> Optional[int]:
-        removed = tuple(universe[i] for i in cand)
-        if _backend.pm_count(h, full, 2, removed) == 1:
+        chosen = tuple(universe[i] for i in cand)
+        active, removed = (full & ~_vertex_mask(chosen), ()) if forcing else (full, chosen)
+        if _backend.pm_count(h, active, 2, removed) == 1:
             return None
-        pms = _backend.pm_enumerate(h, full, 2, removed)
-        other = pms[0] if pms[0] != m.edges else pms[1]
-        _, non_m_side = _difference_cycle_edges(m, other, full, g.order)
+        pms = _backend.pm_enumerate(h, active, 2, removed)
+        residual = tuple(e for e in m.edges if active >> e[0] & 1)
+        other = pms[0] if pms[0] != residual else pms[1]
+        omates = dict(other)
+        omates.update((v, u) for u, v in other)
+        start = v = next(a for a, b in other if mates[a] != b)
         mask = 0
-        for e in non_m_side:
-            mask |= 1 << position[e]
-        return mask
+        while True:
+            u = mates[v]
+            w = omates[u]
+            e = (v, u) if forcing else (u, w)
+            mask |= 1 << position[e if e[0] < e[1] else (e[1], e[0])]
+            v = w
+            if v == start:
+                return mask
 
     value, cand = _lazy_minimum_hitting(len(universe), check, limits.node_limit)
-    witness = tuple(universe[i] for i in cand)
-    return ForcingResult(value, m, witness, "subset_search")
+    return value, tuple(universe[i] for i in cand)
 
 
-def _fast_value(g: Graph, m: Matching, limits: SolverLimits, forcing: bool):
-    """Compiled whole-search value when the backend provides it, else None.
+def _value(g: Graph, m: Matching, forcing: bool, limits: SolverLimits) -> int:
+    """f(G,M) (``forcing``) or af(G,M).
 
-    The compiled search mirrors the subset search (same prunes, same
-    deepening) and returns only the optimum size; witness-producing calls
-    always take the Python path.
+    The compiled backend runs the same search in C and returns only the
+    value: -1 when the node budget runs out, -2 when the universe (over 64
+    edges) or the constraint store (over 512) is too large for it.  On -2,
+    or with no compiled search, ``_min_hitting`` answers.
     """
     fn = _backend.forcing_value if forcing else _backend.anti_forcing_value
-    if fn is None:
-        return None
-    value = fn(g.handle, m.mates(g.order), limits.node_limit)
+    value = -2 if fn is None else fn(g.handle, m.mates(g.order), limits.node_limit)
     if value == -1:
         raise ResourceLimitError("subset-search node limit exceeded")
-    if value < 0:
-        return None  # universe too large for the compiled path
+    if value == -2:
+        value = _min_hitting(g, m, forcing, limits)[0]
     return value
 
 
@@ -383,13 +368,6 @@ def _orbits(g: Graph, pms: Sequence[Matching]) -> Optional[list[int]]:
     return matching_orbit_firsts(g, pms)
 
 
-def _anti_forcing_value(g: Graph, m: Matching, limits: SolverLimits) -> int:
-    value = _fast_value(g, m, limits, False)
-    if value is None:
-        value = anti_forcing_number(g, m, limits=limits).value
-    return value
-
-
 def spectrum(
     g: Graph,
     *,
@@ -402,18 +380,11 @@ def spectrum(
     graph has many perfect matchings."""
     pms = _perfect_matchings(g, limits)
     firsts = _orbits(g, pms)
-
-    def forcing_value(m: Matching) -> int:
-        value = _fast_value(g, m, limits, True)
-        if value is None:
-            value = forcing_number(g, m, limits=limits).value
-        return value
-
-    values = _per_matching(pms, firsts, forcing_value)
+    values = _per_matching(pms, firsts, lambda m: _value(g, m, True, limits))
     c_values = af_values = af_error = None
     if with_anti_forcing:
         try:
-            af_values = _per_matching(pms, firsts, lambda m: _anti_forcing_value(g, m, limits))
+            af_values = _per_matching(pms, firsts, lambda m: _value(g, m, False, limits))
         except ResourceLimitError as exc:
             af_error = str(exc)
     if with_cycle_packing and af_error is None:
@@ -428,7 +399,7 @@ def anti_forcing_values(
 ) -> tuple[int, ...]:
     """af(G,M) per perfect matching, in enumeration order."""
     pms = _perfect_matchings(g, limits)
-    return _per_matching(pms, _orbits(g, pms), lambda m: _anti_forcing_value(g, m, limits))
+    return _per_matching(pms, _orbits(g, pms), lambda m: _value(g, m, False, limits))
 
 
 def max_anti_forcing(g: Graph, *, limits: SolverLimits = DEFAULT_LIMITS) -> int:

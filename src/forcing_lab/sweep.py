@@ -295,18 +295,7 @@ def _load_checkpoint(config: SweepConfig) -> tuple[int, list[VerdictRecord], dic
                 _merge_counts(counts, obj["shard_counts"])
                 graphs += obj["shard_graphs"]
                 continue
-            records.append(
-                VerdictRecord(
-                    obj["theorem_id"],
-                    obj["graph_id"],
-                    obj["inputs"],
-                    obj["bound"],
-                    obj["observed"],
-                    obj["status"],
-                    obj["equality_case"],
-                    obj["detail"],
-                )
-            )
+            records.append(VerdictRecord(**obj))
     return int(state["completed_shards"]), records, counts, graphs
 
 

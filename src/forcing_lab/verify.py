@@ -168,9 +168,9 @@ class _Facts:
     def __init__(self, g: Graph, graph_id: str, limits: SolverLimits):
         self.g, self.graph_id = g, graph_id
         self.n, self.e, self.delta = g.order // 2, g.edge_count, g.min_degree
-        self.bipartite = bipartition_of(g) is not None
         self.connected = is_connected(g)
         self.report = classify(g)
+        self.bipartite = self.report.is_F0_free is not None  # None exactly when not bipartite
         self.split, self.cograph = self.report.is_split, self.report.is_cograph
         self.spec = spectrum(g, limits=limits, with_anti_forcing=True)
         self.f, self.F = self.spec.f_min, self.spec.f_max

@@ -1,13 +1,18 @@
 """Backend parity: the compiled kernels and the pure-Python twins must agree
-bit for bit on every exposed operation."""
+bit for bit on every exposed operation.  ``conftest`` builds the compiled
+kernels; this module is skipped only where no C compiler exists."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import NO_KERNELS_REASON
 from forcing_lab import _kernels_py
 
-compiled = pytest.importorskip("forcing_lab._ckernels")
+if NO_KERNELS_REASON:
+    pytest.skip(NO_KERNELS_REASON, allow_module_level=True)
+
+from forcing_lab import _ckernels as compiled  # noqa: E402
 
 
 def graph_rows(order: int, edge_bits: int):
@@ -136,6 +141,30 @@ def test_search_fastpath_budget_sentinel():
     assert compiled.forcing_value(h, m.mates(g.order), 2) == -1
 
 
+def test_search_fastpath_large_universe_falls_back():
+    # H-hat_10 plus the edge (0, 11): 91 non-matching edges, over the 64 the
+    # compiled af search holds, so it answers -2 and the subset search runs
+    from forcing_lab.families import make_H_hat
+    from forcing_lab.graphs import build_graph
+    from forcing_lab.matchings import enumerate_perfect_matchings
+    from forcing_lab.solver import anti_forcing_number, is_anti_forcing_set, spectrum
+
+    h = make_H_hat(10)
+    g = build_graph(h.order, h.edges + ((0, 11),))
+    pms = enumerate_perfect_matchings(g)
+    assert (g.edge_count, len(pms)) == (101, 2)
+    hc = compiled.make_handle(g.adj)
+    for m in pms:
+        assert g.edge_count - len(m) == 91
+        assert compiled.anti_forcing_value(hc, m.mates(g.order), 10**7) == -2
+    spec = spectrum(g, with_anti_forcing=True)
+    assert spec.af_values == (1, 1)
+    for m, af in zip(pms, spec.af_values):
+        result = anti_forcing_number(g, m)
+        assert result.value == af
+        assert is_anti_forcing_set(g, m, result.witness_set)
+
+
 def test_cycle_ceiling_sentinel():
     rows = graph_rows(6, (1 << 15) - 1)  # K6
     hp = _kernels_py.make_handle(rows)
@@ -156,11 +185,13 @@ def test_backend_env_override(tmp_path):
     import sys
 
     code = "import forcing_lab; print(forcing_lab.BACKEND_NAME)"
-    for backend in ("python", "compiled"):
+    # empty picks automatically; any other name, such as "c", is refused
+    for value, backend in (("python",) * 2, ("compiled",) * 2, ("", "compiled"), ("c", "")):
         out = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env={**os.environ, "FORCING_LAB_BACKEND": backend},
+            env={**os.environ, "FORCING_LAB_BACKEND": value},
         )
         assert out.stdout.strip() == backend
+    assert "unknown FORCING_LAB_BACKEND value: 'c'" in out.stderr
