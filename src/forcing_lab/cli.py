@@ -171,7 +171,6 @@ def cmd_verify(args) -> int:
     config = SweepConfig(
         mode="stream",
         stream_path=args.stream,
-        require_pm=True,
         workers=args.workers,
         limits=_limits(args),
         failures_only=args.failures_only,
@@ -195,7 +194,6 @@ def cmd_sweep(args) -> int:
         mode=args.mode,
         max_order=args.max_order,
         side=args.side,
-        require_pm=not args.no_require_pm,
         workers=args.workers,
         limits=_limits(args),
         dedup=args.dedup,
@@ -243,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-order", type=int, default=6)
             p.add_argument("--side", type=int, default=3)
             p.add_argument("--dedup", action="store_true")
-            p.add_argument("--no-require-pm", action="store_true")
         p.add_argument("--json", dest="json_path", metavar="PATH", default=None)
         p.add_argument("--csv", dest="csv_path", metavar="PATH", default=None)
         p.add_argument("--workers", type=int, default=_default_workers())

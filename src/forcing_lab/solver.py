@@ -10,7 +10,9 @@ cycle, so the search is a lazy minimum-hitting-set computation.  The
 anti-forcing search is the same search over the non-matching edges, and
 ``_min_hitting`` serves both.  The compiled extension runs the same search
 in C for the value alone (``_value``); the witnesses, and the values where
-the extension is missing or declines, come from ``_min_hitting``.
+the extension is missing or declines, come from ``_min_hitting``.  Both
+spend search nodes alike (one per call of the recursion, plus one per slot
+of a free completion), so a node limit stops both at the same point.
 
 f(G,M), af(G,M) and C(G,M) depend only on the isomorphism type of the
 pair (G, M), so on graphs with many perfect matchings ``spectrum`` solves
@@ -20,7 +22,6 @@ orbit; the generators come from the canonical-labelling search.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -85,40 +86,6 @@ def _greedy_disjoint_count(masks: Sequence[int]) -> int:
     return count
 
 
-def _hitting_candidates(n: int, k: int, constraints: list[int], budget: list[int]):
-    """Yield k-subsets of range(n) in lexicographic order that hit every
-    constraint mask.  Decrements ``budget`` per node; raises on exhaustion."""
-
-    def rec(start: int, slots: int, unhit: list[int], chosen: tuple[int, ...]):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ResourceLimitError("subset-search node limit exceeded")
-        if not unhit:
-            for tail in itertools.combinations(range(start, n), slots):
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise ResourceLimitError("subset-search node limit exceeded")
-                yield chosen + tail
-            return
-        if slots == 0:
-            return
-        for c in unhit:
-            if c >> start == 0:
-                return  # some cycle can no longer be hit
-        if _greedy_disjoint_count(unhit) > slots:
-            return  # disjoint unhit cycles exceed the remaining slots
-        for i in range(start, n - slots + 1):
-            bit = 1 << i
-            yield from rec(
-                i + 1,
-                slots - 1,
-                [c for c in unhit if not (c & bit)],
-                chosen + (i,),
-            )
-
-    yield from rec(0, k, list(constraints), ())
-
-
 def _lazy_minimum_hitting(
     n_universe: int,
     check: Callable[[tuple[int, ...]], Optional[int]],
@@ -128,24 +95,48 @@ def _lazy_minimum_hitting(
     """Smallest (then lexicographically first) subset accepted by ``check``.
 
     ``check`` returns None to accept a candidate, or a new constraint mask
-    (disjoint from the candidate) that future candidates must hit.
+    (disjoint from the candidate) that future candidates must hit.  Nodes
+    are spent as the compiled search spends them: one per call of ``first``,
+    plus one per slot of a free completion; exceeding ``node_limit`` raises.
     """
     constraints = list(dict.fromkeys(seed_constraints))
-    budget = [node_limit]
+    budget = node_limit
+
+    def first(start: int, slots: int, unhit: list[int], chosen: tuple[int, ...]):
+        """Lexicographically first hitting completion of ``chosen`` by
+        ``slots`` indices from ``start`` on, or None."""
+        nonlocal budget
+        free = not unhit and start + slots <= n_universe
+        budget -= 1 + slots if free else 1
+        if budget < 0:
+            raise ResourceLimitError("subset-search node limit exceeded")
+        if free:
+            return chosen + tuple(range(start, start + slots))
+        if slots == 0:
+            return None
+        for c in unhit:
+            if c >> start == 0:
+                return None  # some cycle can no longer be hit
+        if _greedy_disjoint_count(unhit) > slots:
+            return None  # disjoint unhit cycles exceed the remaining slots
+        for i in range(start, n_universe - slots + 1):
+            bit = 1 << i
+            found = first(i + 1, slots - 1, [c for c in unhit if not c & bit], chosen + (i,))
+            if found is not None:
+                return found
+        return None
+
     k = _greedy_disjoint_count(constraints)
     while k <= n_universe:
-        grew = False
-        for cand in _hitting_candidates(n_universe, k, constraints, budget):
-            new_constraint = check(cand)
-            if new_constraint is None:
-                return k, cand
-            constraints.append(new_constraint)
-            grew = True
-            break
-        if grew:
-            k = max(k, _greedy_disjoint_count(constraints))
-        else:
+        cand = first(0, k, constraints, ())
+        if cand is None:
             k += 1
+            continue
+        new_constraint = check(cand)
+        if new_constraint is None:
+            return k, cand
+        constraints.append(new_constraint)
+        k = max(k, _greedy_disjoint_count(constraints))
     raise AssertionError("hitting search exhausted its universe")
 
 
@@ -277,10 +268,12 @@ def _min_hitting(
 def _value(g: Graph, m: Matching, forcing: bool, limits: SolverLimits) -> int:
     """f(G,M) (``forcing``) or af(G,M).
 
-    The compiled backend runs the same search in C and returns only the
-    value: -1 when the node budget runs out, -2 when the universe (over 64
-    edges) or the constraint store (over 512) is too large for it.  On -2,
-    or with no compiled search, ``_min_hitting`` answers.
+    The compiled backend runs the same search in C, spending nodes as
+    ``_lazy_minimum_hitting`` does, and returns only the value: -1 when the
+    node budget runs out (raised here as ``ResourceLimitError``, as
+    ``_min_hitting`` would), -2 when the universe (over 64 edges) or the
+    constraint store (over 512) is too large for it.  On -2, or with no
+    compiled search, ``_min_hitting`` answers.
     """
     fn = _backend.forcing_value if forcing else _backend.anti_forcing_value
     value = -2 if fn is None else fn(g.handle, m.mates(g.order), limits.node_limit)
@@ -548,11 +541,5 @@ def bound_values(
             connected,
         ),
         BoundInfo("COR_3_5", "F_upper", _cor_3_5_bound(n, e), True),
-        BoundInfo(
-            "CONJ_5_1",
-            "F_upper",
-            ExactBound(Fraction(n * e - n * n, e)) if e else ExactBound(Fraction(0)),
-            e >= 1,
-        ),
     ]
     return BoundReport(n, e, delta, tuple(bounds))

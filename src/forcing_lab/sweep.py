@@ -10,6 +10,7 @@ stderr, not into the report.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from contextlib import nullcontext
@@ -48,7 +49,6 @@ class SweepConfig:
     mode: str  # "all_graphs" | "bipartite_balanced" | "stream"
     max_order: int = 6
     side: int = 3
-    require_pm: bool = True
     workers: int = 1
     limits: SolverLimits = DEFAULT_LIMITS
     dedup: bool = False
@@ -65,7 +65,7 @@ class SweepConfig:
                 "mode": self.mode,
                 "max_order": self.max_order,
                 "side": self.side,
-                "require_pm": self.require_pm,
+                "require_pm": True,  # sweeps skip graphs with no perfect matching
                 "dedup": _DEDUP_RULE if self.dedup else False,
                 "failures_only": self.failures_only,
                 "limits": [
@@ -201,15 +201,10 @@ def _shard_graphs(shard: Shard) -> Iterator[Graph]:
             yield bipartite_graph_from_mask(shard.order, base | low)
 
 
-def run_shard(
-    shard: Shard,
-    require_pm: bool,
-    dedup: bool,
-    limits: SolverLimits,
-    failures_only: bool,
-) -> tuple[list[VerdictRecord], dict, int]:
-    """Verify every graph of one shard; returns (kept records, status counts
-    by theorem, graphs verified)."""
+def run_shard(shard: Shard, config: SweepConfig) -> tuple[list[VerdictRecord], dict, int]:
+    """Verify one shard: every line of a stream, or every graph of a universe
+    that has a perfect matching.  Returns (kept records, status counts by
+    theorem, graphs verified)."""
     counts: dict = {}
     kept: list[VerdictRecord] = []
     graphs = 0
@@ -220,7 +215,7 @@ def run_shard(
         for rec in records:
             slot = counts.setdefault(rec.theorem_id, dict.fromkeys(STATUSES, 0))
             slot[rec.status] += 1
-            if not failures_only or rec.status in (FAIL, COUNTEREXAMPLE, ABORTED):
+            if not config.failures_only or rec.status in (FAIL, COUNTEREXAMPLE, ABORTED):
                 kept.append(rec)
 
     if shard.kind == "stream":
@@ -236,21 +231,16 @@ def run_shard(
                     ]
                 )
                 continue
-            consume(verify_graph(g, limits=limits))
+            consume(verify_graph(g, limits=config.limits))
         return kept, counts, graphs
 
     for g in _shard_graphs(shard):
-        if require_pm and not has_perfect_matching(g):
+        if not has_perfect_matching(g):
             continue
-        if dedup and not is_canonical_representative(g):
+        if config.dedup and not is_canonical_representative(g):
             continue
-        consume(verify_graph(g, limits=limits))
+        consume(verify_graph(g, limits=config.limits))
     return kept, counts, graphs
-
-
-def _run_shard_star(args):
-    shard, require_pm, dedup, limits, failures_only = args
-    return run_shard(shard, require_pm, dedup, limits, failures_only)
 
 
 def _merge_counts(into: dict, other: dict) -> None:
@@ -339,16 +329,13 @@ def run_sweep(config: SweepConfig) -> Report:
     if config.checkpoint:
         start_shard, records, counts, graphs = _load_checkpoint(config)
     todo = shards[start_shard:]
-    args = [
-        (shard, config.require_pm, config.dedup, config.limits, config.failures_only)
-        for shard in todo
-    ]
+    shard_fn = functools.partial(run_shard, config=config)
     completed = start_shard
     parallel = config.workers > 1 and bool(todo)
     if parallel:
         import multiprocessing  # here, not at the top: only a pool needs it (about 1 MB)
     with multiprocessing.Pool(config.workers) if parallel else nullcontext() as pool:
-        results = pool.imap(_run_shard_star, args) if parallel else map(_run_shard_star, args)
+        results = pool.imap(shard_fn, todo) if parallel else map(shard_fn, todo)
         for shard_records, shard_counts, shard_graphs in results:
             records.extend(shard_records)
             _merge_counts(counts, shard_counts)
@@ -386,7 +373,7 @@ def build_report(
             "mode": config.mode,
             "max_order": config.max_order,
             "side": config.side,
-            "require_pm": config.require_pm,
+            "require_pm": True,
             "dedup": config.dedup,
             "failures_only": config.failures_only,
             "limits": {

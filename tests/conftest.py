@@ -2,6 +2,7 @@ import importlib.util
 import os
 import random
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -58,3 +59,15 @@ def random_graph(order: int, p: float, rng: random.Random):
 @pytest.fixture
 def rng():
     return random.Random(0x5EED)
+
+
+@pytest.fixture(scope="session")
+def order6_sweep():
+    """The labelled order-6 sweep on two workers, run once per session, and
+    its wall time.  ``strict_conjectures`` only sets the CLI's exit code, so
+    this one report serves the tests that sweep with it as well."""
+    from forcing_lab.sweep import SweepConfig, run_sweep
+
+    start = time.monotonic()
+    report = run_sweep(SweepConfig(mode="all_graphs", max_order=6, workers=2))
+    return report, time.monotonic() - start

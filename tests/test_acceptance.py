@@ -114,11 +114,9 @@ def _assert_sweep_sound(report):
         assert rec.equality_case != "equality_mismatch"
 
 
-def test_criterion_4_sweep_soundness_order6_gate():
-    start = time.monotonic()
-    report = run_sweep(SweepConfig(mode="all_graphs", max_order=6, workers=2))
+def test_criterion_4_sweep_soundness_order6_gate(order6_sweep):
+    report, elapsed = order6_sweep  # elapsed: the sweep alone
     _assert_sweep_sound(report)
-    elapsed = time.monotonic() - start
     assert elapsed < 120, f"order-6 CI gate took {elapsed:.1f}s"
     print(
         "ACCEPTANCE criterion 4: PASS — order<=6 sweep sound, "
@@ -221,10 +219,8 @@ def test_criterion_6_oracle_equivalence():
     )
 
 
-def test_criterion_7_conjecture_sweep():
-    report = run_sweep(
-        SweepConfig(mode="all_graphs", max_order=6, workers=2, strict_conjectures=True)
-    )
+def test_criterion_7_conjecture_sweep(order6_sweep):
+    report, _ = order6_sweep  # strict_conjectures does not reach run_sweep
     assert report.summary["totals"]["counterexample"] == 0
     assert not report.summary["counterexamples_found"]
     # the reporting path itself is exercised with a fabricated record in

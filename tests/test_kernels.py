@@ -2,11 +2,13 @@
 bit for bit on every exposed operation.  ``conftest`` builds the compiled
 kernels; this module is skipped only where no C compiler exists."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NO_KERNELS_REASON
+from conftest import NO_KERNELS_REASON, random_graph
 from forcing_lab import _kernels_py
 
 if NO_KERNELS_REASON:
@@ -129,6 +131,37 @@ def test_search_fastpath_matches_python_search(gh):
             compiled.anti_forcing_value(h, mates, 10**7)
             == anti_forcing_number(g, m).value
         )
+
+
+def test_search_ceiling_parity():
+    # both backends spend search nodes alike, so at every node limit the
+    # compiled value is -1 exactly where the Python search raises
+    from forcing_lab.errors import ResourceLimitError
+    from forcing_lab.matchings import enumerate_perfect_matchings
+    from forcing_lab.solver import SolverLimits, _min_hitting
+
+    searches = ((True, compiled.forcing_value), (False, compiled.anti_forcing_value))
+    rng = random.Random(0xCE11)
+    results = ceilings = 0
+    for _ in range(100):
+        g = random_graph(rng.randint(4, 8), 0.3 + 0.2 * rng.random(), rng)
+        h = compiled.make_handle(g.adj)
+        for m in enumerate_perfect_matchings(g):
+            mates = m.mates(g.order)
+            for forcing, fn in searches:
+                for node_limit in range(1, 51):
+                    value = fn(h, mates, node_limit)
+                    if value == -2:
+                        continue
+                    limits = SolverLimits(node_limit=node_limit)
+                    try:
+                        expected = _min_hitting(g, m, forcing, limits)[0]
+                    except ResourceLimitError:
+                        expected = -1
+                    assert value == expected, (g.edges, m.edges, forcing, node_limit)
+                    results += 1
+                    ceilings += value == -1
+    assert (results, ceilings) == (8400, 2292)
 
 
 def test_search_fastpath_budget_sentinel():

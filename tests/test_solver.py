@@ -332,8 +332,12 @@ class TestBoundValues:
         assert info.value.equals(0)
 
     def test_k44_conjecture_bound(self):
-        report = bound_values(generate("complete_bipartite", 4, 4))
-        assert report.get("CONJ_5_1").value.equals(3)
+        # the theorem table checks e >= n^2/(n-F): 16 >= 16/(4-3) on K_{4,4}
+        from forcing_lab.verify import verify_graph
+
+        g = generate("complete_bipartite", 4, 4)
+        (record,) = [r for r in verify_graph(g) if r.theorem_id == "CONJ_5_1"]
+        assert (record.bound, record.observed, record.status) == ("16", 16, "pass")
 
     def test_applicability_flags(self):
         g = generate("complete", 6)  # K6: not bipartite, is a cograph

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from forcing_lab.cli import main
-from forcing_lab.errors import GraphError
+from forcing_lab.errors import GraphError, ResourceLimitError
 from forcing_lab.graphs import canonical_graph6, generate, graph6_decode, graph6_encode
 from forcing_lab.sweep import SweepConfig, build_report, plan_shards, run_sweep
 from forcing_lab.verify import VerdictRecord
@@ -51,8 +51,8 @@ class TestDedup:
             assert set(statuses) == {rec.status}
         assert dedup_classes == set(by_class)
 
-    def test_dedup_verdict_multiset_spot_check_order6(self):
-        base = run_sweep(SweepConfig(mode="all_graphs", max_order=6, workers=2))
+    def test_dedup_verdict_multiset_spot_check_order6(self, order6_sweep):
+        base, _ = order6_sweep
         dedup = run_sweep(
             SweepConfig(mode="all_graphs", max_order=6, workers=2, dedup=True)
         )
@@ -238,6 +238,40 @@ class TestCli:
 
     def test_compute_resource_exit3(self, capsys):
         assert main(["compute", "Knn:4", "--pm-limit", "3"]) == 3
+
+    def test_compute_node_limit_follows_the_compiled_values(self, capsys):
+        # the witness searches spend nodes as the value searches do, so
+        # compute hits a node ceiling exactly where spectrum does
+        from forcing_lab.cli import _parse_input_graph
+        from forcing_lab.matchings import matching_from_edges
+        from forcing_lab.solver import (
+            SolverLimits,
+            is_anti_forcing_set,
+            is_forcing_set,
+            spectrum,
+        )
+
+        assert main(["compute", "cycle:6", "--json", "--no-cycles", "--node-limit", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        g = _parse_input_graph("cycle:6")
+        fw, aw = payload["forcing_witness"], payload["anti_forcing_witness"]
+        assert is_forcing_set(g, matching_from_edges(fw["matching"]), fw["forcing_set"])
+        assert is_anti_forcing_set(
+            g, matching_from_edges(aw["matching"]), aw["removed_edges"]
+        )
+        for text in ("cycle:6", "MJoin:3,1"):
+            g = _parse_input_graph(text)
+            for node_limit in range(1, 41):
+                try:
+                    spec = spectrum(
+                        g, limits=SolverLimits(node_limit=node_limit), with_anti_forcing=True
+                    )
+                    finishes = spec.af_error is None
+                except ResourceLimitError:
+                    finishes = False
+                argv = ["compute", text, "--json", "--no-cycles", "--node-limit", str(node_limit)]
+                assert main(argv) == (0 if finishes else 3), (text, node_limit)
+                capsys.readouterr()
 
     def test_generate_h50(self, capsys):
         assert main(["generate", "H:5,0"]) == 0
