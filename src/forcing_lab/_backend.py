@@ -28,7 +28,6 @@ BACKEND_NAME = _impl.BACKEND_NAME
 
 make_handle = _impl.make_handle
 pm_count = _impl.pm_count
-pm_exists = _impl.pm_exists
 pm_enumerate = _impl.pm_enumerate
 alt_cycles = _impl.alt_cycles
 mis = _impl.mis

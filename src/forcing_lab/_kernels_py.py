@@ -1,8 +1,9 @@
 """Pure-Python bitmask kernels.
 
-Fallback twin of the compiled extension ``forcing_lab._ckernels``; both
-modules expose the same functions with identical semantics so the backend
-can be swapped at import time (see ``forcing_lab._backend``).
+Fallback twin of the compiled extension ``forcing_lab._ckernels``: each
+function here has a compiled counterpart with identical semantics, so the
+backend can be swapped at import time (see ``forcing_lab._backend``).  Only
+the compiled module has the whole-search values (see ``solver._value``).
 
 Conventions: a graph handle is the adjacency row tuple itself (row ``u``
 has bit ``v`` set iff ``uv`` is an edge); vertex sets are int bitmasks;
@@ -50,10 +51,6 @@ def pm_count(handle, active, cap, removed=()):
         return total
 
     return rec(active, cap)
-
-
-def pm_exists(handle, active, removed=()):
-    return pm_count(handle, active, 1, removed) == 1
 
 
 def pm_enumerate(handle, active, limit, removed=()):

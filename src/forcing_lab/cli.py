@@ -138,7 +138,7 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _finish_report(report: Report, args, config: SweepConfig, start: float) -> int:
+def _finish_report(report: Report, args, start: float) -> int:
     """Write the requested reports, then print the summary and the wall time
     since ``start``, report writes included."""
     if args.json_path:
@@ -159,8 +159,8 @@ def _finish_report(report: Report, args, config: SweepConfig, start: float) -> i
         )
     )
     elapsed = time.monotonic() - start
-    print(f"wall time: {elapsed:.2f}s (workers={config.workers})", file=sys.stderr)
-    if config.strict_conjectures and totals["counterexample"] > 0:
+    print(f"wall time: {elapsed:.2f}s (workers={args.workers})", file=sys.stderr)
+    if args.strict_conjectures and totals["counterexample"] > 0:
         return EXIT_STRICT_CONJECTURE
     if totals["fail"] > 0:
         return EXIT_FAIL_RECORDS
@@ -174,22 +174,18 @@ def cmd_verify(args) -> int:
         workers=args.workers,
         limits=_limits(args),
         failures_only=args.failures_only,
-        strict_conjectures=args.strict_conjectures,
         checkpoint=args.checkpoint,
     )
     start = time.monotonic()
     try:
         report = run_sweep(config)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, GraphError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    return _finish_report(report, args, config, start)
+    return _finish_report(report, args, start)
 
 
 def cmd_sweep(args) -> int:
-    if args.mode == "all_graphs" and args.max_order > 12:
-        print("parse error: all_graphs mode caps max-order at 12", file=sys.stderr)
-        return EXIT_PARSE
     config = SweepConfig(
         mode=args.mode,
         max_order=args.max_order,
@@ -198,12 +194,15 @@ def cmd_sweep(args) -> int:
         limits=_limits(args),
         dedup=args.dedup,
         failures_only=args.failures_only,
-        strict_conjectures=args.strict_conjectures,
         checkpoint=args.checkpoint,
     )
     start = time.monotonic()
-    report = run_sweep(config)
-    return _finish_report(report, args, config, start)
+    try:
+        report = run_sweep(config)
+    except GraphError as exc:  # a universe too large to plan, or a foreign checkpoint
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    return _finish_report(report, args, start)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 from . import _backend
 from .errors import GraphError, MatchingError, NoPerfectMatchingError, ResourceLimitError
-from .graphs import Graph, automorphism_generators, is_connected
+from .graphs import Graph, automorphism_generators
 from .matchings import (
     Matching,
     alternating_cycles,
@@ -443,28 +443,6 @@ class ExactBound:
         return f"{self.a}+{self.c}*sqrt({self.b})"
 
 
-@dataclass(frozen=True)
-class BoundInfo:
-    bound_id: str
-    kind: str  # "f_lower" | "F_upper"
-    value: ExactBound
-    applicable: bool
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    n: int
-    e: int
-    delta: int
-    bounds: tuple[BoundInfo, ...]
-
-    def get(self, bound_id: str) -> BoundInfo:
-        for b in self.bounds:
-            if b.bound_id == bound_id:
-                return b
-        raise KeyError(bound_id)
-
-
 def _cor_3_5_bound(n: int, e: int) -> ExactBound:
     """F(G) <= (n-e-1)/2 + sqrt(e^2 + 2(n+1)e - 3n^2 - 2n + 1)/2."""
     return ExactBound(
@@ -474,72 +452,27 @@ def _cor_3_5_bound(n: int, e: int) -> ExactBound:
     )
 
 
-def bound_values(
-    g: Graph,
-    *,
-    bipartite: Optional[bool] = None,
-    split: Optional[bool] = None,
-    cograph: Optional[bool] = None,
-) -> BoundReport:
-    """Every closed-form f-lower / F-upper bound, evaluated exactly.
-
-    Inapplicable bounds are flagged, never errored.  Class flags are
-    recomputed when not supplied.
-    """
+def bound_values(g: Graph) -> dict[str, ExactBound]:
+    """The seven closed-form bounds of the paper, by theorem id, evaluated
+    exactly from n, e and the minimum degree alone: lower bounds on f(G)
+    (COR_2_2, COR_2_4, THM_2_5, THM_2_8) and upper bounds on F(G) (PROP_3_2,
+    COR_3_1, COR_3_5).  Each value is returned whether or not the graph
+    meets its theorem's hypothesis; ``verify.THEOREMS`` states the direction
+    and the hypothesis of each."""
     if g.order % 2 or g.order < 2:
         raise GraphError("bounds are defined for even order >= 2")
     n = g.order // 2
     e = g.edge_count
     delta = g.min_degree
-    if bipartite is None:
-        from .graphs import bipartition_of
-
-        bipartite = bipartition_of(g) is not None
-    if split is None or cograph is None:
-        from .families import is_cograph, is_split
-
-        split = is_split(g) if split is None else split
-        cograph = is_cograph(g) if cograph is None else cograph
-    connected = is_connected(g)
-
-    half = Fraction(1, 2)
-    bounds = [
-        BoundInfo(
-            "COR_2_2",
-            "f_lower",
-            ExactBound(n - half, Fraction(-1), Fraction(2 * n * n - n - e) + Fraction(1, 4)),
-            True,
+    quarter = Fraction(1, 4)
+    return {
+        "COR_2_2": ExactBound(n - Fraction(1, 2), Fraction(-1), 2 * n * n - n - e + quarter),
+        "COR_2_4": ExactBound(n - Fraction(1, 2), Fraction(-1), 2 * n * n - 2 * e + quarter),
+        "THM_2_5": ExactBound(Fraction(delta - 1)),
+        "THM_2_8": ExactBound(Fraction(delta - 1, 2)),
+        "PROP_3_2": ExactBound(Fraction(e - n, 2)),
+        "COR_3_1": ExactBound(
+            Fraction(e - n, 2) if e >= 3 * n - 2 else Fraction(e - 2 * n + 1)
         ),
-        BoundInfo(
-            "COR_2_4",
-            "f_lower",
-            ExactBound(n - half, Fraction(-1), Fraction(2 * n * n - 2 * e) + Fraction(1, 4)),
-            bool(bipartite),
-        ),
-        BoundInfo(
-            "THM_2_5",
-            "f_lower",
-            ExactBound(Fraction(delta - 1)),
-            bool(bipartite),
-        ),
-        BoundInfo(
-            "THM_2_8",
-            "f_lower",
-            ExactBound(Fraction(delta - 1, 2)),
-            bool(split or cograph),
-        ),
-        BoundInfo(
-            "PROP_3_2",
-            "F_upper",
-            ExactBound(Fraction(e - n, 2)),
-            True,
-        ),
-        BoundInfo(
-            "COR_3_1",
-            "F_upper",
-            ExactBound(Fraction(e - n, 2) if e >= 3 * n - 2 else Fraction(e - 2 * n + 1)),
-            connected,
-        ),
-        BoundInfo("COR_3_5", "F_upper", _cor_3_5_bound(n, e), True),
-    ]
-    return BoundReport(n, e, delta, tuple(bounds))
+        "COR_3_5": _cor_3_5_bound(n, e),
+    }

@@ -40,6 +40,11 @@ SCHEMA_VERSION = 1
 _DEDUP_RULE = "equals-canonical_graph6/refine-individualize"
 
 _SHARD_TARGET_BITS = 16  # at most 2**16 edge masks per shard
+# Every shard is planned before any is verified, so a universe's size is
+# capped up front: 2**28 edge masks (order 8; side 5 has 2**25) plan 2**12
+# shards, while order 10 would plan 2**29 of them (about 99 GB at 184 B a
+# Shard).
+_MAX_UNIVERSE_BITS = 28
 
 STATUSES = (PASS, FAIL, INAPPLICABLE, COUNTEREXAMPLE, ABORTED)
 
@@ -53,7 +58,6 @@ class SweepConfig:
     limits: SolverLimits = DEFAULT_LIMITS
     dedup: bool = False
     failures_only: bool = False
-    strict_conjectures: bool = False
     stream_path: Optional[str] = None
     checkpoint: Optional[str] = None
 
@@ -165,15 +169,8 @@ def _shards_for_masks(kind: str, order: int, total_bits: int) -> list[Shard]:
 
 
 def plan_shards(config: SweepConfig) -> list[Shard]:
-    if config.mode == "all_graphs":
-        shards = []
-        for order in range(2, config.max_order + 1, 2):
-            shards.extend(
-                _shards_for_masks("all_graphs", order, len(_all_pairs(order)))
-            )
-        return shards
-    if config.mode == "bipartite_balanced":
-        return _shards_for_masks("bipartite", config.side, config.side**2)
+    """The sweep's shards, in merge order.  A universe of more than 2**28
+    edge masks raises GraphError before any shard is built."""
     if config.mode == "stream":
         if config.stream_path is None:
             raise GraphError("stream mode needs a stream path")
@@ -184,7 +181,21 @@ def plan_shards(config: SweepConfig) -> list[Shard]:
             Shard("stream", 0, i, 0, 0, tuple(lines[i : i + chunk]))
             for i in range(0, len(lines), chunk)
         ]
-    raise GraphError(f"unknown sweep mode {config.mode!r}")
+    if config.mode == "all_graphs":
+        universes = [
+            ("all_graphs", order, order * (order - 1) // 2)
+            for order in range(2, config.max_order + 1, 2)
+        ]
+    elif config.mode == "bipartite_balanced":
+        universes = [("bipartite", config.side, config.side**2)]
+    else:
+        raise GraphError(f"unknown sweep mode {config.mode!r}")
+    bits = max((total_bits for _kind, _order, total_bits in universes), default=0)
+    if bits > _MAX_UNIVERSE_BITS:
+        raise GraphError(
+            f"2**{bits} edge masks in one universe; sweeps stop at 2**{_MAX_UNIVERSE_BITS}"
+        )
+    return [shard for universe in universes for shard in _shards_for_masks(*universe)]
 
 
 def _shard_graphs(shard: Shard) -> Iterator[Graph]:

@@ -72,7 +72,6 @@ EQ_NA = "n/a"
 _CHARACTERIZED = "characterized"
 _TIGHT = "tight"
 _NONE = "none"
-_SOLVER = "solver"  # a bound kind: bound_values supplies kind, value and applicability
 
 
 @dataclass
@@ -178,9 +177,7 @@ class _Facts:
         self.Af = None if af is None else max(af)  # None: the af search hit a ceiling
         self.r = self.e - g.order + 1 if self.connected else None
         self.inputs = {key: getattr(self, key) for key in _INPUTS}
-        self.bounds = bound_values(
-            g, bipartite=self.bipartite, split=self.split, cograph=self.cograph
-        )
+        self.bounds = bound_values(g)
 
     def witness(self) -> str:
         """Detail of a failed record: every matching with its forcing number."""
@@ -198,14 +195,15 @@ class _Facts:
 @dataclass(frozen=True)
 class _Bound:
     """``observed <= bound`` for a ``<quantity>_upper`` kind and ``>=`` for
-    ``<quantity>_lower``, the quantity being e, f, F or Af.  The default kind
-    takes kind, value and applicability from ``bound_values``; otherwise
-    ``value`` gives the rational bound, or None where the graph has none."""
+    ``<quantity>_lower``, the quantity being e, f, F or Af, wherever the
+    hypothesis ``applies`` holds.  ``value`` gives the bound: a rational, a
+    closed form of ``solver.bound_values`` (read from ``c.bounds``), or None
+    where the graph has none."""
 
     theorem_id: str
     policy: str
-    kind: str = _SOLVER
-    value: Optional[Callable[[_Facts], Optional[Fraction]]] = None
+    kind: str
+    value: Callable[[_Facts], Optional[Fraction | ExactBound]]
     applies: Callable[[_Facts], bool] = lambda c: True
     label: Optional[str] = None  # the record's bound string, if not the value
     extremal: Optional[_Extremal] = None
@@ -216,18 +214,14 @@ class _Bound:
     def verdict(self, c: _Facts):
         if self.reads_af and c.Af is None:
             return "", None, ABORTED, EQ_NA, c.spec.af_error
-        if self.kind == _SOLVER:
-            info = c.bounds.get(self.theorem_id)
-            kind, bound, applies = info.kind, info.value, info.applicable
-        else:
-            value = self.value(c)
-            kind, applies = self.kind, self.applies(c)
-            bound = None if value is None else ExactBound(value)
-        quantity, side = kind.split("_")
+        bound = self.value(c)
+        if bound is not None and not isinstance(bound, ExactBound):
+            bound = ExactBound(bound)
+        quantity, side = self.kind.split("_")
         observed = c.inputs[quantity]
         label = self.label if self.label is not None else "" if bound is None else str(bound)
         shown = observed if self.shown else None
-        if not applies:
+        if not self.applies(c):
             return label, shown, INAPPLICABLE, EQ_NA, ""
         slack = bound.cmp(observed) if side == "upper" else -bound.cmp(observed)
         if slack < 0:
@@ -325,10 +319,17 @@ THEOREMS = (
         applies=lambda c: c.bipartite, extremal=_H_NK,
     ),
     # lower bounds on f
-    _Bound("COR_2_2", _CHARACTERIZED, extremal=_HHAT_JOIN),
-    _Bound("COR_2_4", _CHARACTERIZED, extremal=_H_NK),
     _Bound(
-        "THM_2_5", _TIGHT,
+        "COR_2_2", _CHARACTERIZED, "f_lower", lambda c: c.bounds["COR_2_2"],
+        extremal=_HHAT_JOIN,
+    ),
+    _Bound(
+        "COR_2_4", _CHARACTERIZED, "f_lower", lambda c: c.bounds["COR_2_4"],
+        applies=lambda c: c.bipartite, extremal=_H_NK,
+    ),
+    _Bound(
+        "THM_2_5", _TIGHT, "f_lower", lambda c: c.bounds["THM_2_5"],
+        applies=lambda c: c.bipartite,
         extremal=_Extremal(
             "H:{n},delta-1",
             lambda g, n, k: 1 <= g.min_degree <= n
@@ -336,13 +337,17 @@ THEOREMS = (
         ),
     ),
     _Bound(
-        "THM_2_8", _TIGHT,
+        "THM_2_8", _TIGHT, "f_lower", lambda c: c.bounds["THM_2_8"],
+        applies=lambda c: c.split or c.cograph,
         extremal=_Extremal("HhatJoin:{n},{k} or MJoin:{n},{k}", _hhat_or_matching_join),
     ),
     # upper bounds on F, and the size at F(G) = k
-    _Bound("COR_3_1", _TIGHT),
     _Bound(
-        "PROP_3_2", _CHARACTERIZED,
+        "COR_3_1", _TIGHT, "F_upper", lambda c: c.bounds["COR_3_1"],
+        applies=lambda c: c.connected,
+    ),
+    _Bound(
+        "PROP_3_2", _CHARACTERIZED, "F_upper", lambda c: c.bounds["PROP_3_2"],
         extremal=_Extremal(
             "C4s and K2s",
             lambda g, n, k: (g.edge_count - n) % 2 == 0
@@ -354,7 +359,7 @@ THEOREMS = (
         "THM_3_4", _TIGHT, "e_lower", lambda c: Fraction(c.n * (c.n + 1), c.n - c.F) - c.F - 1,
         extremal=_NK2_OR_KNN,
     ),
-    _Bound("COR_3_5", _TIGHT, extremal=_NK2_OR_KNN),
+    _Bound("COR_3_5", _TIGHT, "F_upper", lambda c: c.bounds["COR_3_5"], extremal=_NK2_OR_KNN),
     # anti-forcing
     _Bound("F_LE_AF", _NONE, "F_upper", lambda c: c.Af, reads_af=True),
     _Bound(

@@ -64,8 +64,9 @@ def rng():
 @pytest.fixture(scope="session")
 def order6_sweep():
     """The labelled order-6 sweep on two workers, run once per session, and
-    its wall time.  ``strict_conjectures`` only sets the CLI's exit code, so
-    this one report serves the tests that sweep with it as well."""
+    its wall time.  ``--strict-conjectures`` sets only the CLI's exit code
+    (``cli._finish_report`` reads it), so this one report also serves the
+    conjecture sweep of criterion 7."""
     from forcing_lab.sweep import SweepConfig, run_sweep
 
     start = time.monotonic()

@@ -144,6 +144,11 @@ def test_criterion_4_sweep_soundness_order8_full():
     )
 
 
+# sha256 of the side-4 report, the bytes
+# `sweep --mode bipartite_balanced --side 4 --json` writes
+SIDE_4_REPORT_SHA256 = "a81b1cfb09c389ef558d6d241e5f7761c4cebe280990f944ee352a7d39188080"
+
+
 def test_criterion_5_theorem_4_5_completeness():
     start = time.monotonic()
     graphs = 0
@@ -160,6 +165,9 @@ def test_criterion_5_theorem_4_5_completeness():
         hits += by_theorem["REM_4_8"]["pass"]  # the f = n-2 graphs
         assert by_theorem["THM_4_5"]["fail"] == 0
         assert by_theorem["REM_4_8"]["fail"] == 0
+    # the bytes pin the records of the statements that hold only for
+    # bipartite graphs, on a universe where every graph is one
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == SIDE_4_REPORT_SHA256
     assert hits > 0
     elapsed = time.monotonic() - start
     print(
@@ -220,7 +228,7 @@ def test_criterion_6_oracle_equivalence():
 
 
 def test_criterion_7_conjecture_sweep(order6_sweep):
-    report, _ = order6_sweep  # strict_conjectures does not reach run_sweep
+    report, _ = order6_sweep  # --strict-conjectures sets only the CLI's exit code
     assert report.summary["totals"]["counterexample"] == 0
     assert not report.summary["counterexamples_found"]
     # the reporting path itself is exercised with a fabricated record in

@@ -18,8 +18,21 @@ from oracles import (
 from conftest import random_graph
 from forcing_lab.errors import MatchingError, NoPerfectMatchingError, ResourceLimitError
 from forcing_lab import cli, solver
-from forcing_lab.families import instantiate_family, make_H, make_H_hat, parse_family_spec
-from forcing_lab.graphs import build_graph, cartesian_product, generate
+from forcing_lab.families import (
+    instantiate_family,
+    is_cograph,
+    is_split,
+    make_H,
+    make_H_hat,
+    parse_family_spec,
+)
+from forcing_lab.graphs import (
+    bipartition_of,
+    build_graph,
+    cartesian_product,
+    generate,
+    is_connected,
+)
 from forcing_lab.matchings import enumerate_perfect_matchings, matching_from_edges
 from forcing_lab.solver import (
     ExactBound,
@@ -35,6 +48,7 @@ from forcing_lab.solver import (
     max_anti_forcing,
     spectrum,
 )
+from forcing_lab.verify import verify_graph
 
 
 def all_small_graphs(order):
@@ -323,32 +337,34 @@ class TestExactBound:
 
 class TestBoundValues:
     def test_k33_cor24_equals_two(self):
-        report = bound_values(generate("complete_bipartite", 3, 3))
-        assert report.get("COR_2_4").value.equals(2)
+        assert bound_values(generate("complete_bipartite", 3, 3))["COR_2_4"].equals(2)
 
     def test_nk2_prop32_zero(self):
         g = build_graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
-        info = bound_values(g).get("PROP_3_2")
-        assert info.value.equals(0)
+        assert bound_values(g)["PROP_3_2"].equals(0)
 
     def test_k44_conjecture_bound(self):
         # the theorem table checks e >= n^2/(n-F): 16 >= 16/(4-3) on K_{4,4}
-        from forcing_lab.verify import verify_graph
-
         g = generate("complete_bipartite", 4, 4)
         (record,) = [r for r in verify_graph(g) if r.theorem_id == "CONJ_5_1"]
         assert (record.bound, record.observed, record.status) == ("16", 16, "pass")
 
     def test_applicability_flags(self):
-        g = generate("complete", 6)  # K6: not bipartite, is a cograph
-        report = bound_values(g)
-        assert not report.get("COR_2_4").applicable
-        assert not report.get("THM_2_5").applicable
-        assert report.get("THM_2_8").applicable
+        # the theorem table, not bound_values, states each hypothesis
+        def statuses(g):
+            return {r.theorem_id: r.status for r in verify_graph(g)}
+
+        k6 = statuses(generate("complete", 6))  # not bipartite, is a cograph
+        assert k6["COR_2_4"] == k6["THM_2_5"] == "inapplicable"
+        assert k6["THM_2_8"] != "inapplicable"
+        assert statuses(generate("path", 4))["THM_2_8"] != "inapplicable"  # split only
+        assert statuses(generate("cycle", 4))["THM_2_8"] != "inapplicable"  # cograph only
+        assert statuses(generate("cycle", 6))["THM_2_8"] == "inapplicable"  # neither
         disconnected = build_graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
-        assert not bound_values(disconnected).get("COR_3_1").applicable
+        assert statuses(disconnected)["COR_3_1"] == "inapplicable"
 
     def test_lower_bounds_hold_on_random_graphs(self, rng):
+        f_lower = ("COR_2_2", "COR_2_4", "THM_2_5", "THM_2_8")
         seen = 0
         while seen < 20:
             g = random_graph(8, 0.55, rng)
@@ -357,15 +373,27 @@ class TestBoundValues:
                 continue
             seen += 1
             sp = spectrum(g)
-            report = bound_values(g)
-            for bound_id in ("COR_2_2", "COR_2_4", "THM_2_5", "THM_2_8"):
-                info = report.get(bound_id)
-                if info.applicable:
-                    assert info.value.cmp(sp.f_min) <= 0
-            for bound_id in ("PROP_3_2", "COR_3_1", "COR_3_5"):
-                info = report.get(bound_id)
-                if info.applicable:
-                    assert info.value.cmp(sp.f_max) >= 0
+            bounds = bound_values(g)
+            status = {r.theorem_id: r.status for r in verify_graph(g)}
+            bipartite = bipartition_of(g) is not None
+            hypothesis = {
+                "COR_2_2": True,
+                "COR_2_4": bipartite,
+                "THM_2_5": bipartite,
+                "THM_2_8": is_split(g) or is_cograph(g),
+                "PROP_3_2": True,
+                "COR_3_1": is_connected(g),
+                "COR_3_5": True,
+            }
+            assert set(bounds) == set(hypothesis)
+            for bound_id, holds in hypothesis.items():
+                assert (status[bound_id] == "inapplicable") == (not holds), bound_id
+                if not holds:
+                    continue
+                if bound_id in f_lower:
+                    assert bounds[bound_id].cmp(sp.f_min) <= 0
+                else:
+                    assert bounds[bound_id].cmp(sp.f_max) >= 0
 
 
 # compute --json output of the solver before orbit sharing, by sha256

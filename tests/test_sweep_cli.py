@@ -7,6 +7,7 @@ import pytest
 from forcing_lab.cli import main
 from forcing_lab.errors import GraphError, ResourceLimitError
 from forcing_lab.graphs import canonical_graph6, generate, graph6_decode, graph6_encode
+from forcing_lab import sweep
 from forcing_lab.sweep import SweepConfig, build_report, plan_shards, run_sweep
 from forcing_lab.verify import VerdictRecord
 
@@ -185,13 +186,18 @@ class TestReportShape:
         )
         counts = {"CONJ_5_1": {"pass": 0, "fail": 0, "inapplicable": 0,
                                "counterexample": 1, "aborted": 0}}
-        cfg = SweepConfig(mode="all_graphs", max_order=4, strict_conjectures=True)
+        cfg = SweepConfig(mode="all_graphs", max_order=4)
         report = build_report(cfg, [fake], counts, 1)
         assert report.summary["counterexamples_found"]
         from forcing_lab.cli import _finish_report
 
-        args = argparse.Namespace(json_path=None, csv_path=None)
-        assert _finish_report(report, args, cfg, 0.0) == 4
+        # --strict-conjectures sets only the exit code
+        args = argparse.Namespace(
+            json_path=None, csv_path=None, workers=1, strict_conjectures=True
+        )
+        assert _finish_report(report, args, 0.0) == 4
+        args.strict_conjectures = False
+        assert _finish_report(report, args, 0.0) == 0
 
     def test_json_and_csv_outputs(self, tmp_path):
         report = run_sweep(SweepConfig(mode="all_graphs", max_order=4, workers=1))
@@ -214,6 +220,29 @@ class TestShardPlanning:
         assert orders == {2, 4, 6}
         for s in shards:
             assert s.total_bits == s.order * (s.order - 1) // 2
+
+    def test_largest_universes_plan(self):
+        # 2**28 edge masks at order 8 and 2**25 at side 5, 2**16 masks a shard
+        shards = plan_shards(SweepConfig(mode="all_graphs", max_order=9))
+        assert max(s.order for s in shards) == 8
+        assert sum(s.order == 8 for s in shards) == 2**12
+        shards = plan_shards(SweepConfig(mode="bipartite_balanced", side=5))
+        assert len(shards) == 2**9 and shards[-1].total_bits == 25
+
+    @pytest.mark.parametrize(
+        "config, bits",
+        [
+            (SweepConfig(mode="all_graphs", max_order=10), 45),
+            (SweepConfig(mode="bipartite_balanced", side=6), 36),
+        ],
+    )
+    def test_oversized_universe_refused_before_planning(self, config, bits, monkeypatch):
+        def no_shards(*args):
+            raise AssertionError("a shard was planned for an oversized universe")
+
+        monkeypatch.setattr(sweep, "_shards_for_masks", no_shards)
+        with pytest.raises(GraphError, match=f"^2[*][*]{bits} edge masks in one universe"):
+            plan_shards(config)
 
 
 class TestCli:
@@ -321,6 +350,14 @@ class TestCli:
 
     def test_sweep_rejects_large_order(self, capsys):
         assert main(["sweep", "--max-order", "14"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--max-order", "10"], ["--mode", "bipartite_balanced", "--side", "6"]],
+    )
+    def test_sweep_rejects_universe_over_2_28_masks(self, argv, capsys):
+        assert main(["sweep", *argv]) == 2
+        assert "edge masks in one universe; sweeps stop at 2**28" in capsys.readouterr().err
 
     def test_workers_env_default(self, monkeypatch):
         from forcing_lab.cli import _default_workers
