@@ -7,6 +7,7 @@ Exit codes: 0 clean, 1 failed verdicts, 2 parse error, 3 resource ceiling,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -126,12 +127,8 @@ def cmd_compute(args) -> int:
 def cmd_generate(args) -> int:
     try:
         spec = parse_family_spec(args.spec)
-        count = 0
-        for _label, g in family_instances(spec):
+        for _label, g in itertools.islice(family_instances(spec), args.limit):
             print(graph6_encode(g))
-            count += 1
-            if args.limit is not None and count >= args.limit:
-                break
     except (GraphError, FamilyError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -199,7 +196,7 @@ def cmd_sweep(args) -> int:
     start = time.monotonic()
     try:
         report = run_sweep(config)
-    except GraphError as exc:  # a universe too large to plan, or a foreign checkpoint
+    except GraphError as exc:  # a universe that cannot be planned, or a foreign checkpoint
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     return _finish_report(report, args, start)

@@ -11,21 +11,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import FamilyError
 from .graphs import (
     Bipartition,
     Graph,
     ORDER_CAP,
-    _raw_graph,
     bipartition_of,
     build_graph,
     cartesian_product,
-    complement,
-    components,
     generate,
     join,
+    mask_components,
 )
 from .matchings import allowed_edges
 
@@ -216,65 +214,38 @@ def is_split(g: Graph) -> bool:
     return lhs == rhs
 
 
-def split_partition(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """A (clique, independent set) witness, or None."""
-    if not is_split(g):
-        return None
-    order = sorted(range(g.order), key=lambda v: (-g.degree(v), v))
-    m = 0
-    for i in range(1, g.order + 1):
-        if g.degree(order[i - 1]) >= i - 1:
-            m = i
-    clique = order[:m]
-    rest = order[m:]
-    # top-m degree vertices form a clique when the degree test passes
-    for i, u in enumerate(clique):
-        for v in clique[i + 1:]:
-            if not g.has_edge(u, v):
-                return None
-    for i, u in enumerate(rest):
-        for v in rest[i + 1:]:
-            if g.has_edge(u, v):
-                return None
-    return tuple(clique), tuple(rest)
+def _complement_rows(g: Graph) -> list[int]:
+    full = g.full_mask
+    return [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
 
 
 def is_cograph(g: Graph) -> bool:
     """P4-free, via the complement-component recursion (over vertex masks)."""
-    adj = g.adj
-
-    def comp_masks(mask: int, co: bool) -> list[int]:
-        rest = mask
-        out = []
-        while rest:
-            comp = rest & -rest
-            frontier = comp
-            while frontier:
-                nxt = 0
-                bits = frontier
-                while bits:
-                    b = bits & -bits
-                    bits ^= b
-                    row = adj[b.bit_length() - 1]
-                    nxt |= (mask & ~row & ~b) if co else (row & mask)
-                frontier = nxt & ~comp
-                comp |= frontier
-            out.append(comp)
-            rest &= ~comp
-        return out
+    adj, co = g.adj, _complement_rows(g)
 
     def rec(mask: int) -> bool:
         if mask.bit_count() <= 1:
             return True
-        parts = comp_masks(mask, False)
-        if len(parts) > 1:
-            return all(rec(p) for p in parts)
-        co_parts = comp_masks(mask, True)
-        if len(co_parts) > 1:
-            return all(rec(p) for p in co_parts)
-        return False
+        parts = mask_components(adj, mask)
+        if len(parts) == 1:
+            parts = mask_components(co, mask)
+        return len(parts) > 1 and all(rec(p) for p in parts)
 
     return rec(g.full_mask)
+
+
+def _complete_bipartite(rows: Sequence[int], mask: int, u_mask: int) -> bool:
+    """Whether ``rows`` join, inside ``mask``, every vertex of ``u_mask`` to
+    every vertex outside it and no two vertices on the same side."""
+    cu = mask & u_mask
+    cv = mask & ~u_mask
+    bits = mask
+    while bits:
+        bit = bits & -bits
+        bits ^= bit
+        if rows[bit.bit_length() - 1] & mask != (cv if bit & cu else cu):
+            return False
+    return True
 
 
 def f0_free_deletions(
@@ -288,96 +259,55 @@ def f0_free_deletions(
     """
     u_mask = bip.u_mask
     v_mask = bip.v_mask
-    rows = [0] * g.order
-    for u in bip.side_u:
-        rows[u] = v_mask & ~g.adj[u]
-    for v in bip.side_v:
-        rows[v] = u_mask & ~g.adj[v]
-    comp = _raw_graph(g.order, rows)
+    rows = [(v_mask if (u_mask >> v) & 1 else u_mask) & ~row for v, row in enumerate(g.adj)]
     out = []
-    for mask in components(comp):
+    for mask in mask_components(rows, g.full_mask):
         cu = mask & u_mask
         cv = mask & v_mask
         if cu == 0 or cv == 0:
             continue  # isolated vertex of the complement
-        bits = mask
-        while bits:
-            bit = bits & -bits
-            bits ^= bit
-            v = bit.bit_length() - 1
-            want = (cv if (u_mask >> v) & 1 else cu) & ~(1 << v)
-            if comp.adj[v] != want:
-                return None  # component is not complete bipartite
+        if not _complete_bipartite(rows, mask, u_mask):
+            return None
         out.append((cu.bit_count(), cv.bit_count()))
     return tuple(out)
 
 
 @dataclass(frozen=True)
 class ClassReport:
+    """The class flags the theorem table reads.  G1/G2 membership is judged
+    against the canonical bipartition from ``bipartition_of``."""
+
     is_split: bool
     is_cograph: bool
-    is_F0_free: Optional[bool]
-    deleted_subgraphs: Optional[tuple[tuple[int, int], ...]]
+    bipartite: bool
     g1_member: bool
     g2_member: bool
-    g2_components: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
 
 
 def classify(g: Graph) -> ClassReport:
-    """Split, cograph, F0-free and G1/G2 membership in one report.
-
-    The bipartite fields are None for non-bipartite input; membership is
-    judged against the canonical bipartition from ``bipartition_of``.
-    """
+    """Split, cograph, bipartite and G1/G2 membership in one report."""
     split = is_split(g)
     cograph = is_cograph(g)
     bip = bipartition_of(g)
-    if bip is None:
-        return ClassReport(split, cograph, None, None, False, False, None)
-    deletions = f0_free_deletions(g, bip)
-    f0_free = deletions is not None
+    if bip is None or not bip.balanced:
+        return ClassReport(split, cograph, bip is not None, False, False)
     n = g.order // 2
-    g1 = bool(
-        f0_free
-        and bip.balanced
-        and g.order % 2 == 0
-        and deletions
-        and all(a + b <= n for a, b in deletions)
+    deletions = f0_free_deletions(g, bip)
+    g1 = bool(deletions) and all(a + b <= n for a, b in deletions)
+    # G2: the allowed edges form two balanced components, each of which
+    # induces a complete bipartite graph (no forbidden edge hides inside one)
+    rows = [0] * g.order
+    for u, v in allowed_edges(g):
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    u_mask = bip.u_mask
+    comps = mask_components(rows, g.full_mask)
+    g2 = len(comps) == 2 and all(
+        0 < (mask & u_mask).bit_count() == (mask & ~u_mask).bit_count()
+        and _complete_bipartite(g.adj, mask, u_mask)
+        for mask in comps
     )
-    g2 = False
-    g2_comps = None
-    if g.order % 2 == 0 and bip.balanced:
-        allowed = allowed_edges(g)
-        rows = [0] * g.order
-        for u, v in allowed:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        comps = components(_raw_graph(g.order, rows))
-        if len(comps) == 2:
-            ok = True
-            for mask in comps:
-                cu = mask & bip.u_mask
-                cv = mask & bip.v_mask
-                if cu.bit_count() != cv.bit_count() or cu == 0:
-                    ok = False
-                    break
-                # the induced subgraph must be complete bipartite (no
-                # forbidden edge may hide inside a component)
-                bits = mask
-                while bits and ok:
-                    bit = bits & -bits
-                    bits ^= bit
-                    v = bit.bit_length() - 1
-                    want = cv if (bip.u_mask >> v) & 1 else cu
-                    if g.adj[v] & mask != want & ~(1 << v):
-                        ok = False
-            if ok:
-                g2 = True
-                g2_comps = tuple(
-                    tuple(v for v in range(g.order) if (mask >> v) & 1)
-                    for mask in comps
-                )
-    return ClassReport(split, cograph, f0_free, deletions, g1, g2, g2_comps)
+    return ClassReport(split, cograph, True, g1, g2)
 
 
 def recognize_f_n1(g: Graph) -> bool:
@@ -392,23 +322,11 @@ def recognize_f_n1(g: Graph) -> bool:
     if g.order % 2:
         return False
     n = g.order // 2
-    comp = complement(g)
-    comp_masks = components(comp)
-    # complete multipartite <=> complement is a disjoint union of cliques
-    multipartite = True
-    for mask in comp_masks:
-        if mask.bit_count() > n:
-            multipartite = False
-        bits = mask
-        while bits and multipartite:
-            bit = bits & -bits
-            bits ^= bit
-            v = bit.bit_length() - 1
-            if comp.adj[v] & mask != mask & ~(1 << v):
-                multipartite = False
-        if not multipartite:
-            break
-    if multipartite:
+    # complete multipartite <=> the complement is a disjoint union of
+    # cliques <=> its components hold all of its edges as pairs
+    sizes = [mask.bit_count() for mask in mask_components(_complement_rows(g), g.full_mask)]
+    pairs = g.order * (g.order - 1) // 2 - g.edge_count
+    if max(sizes) <= n and sum(k * (k - 1) // 2 for k in sizes) == pairs:
         return True
     # K_{n,n} plus edges inside one side: B = V minus N(v) for a degree-n
     # vertex v, with every B vertex seeing exactly the other side
@@ -444,23 +362,61 @@ class FamilySpec:
     cross_edges: tuple[tuple[int, int], ...] = ()
 
 
-_SIMPLE_FAMILIES = {
-    "H": 2,
-    "Hhat": 1,
-    "HhatJoin": 2,
-    "MJoin": 2,
-    "G4": 2,
-    "G5": 3,
-    "Q": 1,
-    "Knn": 1,
-    "nK2": 1,
-    "path": 1,
-    "cycle": 1,
-    "complete": 1,
-    "K": 2,
+# name -> (parameter count, constructor of the family spec)
+_FAMILIES: dict[str, tuple[int, Callable[[FamilySpec], Graph]]] = {
+    "H": (2, lambda s: make_H(*s.params)),
+    "Hhat": (1, lambda s: make_H_hat(*s.params)),
+    "HhatJoin": (2, lambda s: make_H_hat_join(*s.params)),
+    "MJoin": (2, lambda s: make_matching_join(*s.params)),
+    "G4": (2, lambda s: make_G4(*s.params)),
+    "G5": (3, lambda s: make_G5(*s.params)),
+    "G1": (1, lambda s: make_G1_member(s.params[0], s.deletions)),
+    "G2": (2, lambda s: make_G2_member(s.params, s.cross_edges)),
+    "grid": (2, lambda s: _product("path", "path", *s.params)),
+    "torus": (2, lambda s: _product("cycle", "cycle", *s.params)),
+    "pc": (2, lambda s: _product("path", "cycle", *s.params)),
+    "Q": (1, lambda s: generate("hypercube", *s.params)),
+    "Knn": (1, lambda s: generate("complete_bipartite", *s.params, *s.params)),
+    "K": (2, lambda s: generate("complete_bipartite", *s.params)),
+    "nK2": (
+        1,
+        lambda s: build_graph(2 * s.params[0], [(2 * i, 2 * i + 1) for i in range(s.params[0])]),
+    ),
+    "path": (1, lambda s: generate("path", *s.params)),
+    "cycle": (1, lambda s: generate("cycle", *s.params)),
+    "complete": (1, lambda s: generate("complete", *s.params)),
 }
 
+# families written with AxB dimensions instead of a comma list
+_DIMENSIONED = ("grid", "torus", "pc")
+
 _BY_X = re.compile(r"^(\d+)x(\d+)$")
+
+
+def _product(first: str, second: str, a: int, b: int) -> Graph:
+    return cartesian_product(generate(first, a), generate(second, b))
+
+
+def _ints(tokens: Sequence[str], text: str) -> tuple[int, ...]:
+    """Every integer of a spec is read here, so a bad one is a FamilyError."""
+    try:
+        return tuple(int(t) for t in tokens)
+    except ValueError:
+        raise FamilyError(f"bad integer in {text!r}") from None
+
+
+def _by_x(token: str, text: str) -> tuple[int, ...]:
+    m = _BY_X.match(token.strip())
+    if not m:
+        raise FamilyError(f"bad AxB token {token!r} in {text!r}")
+    return _ints(m.groups(), text)
+
+
+def _cross_edge(token: str, text: str) -> tuple[int, ...]:
+    ends = token.strip().split("-")
+    if len(ends) != 2:
+        raise FamilyError(f"bad cross edge token {token!r} in {text!r}")
+    return _ints(ends, text)
 
 
 def parse_family_spec(text: str) -> FamilySpec:
@@ -471,102 +427,36 @@ def parse_family_spec(text: str) -> FamilySpec:
         raise FamilyError(f"family spec needs a colon: {text!r}")
     name, rest = body.split(":", 1)
     name = name.strip()
-    if name in ("grid", "torus", "pc"):
-        m = _BY_X.match(rest.strip())
-        if not m:
-            raise FamilyError(f"{name} spec needs AxB dimensions: {text!r}")
-        return FamilySpec(name, (int(m.group(1)), int(m.group(2))))
-    if name == "G1":
-        if ";" in rest:
-            head, dels = rest.split(";", 1)
-            deletions = []
-            for token in dels.split(","):
-                m = _BY_X.match(token.strip())
-                if not m:
-                    raise FamilyError(f"bad deletion token {token!r} in {text!r}")
-                deletions.append((int(m.group(1)), int(m.group(2))))
-            return FamilySpec("G1", (int(head),), tuple(deletions))
-        return FamilySpec("G1", (int(rest),))
-    if name == "G2":
-        if ";" in rest:
-            head, crosses = rest.split(";", 1)
-            cross = []
-            for token in crosses.split(","):
-                parts = token.strip().split("-")
-                if len(parts) != 2:
-                    raise FamilyError(f"bad cross edge token {token!r} in {text!r}")
-                cross.append((int(parts[0]), int(parts[1])))
-        else:
-            head, cross = rest, []
-        sizes = tuple(int(p) for p in head.split(","))
-        if len(sizes) != 2:
-            raise FamilyError(f"G2 spec needs two part sizes: {text!r}")
-        return FamilySpec("G2", sizes, cross_edges=tuple(cross))
-    if name in _SIMPLE_FAMILIES:
-        try:
-            params = tuple(int(p) for p in rest.split(",")) if rest else ()
-        except ValueError as exc:
-            raise FamilyError(f"bad parameters in {text!r}") from exc
-        if len(params) != _SIMPLE_FAMILIES[name]:
-            raise FamilyError(
-                f"{name} expects {_SIMPLE_FAMILIES[name]} parameters: {text!r}"
-            )
+    if name not in _FAMILIES:
+        raise FamilyError(f"unknown family {name!r}")
+    if name in _DIMENSIONED:
+        return FamilySpec(name, _by_x(rest, text))
+    # G1 lists its deletions and G2 its cross edges after a semicolon
+    head, extra, tail = rest.partition(";") if name in ("G1", "G2") else (rest, "", "")
+    params = _ints(head.split(","), text) if head else ()
+    count = _FAMILIES[name][0]
+    if len(params) != count:
+        raise FamilyError(f"{name} expects {count} parameters: {text!r}")
+    if not extra:
         return FamilySpec(name, params)
-    raise FamilyError(f"unknown family {name!r}")
+    tokens = tail.split(",")
+    if name == "G1":
+        return FamilySpec(name, params, tuple(_by_x(t, text) for t in tokens))
+    return FamilySpec(name, params, cross_edges=tuple(_cross_edge(t, text) for t in tokens))
 
 
 def format_family_spec(spec: FamilySpec) -> str:
-    if spec.family == "G1" and spec.deletions:
-        dels = ",".join(f"{a}x{b}" for a, b in spec.deletions)
-        return f"G1:{spec.params[0]};{dels}"
-    if spec.family == "G2":
-        base = f"G2:{spec.params[0]},{spec.params[1]}"
-        if spec.cross_edges:
-            base += ";" + ",".join(f"{u}-{v}" for u, v in spec.cross_edges)
-        return base
-    if spec.family in ("grid", "torus", "pc"):
-        return f"{spec.family}:{spec.params[0]}x{spec.params[1]}"
-    return f"{spec.family}:" + ",".join(str(p) for p in spec.params)
+    sep = "x" if spec.family in _DIMENSIONED else ","
+    text = f"{spec.family}:" + sep.join(str(p) for p in spec.params)
+    pairs = [f"{a}x{b}" for a, b in spec.deletions] + [f"{u}-{v}" for u, v in spec.cross_edges]
+    return text + ";" + ",".join(pairs) if pairs else text
 
 
 def instantiate_family(spec: FamilySpec) -> Graph:
     """Build the canonical labeled graph for a fully-specified family spec."""
-    fam, p = spec.family, spec.params
-    if fam == "H":
-        return make_H(*p)
-    if fam == "Hhat":
-        return make_H_hat(*p)
-    if fam == "HhatJoin":
-        return make_H_hat_join(*p)
-    if fam == "MJoin":
-        return make_matching_join(*p)
-    if fam == "G4":
-        return make_G4(*p)
-    if fam == "G5":
-        return make_G5(*p)
-    if fam == "G1":
-        if not spec.deletions:
-            raise FamilyError("G1 instantiation needs an explicit deletion list")
-        return make_G1_member(p[0], spec.deletions)
-    if fam == "G2":
-        return make_G2_member((p[0], p[1]), spec.cross_edges)
-    if fam == "grid":
-        return cartesian_product(generate("path", p[0]), generate("path", p[1]))
-    if fam == "torus":
-        return cartesian_product(generate("cycle", p[0]), generate("cycle", p[1]))
-    if fam == "pc":
-        return cartesian_product(generate("path", p[0]), generate("cycle", p[1]))
-    if fam == "Q":
-        return generate("hypercube", p[0])
-    if fam == "Knn":
-        return generate("complete_bipartite", p[0], p[0])
-    if fam == "K":
-        return generate("complete_bipartite", p[0], p[1])
-    if fam == "nK2":
-        return build_graph(2 * p[0], [(2 * i, 2 * i + 1) for i in range(p[0])])
-    if fam in ("path", "cycle", "complete"):
-        return generate(fam, p[0])
-    raise FamilyError(f"unknown family {fam!r}")
+    if spec.family not in _FAMILIES:
+        raise FamilyError(f"unknown family {spec.family!r}")
+    return _FAMILIES[spec.family][1](spec)
 
 
 def family_instances(spec: FamilySpec) -> Iterator[tuple[str, Graph]]:

@@ -264,26 +264,30 @@ def generate(kind: str, *params: int) -> Graph:
     raise GraphError(f"unknown generator kind: {kind!r}")
 
 
-def components(g: Graph) -> list[int]:
-    """Connected-component vertex masks, ordered by smallest contained vertex."""
-    seen = 0
+def mask_components(rows: Sequence[int], mask: int) -> list[int]:
+    """Connected-component vertex masks of the subgraph that the adjacency
+    ``rows`` induce on ``mask``, ordered by smallest contained vertex."""
     out = []
-    for v in range(g.order):
-        if (seen >> v) & 1:
-            continue
-        comp = 1 << v
+    rest = mask
+    while rest:
+        comp = rest & -rest
         frontier = comp
         while frontier:
             nxt = 0
             while frontier:
                 bit = frontier & -frontier
                 frontier ^= bit
-                nxt |= g.adj[bit.bit_length() - 1]
-            frontier = nxt & ~comp
+                nxt |= rows[bit.bit_length() - 1]
+            frontier = nxt & mask & ~comp
             comp |= frontier
-        seen |= comp
+        rest &= ~comp
         out.append(comp)
     return out
+
+
+def components(g: Graph) -> list[int]:
+    """Connected-component vertex masks, ordered by smallest contained vertex."""
+    return mask_components(g.adj, g.full_mask)
 
 
 def is_connected(g: Graph) -> bool:
@@ -321,12 +325,6 @@ def cyclomatic_number(g: Graph) -> int:
     if not is_connected(g):
         raise GraphError("cyclomatic number requires a connected graph")
     return g.edge_count - g.order + 1
-
-
-def complement(g: Graph) -> Graph:
-    full = g.full_mask
-    rows = [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
-    return _raw_graph(g.order, rows)
 
 
 def graph6_encode(g: Graph) -> str:

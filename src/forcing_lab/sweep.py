@@ -170,7 +170,8 @@ def _shards_for_masks(kind: str, order: int, total_bits: int) -> list[Shard]:
 
 def plan_shards(config: SweepConfig) -> list[Shard]:
     """The sweep's shards, in merge order.  A universe of more than 2**28
-    edge masks raises GraphError before any shard is built."""
+    edge masks, or a bipartite side below 1, raises GraphError before any
+    shard is built."""
     if config.mode == "stream":
         if config.stream_path is None:
             raise GraphError("stream mode needs a stream path")
@@ -187,6 +188,8 @@ def plan_shards(config: SweepConfig) -> list[Shard]:
             for order in range(2, config.max_order + 1, 2)
         ]
     elif config.mode == "bipartite_balanced":
+        if config.side < 1:
+            raise GraphError(f"a bipartite sweep needs a side of at least 1, got {config.side}")
         universes = [("bipartite", config.side, config.side**2)]
     else:
         raise GraphError(f"unknown sweep mode {config.mode!r}")

@@ -127,14 +127,6 @@ def is_nk2(g: Graph) -> bool:
     return all(mask.bit_count() == 2 for mask in components(g)) and g.order % 2 == 0
 
 
-def is_complete_bipartite_balanced(g: Graph) -> bool:
-    bip = bipartition_of(g)
-    if bip is None or not bip.balanced:
-        return False
-    n = g.order // 2
-    return g.edge_count == n * n
-
-
 def is_c4_k2_union(g: Graph, n_cycles: int) -> bool:
     """Disjoint union of exactly ``n_cycles`` 4-cycles plus single edges."""
     cycles = 0
@@ -169,7 +161,7 @@ class _Facts:
         self.n, self.e, self.delta = g.order // 2, g.edge_count, g.min_degree
         self.connected = is_connected(g)
         self.report = classify(g)
-        self.bipartite = self.report.is_F0_free is not None  # None exactly when not bipartite
+        self.bipartite = self.report.bipartite
         self.split, self.cograph = self.report.is_split, self.report.is_cograph
         self.spec = spectrum(g, limits=limits, with_anti_forcing=True)
         self.f, self.F = self.spec.f_min, self.spec.f_max
@@ -288,8 +280,10 @@ _HHAT_JOIN = _Extremal(
     "HhatJoin:{n},{k}", lambda g, n, k: are_isomorphic(g, make_H_hat_join(n, k))
 )
 _H_NK = _Extremal("H:{n},{k}", lambda g, n, k: are_isomorphic(g, make_H(n, k)))
+# a bipartite graph on 2n vertices with n^2 edges is K_{n,n}
 _NK2_OR_KNN = _Extremal(
-    "nK2:{n} or Knn:{n}", lambda g, n, k: is_nk2(g) or is_complete_bipartite_balanced(g)
+    "nK2:{n} or Knn:{n}",
+    lambda g, n, k: is_nk2(g) or (g.edge_count == n * n and bipartition_of(g) is not None),
 )
 
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 from collections import Counter
 
@@ -31,6 +32,11 @@ class TestSweepDeterminism:
         cfg1 = SweepConfig(mode="bipartite_balanced", side=3, workers=1)
         cfg2 = SweepConfig(mode="bipartite_balanced", side=3, workers=2)
         assert run_sweep(cfg1).to_json() == run_sweep(cfg2).to_json()
+
+
+# sha256 of the isomorph-free order-6 report, the bytes
+# `sweep --max-order 6 --dedup --json` writes
+DEDUP_ORDER_6_REPORT_SHA256 = "604da8b50b4103821a28abdfc30a5a0cfafffda5ae8789268dacf42854808fcb"
 
 
 class TestDedup:
@@ -67,6 +73,8 @@ class TestDedup:
             seen_classes.add(key[0])
             assert dedup_status[key] == rec.status
         assert len(seen_classes) > 50
+        digest = hashlib.sha256(dedup.to_json().encode()).hexdigest()
+        assert digest == DEDUP_ORDER_6_REPORT_SHA256
 
 
 class TestStream:
@@ -244,6 +252,15 @@ class TestShardPlanning:
         with pytest.raises(GraphError, match=f"^2[*][*]{bits} edge masks in one universe"):
             plan_shards(config)
 
+    @pytest.mark.parametrize("side", [0, -1])
+    def test_side_below_one_refused_before_planning(self, side, monkeypatch):
+        def no_shards(*args):
+            raise AssertionError("a shard was planned for a side below 1")
+
+        monkeypatch.setattr(sweep, "_shards_for_masks", no_shards)
+        with pytest.raises(GraphError, match="side of at least 1"):
+            plan_shards(SweepConfig(mode="bipartite_balanced", side=side))
+
 
 class TestCli:
     def test_compute_family(self, capsys):
@@ -322,6 +339,16 @@ class TestCli:
     def test_generate_parse_error(self, capsys):
         assert main(["generate", "nope:1"]) == 2
 
+    def test_generate_limit_zero_prints_nothing(self, capsys):
+        assert main(["generate", "cycle:6", "--limit", "0"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["generate", "G1:3", "--limit", "2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
+    def test_generate_negative_limit_exit2(self, capsys):
+        assert main(["generate", "cycle:6", "--limit", "-1"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_verify_stream_exit0(self, tmp_path, capsys):
         path = tmp_path / "in.g6"
         path.write_text(
@@ -358,6 +385,11 @@ class TestCli:
     def test_sweep_rejects_universe_over_2_28_masks(self, argv, capsys):
         assert main(["sweep", *argv]) == 2
         assert "edge masks in one universe; sweeps stop at 2**28" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side", ["0", "-1"])
+    def test_sweep_rejects_side_below_one(self, side, capsys):
+        assert main(["sweep", "--mode", "bipartite_balanced", "--side", side]) == 2
+        assert "side of at least 1" in capsys.readouterr().err
 
     def test_workers_env_default(self, monkeypatch):
         from forcing_lab.cli import _default_workers

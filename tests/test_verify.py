@@ -301,10 +301,14 @@ class TestRemark49:
         # every disconnected G1/G2 member over sides <= 4 splits into exactly
         # two balanced complete bipartite components
         from forcing_lab.families import classify
-        from forcing_lab.graphs import components, induced_subgraph, is_connected
+        from forcing_lab.graphs import (
+            bipartition_of,
+            components,
+            induced_subgraph,
+            is_connected,
+        )
         from forcing_lab.matchings import has_perfect_matching
         from forcing_lab.sweep import bipartite_graph_from_mask
-        from forcing_lab.verify import is_complete_bipartite_balanced
 
         hits = 0
         for side in (2, 3, 4):
@@ -320,7 +324,9 @@ class TestRemark49:
                 assert len(comps) == 2
                 for comp in comps:
                     sub = induced_subgraph(g, comp)
-                    assert is_complete_bipartite_balanced(sub)
+                    # bipartite on 2m vertices with m^2 edges: K_{m,m}
+                    assert sub.edge_count == (sub.order // 2) ** 2
+                    assert bipartition_of(sub) is not None
                     assert has_perfect_matching(sub)
         assert hits > 0
 
