@@ -33,7 +33,6 @@ from .matchings import (
     forbidden_edges,
     has_perfect_matching,
     has_unique_perfect_matching,
-    independence_number,
     is_elementary,
     matching_from_edges,
 )
@@ -47,7 +46,6 @@ from .solver import (
     forcing_number,
     is_anti_forcing_set,
     is_forcing_set,
-    max_anti_forcing,
     spectrum,
 )
 from .families import (

@@ -30,9 +30,11 @@ make_handle = _impl.make_handle
 pm_count = _impl.pm_count
 pm_enumerate = _impl.pm_enumerate
 alt_cycles = _impl.alt_cycles
-mis = _impl.mis
 pack_masks = _impl.pack_masks
 
 # the compiled whole-search values (compiled backend only); see solver._value
 forcing_value = getattr(_impl, "forcing_value", None)
 anti_forcing_value = getattr(_impl, "anti_forcing_value", None)
+# the compiled maximum independent set, which nothing calls; it stays only
+# because the benchmark's tracer names it among the kernels it times
+mis = getattr(_impl, "mis", None)

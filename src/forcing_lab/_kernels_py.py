@@ -137,56 +137,6 @@ def alt_cycles(handle, mates, ceiling):
     return out
 
 
-def mis(handle, active):
-    """Maximum independent set of the subgraph induced by ``active``.
-
-    Returns ``(size, mask)``; deterministic branch order (max-degree pivot,
-    lowest index on ties, include-branch first).
-    """
-    adj = handle
-    best = [0, 0]
-
-    def rec(p, size, mask):
-        # take vertices with no neighbour inside p for free
-        while True:
-            q = p
-            picked = False
-            while q:
-                vbit = q & -q
-                q ^= vbit
-                v = vbit.bit_length() - 1
-                if adj[v] & p == 0:
-                    p ^= vbit
-                    size += 1
-                    mask |= vbit
-                    picked = True
-            if not picked:
-                break
-        if size + p.bit_count() <= best[0]:
-            return
-        if p == 0:
-            if size > best[0]:
-                best[0] = size
-                best[1] = mask
-            return
-        q = p
-        pivot = -1
-        pivot_deg = -1
-        while q:
-            vbit = q & -q
-            q ^= vbit
-            d = (adj[vbit.bit_length() - 1] & p).bit_count()
-            if d > pivot_deg:
-                pivot_deg = d
-                pivot = vbit.bit_length() - 1
-        pbit = 1 << pivot
-        rec(p & ~(adj[pivot] | pbit), size + 1, mask | pbit)
-        rec(p ^ pbit, size, mask)
-
-    rec(active, 0, 0)
-    return best[0], best[1]
-
-
 def pack_masks(masks):
     """Maximum number of pairwise-disjoint masks (exact branch and bound)."""
     best = [0]

@@ -41,16 +41,7 @@ class Graph:
                     raise GraphError(f"asymmetric adjacency at ({u},{v})")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "adj", rows)
-        object.__setattr__(
-            self,
-            "edges",
-            tuple(
-                (u, v)
-                for u in range(order)
-                for v in range(u + 1, order)
-                if rows[u] & (1 << v)
-            ),
-        )
+        object.__setattr__(self, "edges", _edges_from_rows(order, rows))
         object.__setattr__(self, "_handle", None)
         object.__setattr__(self, "_canon", None)
 
@@ -164,26 +155,6 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(order, rows)
-
-
-def subgraph_without_vertices(g: Graph, drop_mask: int) -> Graph:
-    """Induced subgraph on the complement of ``drop_mask``, vertices renumbered."""
-    keep = [v for v in range(g.order) if not (drop_mask >> v) & 1]
-    if not keep:
-        raise GraphError("cannot delete every vertex")
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (index[u], index[v]) for u, v in g.edges if u in index and v in index
-    ]
-    rows = [0] * len(keep)
-    for u, v in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return _raw_graph(len(keep), rows, edges)
-
-
-def induced_subgraph(g: Graph, keep_mask: int) -> Graph:
-    return subgraph_without_vertices(g, g.full_mask & ~keep_mask)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

@@ -145,7 +145,3 @@ def is_elementary(g: Graph) -> bool:
     if not is_connected(g):
         return False
     return len(allowed_edges(g)) == g.edge_count
-
-
-def independence_number(g: Graph) -> int:
-    return _backend.mis(g.handle, g.full_mask)[0]

@@ -395,32 +395,23 @@ def anti_forcing_values(
     return _per_matching(pms, _orbits(g, pms), lambda m: _value(g, m, False, limits))
 
 
-def max_anti_forcing(g: Graph, *, limits: SolverLimits = DEFAULT_LIMITS) -> int:
-    """Af(G): the maximum anti-forcing number over all perfect matchings."""
-    return max(anti_forcing_values(g, limits=limits))
-
-
 # ---------------------------------------------------------------------------
 # closed-form bounds, exact arithmetic
 
 
 @dataclass(frozen=True)
 class ExactBound:
-    """The exact value ``a + c*sqrt(b)``; comparisons square the radical."""
+    """The exact value ``a + c*sqrt(b)`` of a square-root bound, with c != 0
+    and b > 0; comparisons with a rational square the radical."""
 
     a: Fraction
-    c: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
+    c: Fraction
+    b: Fraction
 
     def cmp(self, t) -> int:
         """Sign of (self - t) for rational t (an int or a Fraction)."""
-        if not self.c or not self.b:
-            # cross-multiplied by the positive denominators of a and t
-            d = self.a.numerator * t.denominator - t.numerator * self.a.denominator
-            return (d > 0) - (d < 0)
-        t = Fraction(t)
-        if self.b < 0:
-            raise GraphError("negative radicand in exact bound")
+        if self.b <= 0:
+            raise GraphError("radicand of an exact bound must be positive")
         d = t - self.a  # compare c*sqrt(b) against d
         lhs_sq = self.c * self.c * self.b
         if self.c > 0:
@@ -431,6 +422,18 @@ class ExactBound:
             return -1
         return (d * d > lhs_sq) - (d * d < lhs_sq)
 
+    def __lt__(self, t) -> bool:
+        return self.cmp(t) < 0
+
+    def __le__(self, t) -> bool:
+        return self.cmp(t) <= 0
+
+    def __gt__(self, t) -> bool:
+        return self.cmp(t) > 0
+
+    def __ge__(self, t) -> bool:
+        return self.cmp(t) >= 0
+
     def equals(self, observed: int) -> bool:
         return self.cmp(observed) == 0
 
@@ -438,13 +441,12 @@ class ExactBound:
         return float(self.a) + float(self.c) * float(self.b) ** 0.5
 
     def __str__(self) -> str:
-        if not self.c or not self.b:
-            return str(self.a)
         return f"{self.a}+{self.c}*sqrt({self.b})"
 
 
 def _cor_3_5_bound(n: int, e: int) -> ExactBound:
-    """F(G) <= (n-e-1)/2 + sqrt(e^2 + 2(n+1)e - 3n^2 - 2n + 1)/2."""
+    """F(G) <= (n-e-1)/2 + sqrt(e^2 + 2(n+1)e - 3n^2 - 2n + 1)/2.  The
+    radicand is (e+n+1)^2 - 4n(n+1), at least 1 for e >= n."""
     return ExactBound(
         Fraction(n - e - 1, 2),
         Fraction(1, 2),
@@ -452,13 +454,14 @@ def _cor_3_5_bound(n: int, e: int) -> ExactBound:
     )
 
 
-def bound_values(g: Graph) -> dict[str, ExactBound]:
+def bound_values(g: Graph) -> dict[str, Fraction | ExactBound]:
     """The seven closed-form bounds of the paper, by theorem id, evaluated
     exactly from n, e and the minimum degree alone: lower bounds on f(G)
     (COR_2_2, COR_2_4, THM_2_5, THM_2_8) and upper bounds on F(G) (PROP_3_2,
-    COR_3_1, COR_3_5).  Each value is returned whether or not the graph
-    meets its theorem's hypothesis; ``verify.THEOREMS`` states the direction
-    and the hypothesis of each."""
+    COR_3_1, COR_3_5).  The three square-root bounds (COR_2_2, COR_2_4,
+    COR_3_5) are ``ExactBound``s, the rest ``Fraction``s.  Each value is
+    returned whether or not the graph meets its theorem's hypothesis;
+    ``verify.THEOREMS`` states the direction and the hypothesis of each."""
     if g.order % 2 or g.order < 2:
         raise GraphError("bounds are defined for even order >= 2")
     n = g.order // 2
@@ -468,11 +471,9 @@ def bound_values(g: Graph) -> dict[str, ExactBound]:
     return {
         "COR_2_2": ExactBound(n - Fraction(1, 2), Fraction(-1), 2 * n * n - n - e + quarter),
         "COR_2_4": ExactBound(n - Fraction(1, 2), Fraction(-1), 2 * n * n - 2 * e + quarter),
-        "THM_2_5": ExactBound(Fraction(delta - 1)),
-        "THM_2_8": ExactBound(Fraction(delta - 1, 2)),
-        "PROP_3_2": ExactBound(Fraction(e - n, 2)),
-        "COR_3_1": ExactBound(
-            Fraction(e - n, 2) if e >= 3 * n - 2 else Fraction(e - 2 * n + 1)
-        ),
+        "THM_2_5": Fraction(delta - 1),
+        "THM_2_8": Fraction(delta - 1, 2),
+        "PROP_3_2": Fraction(e - n, 2),
+        "COR_3_1": Fraction(e - n, 2) if e >= 3 * n - 2 else Fraction(e - 2 * n + 1),
         "COR_3_5": _cor_3_5_bound(n, e),
     }

@@ -170,8 +170,8 @@ def _shards_for_masks(kind: str, order: int, total_bits: int) -> list[Shard]:
 
 def plan_shards(config: SweepConfig) -> list[Shard]:
     """The sweep's shards, in merge order.  A universe of more than 2**28
-    edge masks, or a bipartite side below 1, raises GraphError before any
-    shard is built."""
+    edge masks, a maximum order below 2 or a bipartite side below 1 raises
+    GraphError before any shard is built."""
     if config.mode == "stream":
         if config.stream_path is None:
             raise GraphError("stream mode needs a stream path")
@@ -183,6 +183,8 @@ def plan_shards(config: SweepConfig) -> list[Shard]:
             for i in range(0, len(lines), chunk)
         ]
     if config.mode == "all_graphs":
+        if config.max_order < 2:
+            raise GraphError(f"a sweep needs a max order of at least 2, got {config.max_order}")
         universes = [
             ("all_graphs", order, order * (order - 1) // 2)
             for order in range(2, config.max_order + 1, 2)
@@ -193,7 +195,7 @@ def plan_shards(config: SweepConfig) -> list[Shard]:
         universes = [("bipartite", config.side, config.side**2)]
     else:
         raise GraphError(f"unknown sweep mode {config.mode!r}")
-    bits = max((total_bits for _kind, _order, total_bits in universes), default=0)
+    bits = max(total_bits for _kind, _order, total_bits in universes)
     if bits > _MAX_UNIVERSE_BITS:
         raise GraphError(
             f"2**{bits} edge masks in one universe; sweeps stop at 2**{_MAX_UNIVERSE_BITS}"

@@ -44,7 +44,6 @@ from .graphs import (
     bipartition_of,
     components,
     graph6_encode,
-    induced_subgraph,
     is_connected,
 )
 from .matchings import has_perfect_matching
@@ -128,13 +127,15 @@ def is_nk2(g: Graph) -> bool:
 
 
 def is_c4_k2_union(g: Graph, n_cycles: int) -> bool:
-    """Disjoint union of exactly ``n_cycles`` 4-cycles plus single edges."""
+    """Disjoint union of exactly ``n_cycles`` 4-cycles plus single edges: a
+    component on 2 vertices is an edge, and one on 4 vertices is a 4-cycle
+    when each of them has exactly 2 neighbours."""
     cycles = 0
     for mask in components(g):
-        sub = induced_subgraph(g, mask)
-        if sub.order == 2 and sub.edge_count == 1:
+        size = mask.bit_count()
+        if size == 2:
             continue
-        if sub.order == 4 and sub.edge_count == 4 and set(sub.degrees) == {2}:
+        if size == 4 and all(g.degree(v) == 2 for v in range(g.order) if mask >> v & 1):
             cycles += 1
             continue
         return False
@@ -188,14 +189,15 @@ class _Facts:
 class _Bound:
     """``observed <= bound`` for a ``<quantity>_upper`` kind and ``>=`` for
     ``<quantity>_lower``, the quantity being e, f, F or Af, wherever the
-    hypothesis ``applies`` holds.  ``value`` gives the bound: a rational, a
-    closed form of ``solver.bound_values`` (read from ``c.bounds``), or None
+    hypothesis ``applies`` holds.  ``value`` gives the bound: an int or a
+    Fraction, a closed form of ``solver.bound_values`` (read from
+    ``c.bounds``, a square-root ``ExactBound`` for three of them), or None
     where the graph has none."""
 
     theorem_id: str
     policy: str
     kind: str
-    value: Callable[[_Facts], Optional[Fraction | ExactBound]]
+    value: Callable[[_Facts], int | Fraction | ExactBound | None]
     applies: Callable[[_Facts], bool] = lambda c: True
     label: Optional[str] = None  # the record's bound string, if not the value
     extremal: Optional[_Extremal] = None
@@ -207,19 +209,19 @@ class _Bound:
         if self.reads_af and c.Af is None:
             return "", None, ABORTED, EQ_NA, c.spec.af_error
         bound = self.value(c)
-        if bound is not None and not isinstance(bound, ExactBound):
-            bound = ExactBound(bound)
         quantity, side = self.kind.split("_")
         observed = c.inputs[quantity]
         label = self.label if self.label is not None else "" if bound is None else str(bound)
         shown = observed if self.shown else None
         if not self.applies(c):
             return label, shown, INAPPLICABLE, EQ_NA, ""
-        slack = bound.cmp(observed) if side == "upper" else -bound.cmp(observed)
-        if slack < 0:
-            return label, shown, self.violation, EQ_NA, None
-        if slack > 0 or self.policy == _NONE:
+        low, high = (observed, bound) if side == "upper" else (bound, observed)  # low <= high
+        if low < high:
             return label, shown, PASS, EQ_NA if self.policy == _NONE else EQ_STRICT, ""
+        if low > high:
+            return label, shown, self.violation, EQ_NA, None
+        if self.policy == _NONE:
+            return label, shown, PASS, EQ_NA, ""
         if self.extremal is not None and self.extremal.test(c.g, c.n, c.f):
             return label, shown, PASS, EQ_MATCH, ""
         if self.policy == _TIGHT:
@@ -256,11 +258,10 @@ def _lemma_3_3(c: _Facts):
     and equality needs n-f(G,M) to divide n."""
     label, n, any_equality = "max degree-sum >= 2n/(n-f(G,M))", c.n, False
     for m, fv in c.spec.per_matching:
-        target = ExactBound(Fraction(2 * n, n - fv))
         best = max(c.g.degree(u) + c.g.degree(v) for u, v in m.edges)
-        slack = -target.cmp(best)
+        slack = best * (n - fv) - 2 * n  # n - f(G,M) >= 1
         if slack < 0:
-            detail = f"matching {m.edges} has max degree sum {best} < {target}"
+            detail = f"matching {m.edges} has max degree sum {best} < {Fraction(2 * n, n - fv)}"
             return label, None, FAIL, EQ_NA, detail
         if slack == 0:
             any_equality = True
@@ -294,22 +295,23 @@ def _conjecture_bound(c: _Facts) -> Fraction:
 THEOREMS = (
     # size of unique-perfect-matching graphs, and at f(G) = k
     _Bound(
-        "THM_1_4", _CHARACTERIZED, "e_upper", lambda c: Fraction(c.n * (c.n + 1), 2),
+        "THM_1_4", _CHARACTERIZED, "e_upper", lambda c: c.n * (c.n + 1) // 2,
         applies=lambda c: c.bipartite and c.f == 0,
         extremal=_Extremal("H:{n},0", lambda g, n, k: are_isomorphic(g, make_H(n, 0))),
     ),
     _Bound(
-        "THM_1_5", _CHARACTERIZED, "e_upper", lambda c: Fraction(c.n * c.n),
+        "THM_1_5", _CHARACTERIZED, "e_upper", lambda c: c.n * c.n,
         applies=lambda c: c.f == 0,
         extremal=_Extremal("Hhat:{n}", lambda g, n, k: are_isomorphic(g, make_H_hat(n))),
     ),
     _Bound(
         "THM_2_1", _CHARACTERIZED, "e_upper",
-        lambda c: Fraction(c.n * c.n + 2 * c.n * c.f - c.f * c.f - c.f), extremal=_HHAT_JOIN,
+        lambda c: c.n * c.n + 2 * c.n * c.f - c.f * c.f - c.f, extremal=_HHAT_JOIN,
     ),
     _Bound(
         "THM_2_3", _CHARACTERIZED, "e_upper",
-        lambda c: Fraction((c.n - c.f) * (c.n + c.f + 1), 2) + c.n * c.f,
+        # the two factors sum to 2n+1, so one of them is even
+        lambda c: (c.n - c.f) * (c.n + c.f + 1) // 2 + c.n * c.f,
         applies=lambda c: c.bipartite, extremal=_H_NK,
     ),
     # lower bounds on f
@@ -562,8 +564,8 @@ def verify_crossover_remark(
             if 3 * e > 7 * n - 2:
                 checks.append(("(e-n)/2", Fraction(e - n, 2)))
             lhs = e - 2 * n + 1
-            if lhs > 0 and Fraction(4 * lhs * lhs) > Fraction(2 * n * n - 2 * n):
-                checks.append(("r", Fraction(e - 2 * n + 1)))
+            if lhs > 0 and 4 * lhs * lhs > 2 * n * n - 2 * n:
+                checks.append(("r", e - 2 * n + 1))
             if not checks:
                 records.append(
                     VerdictRecord(
@@ -571,7 +573,7 @@ def verify_crossover_remark(
                     )
                 )
                 continue
-            ok = all(cor35.cmp(target) < 0 for _, target in checks)
+            ok = all(cor35 < target for _, target in checks)
             records.append(
                 VerdictRecord(
                     "REM_3_6",

@@ -145,22 +145,6 @@ def oracle_matching_orbit_firsts(g: Graph, matchings) -> list[int]:
     ]
 
 
-def oracle_independence_number(g: Graph) -> int:
-    best = 0
-    for mask in range(1 << g.order):
-        ok = True
-        bits = mask
-        while bits:
-            bit = bits & -bits
-            bits ^= bit
-            if g.adj[bit.bit_length() - 1] & mask:
-                ok = False
-                break
-        if ok:
-            best = max(best, mask.bit_count())
-    return best
-
-
 def oracle_is_split(g: Graph) -> bool:
     for clique_mask in range(1 << g.order):
         rest = g.full_mask & ~clique_mask

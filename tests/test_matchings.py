@@ -4,7 +4,6 @@ import pytest
 
 from oracles import (
     oracle_alternating_cycles,
-    oracle_independence_number,
     oracle_perfect_matchings,
 )
 from forcing_lab.errors import MatchingError
@@ -17,7 +16,6 @@ from forcing_lab.matchings import (
     forbidden_edges,
     has_perfect_matching,
     has_unique_perfect_matching,
-    independence_number,
     is_elementary,
     matching_from_edges,
 )
@@ -194,26 +192,3 @@ class TestElementary:
     def test_g1_small_deletions_elementary(self):
         g = make_G1_member(4, [(1, 1), (1, 2)])
         assert is_elementary(g)
-
-
-class TestIndependence:
-    def test_examples(self):
-        assert independence_number(generate("cycle", 6)) == 3
-        assert independence_number(generate("complete_bipartite", 3, 3)) == 3
-        assert independence_number(make_H_hat(5)) == 5
-
-    def test_matches_oracle(self, rng):
-        from conftest import random_graph
-
-        for _ in range(40):
-            g = random_graph(8, 0.4, rng)
-            assert independence_number(g) == oracle_independence_number(g)
-
-    def test_bipartite_pm_criterion(self):
-        # alpha(G) = n iff a perfect matching exists, balanced bipartite sides <= 4
-        from forcing_lab.sweep import bipartite_graph_from_mask
-
-        for side in (1, 2, 3):
-            for mask in range(1 << (side * side)):
-                g = bipartite_graph_from_mask(side, mask)
-                assert (independence_number(g) == side) == has_perfect_matching(g)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,12 @@ from oracles import (
     oracle_perfect_matchings,
 )
 from conftest import random_graph
-from forcing_lab.errors import MatchingError, NoPerfectMatchingError, ResourceLimitError
+from forcing_lab.errors import (
+    GraphError,
+    MatchingError,
+    NoPerfectMatchingError,
+    ResourceLimitError,
+)
 from forcing_lab import cli, solver
 from forcing_lab.families import (
     instantiate_family,
@@ -45,7 +51,6 @@ from forcing_lab.solver import (
     is_forcing_set,
     anti_forcing_values,
     matching_orbit_firsts,
-    max_anti_forcing,
     spectrum,
 )
 from forcing_lab.verify import verify_graph
@@ -286,10 +291,10 @@ class TestAntiForcing:
                 assert anti_forcing_number(g, m).value == oracle_anti_forcing_number(g, pm)
 
     def test_max_anti_forcing(self):
-        assert max_anti_forcing(generate("cycle", 4)) == 1
-        assert max_anti_forcing(build_graph(6, [(0, 1), (2, 3), (4, 5)])) == 0
+        assert max(anti_forcing_values(generate("cycle", 4))) == 1
+        assert max(anti_forcing_values(build_graph(6, [(0, 1), (2, 3), (4, 5)]))) == 0
         c6 = generate("cycle", 6)
-        assert max_anti_forcing(c6) == 1
+        assert max(anti_forcing_values(c6)) == 1
         for pm in oracle_perfect_matchings(c6):
             assert oracle_anti_forcing_number(c6, pm) == 1
 
@@ -301,14 +306,10 @@ class TestAntiForcing:
             if not pms:
                 continue
             seen += 1
-            assert spectrum(g).f_max <= max_anti_forcing(g)
+            assert spectrum(g).f_max <= max(anti_forcing_values(g))
 
 
 class TestExactBound:
-    def test_rational_only(self):
-        b = ExactBound(Fraction(7, 2))
-        assert b.cmp(3) > 0 and b.cmp(4) < 0 and b.cmp(Fraction(7, 2)) == 0
-
     def test_surd_perfect_square(self):
         # 5/2 - sqrt(1/4) = 2 exactly
         b = ExactBound(Fraction(5, 2), Fraction(-1), Fraction(1, 4))
@@ -329,10 +330,46 @@ class TestExactBound:
             for c_num in (-2, -1, 1, 2):
                 for rad in range(0, 30):
                     b = ExactBound(Fraction(a_num, 2), Fraction(c_num, 2), Fraction(rad))
+                    if rad == 0:  # not a square-root bound
+                        with pytest.raises(GraphError):
+                            b.cmp(0)
+                        continue
                     for t in range(-8, 9):
                         approx = float(b) - t
                         if abs(approx) > 1e-9:
                             assert b.cmp(t) == (1 if approx > 0 else -1)
+
+    def test_square_root_bounds_exact_on_every_order_and_size(self):
+        # COR_2_2, COR_2_4 and COR_3_5 for n = 1..8 and every e from n to
+        # n(2n-1); COR_2_4 only up to e = n^2, where its bipartite hypothesis
+        # can hold.  Each is (K + c'*sqrt(N))/2 - t with integers |K| < 300
+        # and 0 < N < 20000, so a nonzero difference exceeds 1e-4 and the
+        # 60-digit decimal sign is exact.
+        def reference(b, t):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                a, c, rad = (Decimal(q.numerator) / q.denominator for q in (b.a, b.c, b.b))
+                diff = a + c * rad.sqrt() - t
+            return 0 if abs(diff) < Decimal("1e-30") else 1 if diff > 0 else -1
+
+        ties = 0
+        for n in range(1, 9):
+            pairs = list(itertools.combinations(range(2 * n), 2))
+            for e in range(n, n * (2 * n - 1) + 1):
+                bounds = bound_values(build_graph(2 * n, pairs[:e]))
+                for bound_id in ("COR_2_2", "COR_2_4", "COR_3_5"):
+                    if bound_id == "COR_2_4" and e > n * n:
+                        continue
+                    b = bounds[bound_id]
+                    assert b.c != 0 and b.b > 0, (bound_id, n, e)
+                    for t in range(-1, n + 1):
+                        want = reference(b, t)
+                        assert b.cmp(t) == want, (bound_id, n, e, t)
+                        assert (b < t, b <= t, b > t, b >= t) == (
+                            want < 0, want <= 0, want > 0, want >= 0
+                        )
+                        ties += want == 0
+        assert ties > 0
 
 
 class TestBoundValues:
@@ -341,7 +378,7 @@ class TestBoundValues:
 
     def test_nk2_prop32_zero(self):
         g = build_graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
-        assert bound_values(g)["PROP_3_2"].equals(0)
+        assert bound_values(g)["PROP_3_2"] == 0
 
     def test_k44_conjecture_bound(self):
         # the theorem table checks e >= n^2/(n-F): 16 >= 16/(4-3) on K_{4,4}
@@ -391,9 +428,9 @@ class TestBoundValues:
                 if not holds:
                     continue
                 if bound_id in f_lower:
-                    assert bounds[bound_id].cmp(sp.f_min) <= 0
+                    assert bounds[bound_id] <= sp.f_min
                 else:
-                    assert bounds[bound_id].cmp(sp.f_max) >= 0
+                    assert bounds[bound_id] >= sp.f_max
 
 
 # compute --json output of the solver before orbit sharing, by sha256

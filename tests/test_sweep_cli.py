@@ -77,6 +77,12 @@ class TestDedup:
         assert digest == DEDUP_ORDER_6_REPORT_SHA256
 
 
+# sha256 of the `verify --workers 1 --json --csv` reports of the 39-graph
+# family stream in TestStream.test_family_stream_report_bytes
+FAMILY_STREAM_JSON_SHA256 = "dad8d9eed135a161257dd4e6d54ddbe92e66097253ee71eab15e1b6b321365ae"
+FAMILY_STREAM_CSV_SHA256 = "30db2c0f3f1117d39cad70b4bc142d0340ed392205fecfbeece6b90518d4bfd0"
+
+
 class TestStream:
     def test_stream_mode(self, tmp_path):
         path = tmp_path / "graphs.g6"
@@ -110,6 +116,33 @@ class TestStream:
         assert resumed.to_json() == full.to_json()
         # a second run resumes from the completed cursor and changes nothing
         assert run_sweep(cfg).to_json() == full.to_json()
+
+    def test_family_stream_report_bytes(self, tmp_path, capsys):
+        # the lines `forcing-lab generate` prints for these specs: the
+        # extremal equality cases at orders 8-16 (H, Hhat, HhatJoin, MJoin,
+        # K_{n,n}), and three records HhatJoin:6,2 aborts at the af search's
+        # node ceiling
+        from forcing_lab.families import family_instances, parse_family_spec
+
+        specs = (
+            "H:4,0 H:4,1 H:6,2 Hhat:4 HhatJoin:4,1 HhatJoin:6,2 MJoin:3,1 MJoin:5,2"
+            " Knn:4 G1:4 cycle:8 grid:4x4 Q:3"
+        ).split()
+        lines = [
+            graph6_encode(g)
+            for spec in specs
+            for _label, g in family_instances(parse_family_spec(spec))
+        ]
+        assert len(lines) == 39
+        stream, report, table = (tmp_path / name for name in ("in.g6", "out.json", "out.csv"))
+        stream.write_text("\n".join(lines) + "\n")
+        argv = ["verify", str(stream), "--workers", "1", "--json", str(report)]
+        assert main(argv + ["--csv", str(table)]) == 0
+        capsys.readouterr()
+        records = json.loads(report.read_text())["records"]
+        assert Counter(r["status"] for r in records)["aborted"] == 3
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == FAMILY_STREAM_JSON_SHA256
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == FAMILY_STREAM_CSV_SHA256
 
 
 class TestCheckpointCrash:
@@ -261,6 +294,18 @@ class TestShardPlanning:
         with pytest.raises(GraphError, match="side of at least 1"):
             plan_shards(SweepConfig(mode="bipartite_balanced", side=side))
 
+    @pytest.mark.parametrize("max_order", [1, 0, -1])
+    def test_max_order_below_two_refused_before_planning(self, max_order, monkeypatch):
+        def no_shards(*args):
+            raise AssertionError("a shard was planned for a max order below 2")
+
+        monkeypatch.setattr(sweep, "_shards_for_masks", no_shards)
+        with pytest.raises(GraphError, match="max order of at least 2"):
+            plan_shards(SweepConfig(mode="all_graphs", max_order=max_order))
+
+    def test_odd_max_order_sweeps_the_even_orders_below(self):
+        assert {s.order for s in plan_shards(SweepConfig(mode="all_graphs", max_order=3))} == {2}
+
 
 class TestCli:
     def test_compute_family(self, capsys):
@@ -390,6 +435,11 @@ class TestCli:
     def test_sweep_rejects_side_below_one(self, side, capsys):
         assert main(["sweep", "--mode", "bipartite_balanced", "--side", side]) == 2
         assert "side of at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_order", ["1", "0", "-1"])
+    def test_sweep_rejects_max_order_below_two(self, max_order, capsys):
+        assert main(["sweep", "--max-order", max_order]) == 2
+        assert "max order of at least 2" in capsys.readouterr().err
 
     def test_workers_env_default(self, monkeypatch):
         from forcing_lab.cli import _default_workers

@@ -301,12 +301,7 @@ class TestRemark49:
         # every disconnected G1/G2 member over sides <= 4 splits into exactly
         # two balanced complete bipartite components
         from forcing_lab.families import classify
-        from forcing_lab.graphs import (
-            bipartition_of,
-            components,
-            induced_subgraph,
-            is_connected,
-        )
+        from forcing_lab.graphs import bipartition_of, build_graph, components, is_connected
         from forcing_lab.matchings import has_perfect_matching
         from forcing_lab.sweep import bipartite_graph_from_mask
 
@@ -323,7 +318,11 @@ class TestRemark49:
                 comps = components(g)
                 assert len(comps) == 2
                 for comp in comps:
-                    sub = induced_subgraph(g, comp)
+                    members = [v for v in range(g.order) if comp >> v & 1]
+                    index = {v: i for i, v in enumerate(members)}
+                    sub = build_graph(
+                        len(index), [(index[u], index[v]) for u, v in g.edges if u in index]
+                    )
                     # bipartite on 2m vertices with m^2 edges: K_{m,m}
                     assert sub.edge_count == (sub.order // 2) ** 2
                     assert bipartition_of(sub) is not None
