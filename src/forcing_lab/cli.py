@@ -7,6 +7,7 @@ Exit codes: 0 clean, 1 failed verdicts, 2 parse error, 3 resource ceiling,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -14,7 +15,7 @@ import sys
 import time
 from typing import Optional
 
-from .errors import FamilyError, GraphError, ResourceLimitError
+from .errors import FamilyError, GraphError, NoPerfectMatchingError, ResourceLimitError
 from .families import family_instances, parse_family_spec
 from .graphs import Graph, graph6_decode, graph6_encode
 from .solver import (
@@ -23,7 +24,7 @@ from .solver import (
     forcing_number,
     spectrum,
 )
-from .sweep import Report, SweepConfig, run_sweep
+from .sweep import STATUSES, Report, SweepConfig, plan_shards, run_sweep
 
 EXIT_OK = 0
 EXIT_FAIL_RECORDS = 1
@@ -40,10 +41,24 @@ def _default_workers() -> int:
         return 1
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _add_limit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pm-limit", type=int, default=SolverLimits.pm_limit)
-    p.add_argument("--node-limit", type=int, default=SolverLimits.node_limit)
-    p.add_argument("--cycle-limit", type=int, default=SolverLimits.cycle_limit)
+    ceiling = _int_at_least(0)  # 0 is a legal ceiling
+    p.add_argument("--pm-limit", type=ceiling, default=SolverLimits.pm_limit)
+    p.add_argument("--node-limit", type=ceiling, default=SolverLimits.node_limit)
+    p.add_argument("--cycle-limit", type=ceiling, default=SolverLimits.cycle_limit)
 
 
 def _limits(args) -> SolverLimits:
@@ -85,6 +100,9 @@ def cmd_compute(args) -> int:
         forcing_witness = forcing_number(g, min_m, limits=limits)
         anti_witness = anti_forcing_number(g, af_m, limits=limits)
         c_values = None if spec.c_values is None else list(spec.c_values)
+    except NoPerfectMatchingError as exc:
+        print(f"{args.input}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except ResourceLimitError as exc:
         print(f"resource ceiling: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -135,26 +153,17 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _finish_report(report: Report, args, start: float) -> int:
-    """Write the requested reports, then print the summary and the wall time
-    since ``start``, report writes included."""
-    if args.json_path:
-        with open(args.json_path, "w") as fh:
-            fh.write(report.to_json())
-    if args.csv_path:
-        report.write_csv(args.csv_path)
+def _finish_report(report: Report, json_fh, csv_fh, args, start: float) -> int:
+    """Write the report to the open ``--json`` and ``--csv`` files (None when
+    not asked for), then print the summary and the wall time since
+    ``start``, report writes included."""
+    if json_fh:
+        report.write_json(json_fh)
+    if csv_fh:
+        report.write_csv(csv_fh)
     totals = report.summary["totals"]
-    print(
-        "verified {graphs} graphs: {p} pass, {f} fail, {i} inapplicable, "
-        "{c} counterexample, {a} aborted".format(
-            graphs=report.summary["graphs_verified"],
-            p=totals["pass"],
-            f=totals["fail"],
-            i=totals["inapplicable"],
-            c=totals["counterexample"],
-            a=totals["aborted"],
-        )
-    )
+    tally = ", ".join(f"{totals[status]} {status}" for status in STATUSES)
+    print(f"verified {report.summary['graphs_verified']} graphs: {tally}")
     elapsed = time.monotonic() - start
     print(f"wall time: {elapsed:.2f}s (workers={args.workers})", file=sys.stderr)
     if args.strict_conjectures and totals["counterexample"] > 0:
@@ -164,25 +173,10 @@ def _finish_report(report: Report, args, start: float) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    config = SweepConfig(
-        mode="stream",
-        stream_path=args.stream,
-        workers=args.workers,
-        limits=_limits(args),
-        failures_only=args.failures_only,
-        checkpoint=args.checkpoint,
-    )
-    start = time.monotonic()
-    try:
-        report = run_sweep(config)
-    except (FileNotFoundError, GraphError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    return _finish_report(report, args, start)
-
-
 def cmd_sweep(args) -> int:
+    """``verify`` and ``sweep``: the subcommand's arguments name the universe.
+    The report files are opened before the sweep, so a path that cannot be
+    written fails at once rather than after the sweep."""
     config = SweepConfig(
         mode=args.mode,
         max_order=args.max_order,
@@ -191,15 +185,24 @@ def cmd_sweep(args) -> int:
         limits=_limits(args),
         dedup=args.dedup,
         failures_only=args.failures_only,
+        stream_path=args.stream,
         checkpoint=args.checkpoint,
     )
     start = time.monotonic()
-    try:
-        report = run_sweep(config)
-    except GraphError as exc:  # a universe that cannot be planned, or a foreign checkpoint
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    return _finish_report(report, args, start)
+    with contextlib.ExitStack() as outputs:
+        try:
+            plan_shards(config)  # a refused universe leaves earlier reports as they were
+            json_fh = args.json_path and outputs.enter_context(open(args.json_path, "w"))
+            csv_fh = args.csv_path and outputs.enter_context(
+                open(args.csv_path, "w", newline="")
+            )
+            report = run_sweep(config)
+        # an output, stream or checkpoint path that cannot be opened, a
+        # universe that cannot be planned, or a foreign checkpoint
+        except (GraphError, OSError) as exc:
+            print(f"parse error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        return _finish_report(report, json_fh, csv_fh, args, start)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,7 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         if name == "verify":
             p.add_argument("stream", help="path to a graph6 lines file")
+            p.set_defaults(
+                mode="stream", max_order=SweepConfig.max_order, side=SweepConfig.side, dedup=False
+            )
         else:
+            p.set_defaults(stream=None)
             p.add_argument(
                 "--mode",
                 choices=("all_graphs", "bipartite_balanced"),
@@ -239,12 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dedup", action="store_true")
         p.add_argument("--json", dest="json_path", metavar="PATH", default=None)
         p.add_argument("--csv", dest="csv_path", metavar="PATH", default=None)
-        p.add_argument("--workers", type=int, default=_default_workers())
+        p.add_argument("--workers", type=_int_at_least(1), default=_default_workers())
         p.add_argument("--strict-conjectures", action="store_true")
         p.add_argument("--failures-only", action="store_true")
         p.add_argument("--checkpoint", metavar="PATH", default=None)
         _add_limit_flags(p)
-        p.set_defaults(func=cmd_verify if name == "verify" else cmd_sweep)
+        p.set_defaults(func=cmd_sweep)
 
     return parser
 

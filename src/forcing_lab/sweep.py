@@ -11,10 +11,11 @@ stderr, not into the report.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Iterator, Optional
 
 from . import __version__
@@ -25,6 +26,7 @@ from .solver import DEFAULT_LIMITS, SolverLimits
 from .verify import (
     ABORTED,
     COUNTEREXAMPLE,
+    CSV_COLUMNS,
     FAIL,
     INAPPLICABLE,
     PASS,
@@ -40,11 +42,15 @@ SCHEMA_VERSION = 1
 _DEDUP_RULE = "equals-canonical_graph6/refine-individualize"
 
 _SHARD_TARGET_BITS = 16  # at most 2**16 edge masks per shard
-# Every shard is planned before any is verified, so a universe's size is
-# capped up front: 2**28 edge masks (order 8; side 5 has 2**25) plan 2**12
-# shards, while order 10 would plan 2**29 of them (about 99 GB at 184 B a
-# Shard).
+# Shards are planned lazily, so this cap bounds time, not memory: 2**28 edge
+# masks (order 8; side 5 has 2**25) take about 1.8 h on 8 workers, and order
+# 10, with 2**45, would take some 2**17 times as long.
 _MAX_UNIVERSE_BITS = 28
+_STREAM_SHARD_LINES = 64
+
+# The one JSON encoding of a record: each checkpoint line holds the bytes
+# the record has in the report.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 STATUSES = (PASS, FAIL, INAPPLICABLE, COUNTEREXAMPLE, ABORTED)
 
@@ -72,11 +78,7 @@ class SweepConfig:
                 "require_pm": True,  # sweeps skip graphs with no perfect matching
                 "dedup": _DEDUP_RULE if self.dedup else False,
                 "failures_only": self.failures_only,
-                "limits": [
-                    self.limits.pm_limit,
-                    self.limits.node_limit,
-                    self.limits.cycle_limit,
-                ],
+                "limits": astuple(self.limits),
                 "stream_path": self.stream_path,
                 "schema": SCHEMA_VERSION,
             },
@@ -90,25 +92,25 @@ class Report:
     summary: dict
     environment: dict
 
-    def to_json(self) -> str:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "environment": self.environment,
-            "summary": self.summary,
-            "records": [r.to_json_dict() for r in self.records],
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    def write_json(self, fh) -> None:
+        """Write the report as one line of sort-keyed compact JSON, record by
+        record, so the whole report is never held as one string."""
+        fh.write('{"environment":%s,"records":[' % _encode(self.environment))
+        sep = ""
+        for rec in self.records:
+            fh.write(sep + _encode(rec.to_json_dict()))
+            sep = ","
+        fh.write('],"schema_version":%d,"summary":%s}\n' % (SCHEMA_VERSION, _encode(self.summary)))
 
-    def write_csv(self, path: str) -> None:
-        import csv
+    def write_csv(self, fh) -> None:
+        """Write the header and one row per record to a file opened with
+        ``newline=""``."""
+        import csv  # here, not at the top: only CSV reports need it
 
-        from .verify import CSV_COLUMNS
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for rec in self.records:
-                writer.writerow(record_csv_row(rec))
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for rec in self.records:
+            writer.writerow(record_csv_row(rec))
 
 
 # ---------------------------------------------------------------------------
@@ -160,28 +162,31 @@ class Shard:
     lines: tuple[str, ...] = ()
 
 
-def _shards_for_masks(kind: str, order: int, total_bits: int) -> list[Shard]:
+def _shards_for_masks(kind: str, order: int, total_bits: int) -> Iterator[Shard]:
     prefix_bits = max(0, total_bits - _SHARD_TARGET_BITS)
-    return [
-        Shard(kind, order, prefix, prefix_bits, total_bits)
-        for prefix in range(1 << prefix_bits)
-    ]
+    for prefix in range(1 << prefix_bits):
+        yield Shard(kind, order, prefix, prefix_bits, total_bits)
 
 
-def plan_shards(config: SweepConfig) -> list[Shard]:
-    """The sweep's shards, in merge order.  A universe of more than 2**28
-    edge masks, a maximum order below 2 or a bipartite side below 1 raises
-    GraphError before any shard is built."""
+def _stream_shards(path: str) -> Iterator[Shard]:
+    """The stream's non-blank lines, read one shard of 64 at a time; a
+    shard's prefix is the index of its first line."""
+    with open(path) as fh:
+        lines = (ln.rstrip("\n") for ln in fh if ln.strip())
+        chunks = iter(lambda: tuple(itertools.islice(lines, _STREAM_SHARD_LINES)), ())
+        for i, chunk in enumerate(chunks):
+            yield Shard("stream", 0, i * _STREAM_SHARD_LINES, 0, 0, chunk)
+
+
+def plan_shards(config: SweepConfig) -> Iterator[Shard]:
+    """The sweep's shards, in merge order, built as they are read.  A stream
+    mode without a stream path, a universe of more than 2**28 edge masks, a
+    maximum order below 2 or a bipartite side below 1 raises GraphError
+    here, before any shard is built."""
     if config.mode == "stream":
         if config.stream_path is None:
             raise GraphError("stream mode needs a stream path")
-        with open(config.stream_path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-        chunk = 64
-        return [
-            Shard("stream", 0, i, 0, 0, tuple(lines[i : i + chunk]))
-            for i in range(0, len(lines), chunk)
-        ]
+        return _stream_shards(config.stream_path)
     if config.mode == "all_graphs":
         if config.max_order < 2:
             raise GraphError(f"a sweep needs a max order of at least 2, got {config.max_order}")
@@ -200,62 +205,51 @@ def plan_shards(config: SweepConfig) -> list[Shard]:
         raise GraphError(
             f"2**{bits} edge masks in one universe; sweeps stop at 2**{_MAX_UNIVERSE_BITS}"
         )
-    return [shard for universe in universes for shard in _shards_for_masks(*universe)]
+    return (shard for universe in universes for shard in _shards_for_masks(*universe))
 
 
-def _shard_graphs(shard: Shard) -> Iterator[Graph]:
+def _shard_graphs(shard: Shard, dedup: bool) -> Iterator[Graph | VerdictRecord]:
+    """The graphs a shard verifies, in order: every line of a stream, where a
+    line that does not decode stands as its aborted INPUT record, or every
+    graph of a universe slice that has a perfect matching and, under dedup,
+    is its class's canonical member."""
     if shard.kind == "stream":
-        return  # handled separately (line parsing can fail)
+        for line in shard.lines:
+            try:
+                item = graph6_decode(line)
+            except GraphError as exc:
+                item = VerdictRecord("INPUT", line, {}, "", None, ABORTED, "n/a", str(exc))
+            yield item
+        return
     free_bits = shard.total_bits - shard.prefix_bits
-    base = shard.prefix << free_bits
+    masks = range(shard.prefix << free_bits, (shard.prefix + 1) << free_bits)
     if shard.kind == "all_graphs":
         pairs = _all_pairs(shard.order)
-        for low in range(1 << free_bits):
-            yield graph_from_edge_mask(shard.order, pairs, base | low)
+        graphs = (graph_from_edge_mask(shard.order, pairs, mask) for mask in masks)
     else:
-        for low in range(1 << free_bits):
-            yield bipartite_graph_from_mask(shard.order, base | low)
+        graphs = (bipartite_graph_from_mask(shard.order, mask) for mask in masks)
+    for g in graphs:
+        if has_perfect_matching(g) and (not dedup or is_canonical_representative(g)):
+            yield g
 
 
 def run_shard(shard: Shard, config: SweepConfig) -> tuple[list[VerdictRecord], dict, int]:
-    """Verify one shard: every line of a stream, or every graph of a universe
-    that has a perfect matching.  Returns (kept records, status counts by
+    """Verify one shard's graphs.  Returns (kept records, status counts by
     theorem, graphs verified)."""
     counts: dict = {}
     kept: list[VerdictRecord] = []
     graphs = 0
-
-    def consume(records: list[VerdictRecord]):
-        nonlocal graphs
+    for item in _shard_graphs(shard, config.dedup):
         graphs += 1
+        if isinstance(item, VerdictRecord):
+            records = [item]
+        else:
+            records = verify_graph(item, limits=config.limits)
         for rec in records:
             slot = counts.setdefault(rec.theorem_id, dict.fromkeys(STATUSES, 0))
             slot[rec.status] += 1
             if not config.failures_only or rec.status in (FAIL, COUNTEREXAMPLE, ABORTED):
                 kept.append(rec)
-
-    if shard.kind == "stream":
-        for line in shard.lines:
-            try:
-                g = graph6_decode(line)
-            except GraphError as exc:
-                consume(
-                    [
-                        VerdictRecord(
-                            "INPUT", line, {}, "", None, ABORTED, "n/a", str(exc)
-                        )
-                    ]
-                )
-                continue
-            consume(verify_graph(g, limits=config.limits))
-        return kept, counts, graphs
-
-    for g in _shard_graphs(shard):
-        if not has_perfect_matching(g):
-            continue
-        if config.dedup and not is_canonical_representative(g):
-            continue
-        consume(verify_graph(g, limits=config.limits))
     return kept, counts, graphs
 
 
@@ -315,8 +309,8 @@ def _append_checkpoint(
     cursor_path, records_path = _checkpoint_paths(config)
     with open(records_path, "ab") as fh:
         for rec in records:
-            fh.write((json.dumps(rec.to_json_dict(), sort_keys=True) + "\n").encode())
-        fh.write((json.dumps({"shard_counts": counts, "shard_graphs": graphs}) + "\n").encode())
+            fh.write((_encode(rec.to_json_dict()) + "\n").encode())
+        fh.write((_encode({"shard_counts": counts, "shard_graphs": graphs}) + "\n").encode())
         offset = fh.tell()
     tmp = cursor_path + ".tmp"
     with open(tmp, "w") as fh:
@@ -338,16 +332,17 @@ def _append_checkpoint(
 
 def run_sweep(config: SweepConfig) -> Report:
     shards = plan_shards(config)
-    start_shard = 0
+    completed = 0
     records: list[VerdictRecord] = []
     counts: dict = {}
     graphs = 0
     if config.checkpoint:
-        start_shard, records, counts, graphs = _load_checkpoint(config)
-    todo = shards[start_shard:]
+        completed, records, counts, graphs = _load_checkpoint(config)
+    todo = itertools.islice(shards, completed, None)
+    first = list(itertools.islice(todo, 1))  # no pool for a sweep with nothing left to do
+    todo = itertools.chain(first, todo)
     shard_fn = functools.partial(run_shard, config=config)
-    completed = start_shard
-    parallel = config.workers > 1 and bool(todo)
+    parallel = config.workers > 1 and bool(first)
     if parallel:
         import multiprocessing  # here, not at the top: only a pool needs it (about 1 MB)
     with multiprocessing.Pool(config.workers) if parallel else nullcontext() as pool:
@@ -392,11 +387,7 @@ def build_report(
             "require_pm": True,
             "dedup": config.dedup,
             "failures_only": config.failures_only,
-            "limits": {
-                "pm_limit": config.limits.pm_limit,
-                "node_limit": config.limits.node_limit,
-                "cycle_limit": config.limits.cycle_limit,
-            },
+            "limits": asdict(config.limits),
         },
     }
     return Report(records, summary, environment)

@@ -1,4 +1,5 @@
 import importlib.util
+import io
 import os
 import random
 import shutil
@@ -54,6 +55,13 @@ def random_graph(order: int, p: float, rng: random.Random):
         if rng.random() < p
     ]
     return build_graph(order, edges)
+
+
+def report_json(report) -> str:
+    """The report's JSON, the text ``--json`` writes."""
+    out = io.StringIO()
+    report.write_json(out)
+    return out.getvalue()
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from conftest import random_graph
+from conftest import random_graph, report_json
 from forcing_lab.families import (
     make_G4,
     make_G5,
@@ -167,7 +167,7 @@ def test_criterion_5_theorem_4_5_completeness():
         assert by_theorem["REM_4_8"]["fail"] == 0
     # the bytes pin the records of the statements that hold only for
     # bipartite graphs, on a universe where every graph is one
-    assert hashlib.sha256(report.to_json().encode()).hexdigest() == SIDE_4_REPORT_SHA256
+    assert hashlib.sha256(report_json(report).encode()).hexdigest() == SIDE_4_REPORT_SHA256
     assert hits > 0
     elapsed = time.monotonic() - start
     print(
@@ -261,8 +261,8 @@ ORDER_6_REPORT_SHA256 = "ab04ba45b9eb78dddd31cdd1dd8a7278594e57355f2a6128f420dc1
 
 def test_criterion_8_determinism_across_workers():
     start = time.monotonic()
-    one = run_sweep(SweepConfig(mode="all_graphs", max_order=6, workers=1)).to_json()
-    eight = run_sweep(SweepConfig(mode="all_graphs", max_order=6, workers=8)).to_json()
+    one = report_json(run_sweep(SweepConfig(mode="all_graphs", max_order=6, workers=1)))
+    eight = report_json(run_sweep(SweepConfig(mode="all_graphs", max_order=6, workers=8)))
     assert one == eight
     assert hashlib.sha256(one.encode()).hexdigest() == ORDER_6_REPORT_SHA256
     print(

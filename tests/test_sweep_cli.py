@@ -1,10 +1,12 @@
 import argparse
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
 
+from conftest import report_json
 from forcing_lab.cli import main
 from forcing_lab.errors import GraphError, ResourceLimitError
 from forcing_lab.graphs import canonical_graph6, generate, graph6_decode, graph6_encode
@@ -26,12 +28,12 @@ class TestSweepDeterminism:
     def test_workers_do_not_change_bytes(self):
         cfg1 = SweepConfig(mode="all_graphs", max_order=4, workers=1)
         cfg8 = SweepConfig(mode="all_graphs", max_order=4, workers=8)
-        assert run_sweep(cfg1).to_json() == run_sweep(cfg8).to_json()
+        assert report_json(run_sweep(cfg1)) == report_json(run_sweep(cfg8))
 
     def test_bipartite_workers_determinism(self):
         cfg1 = SweepConfig(mode="bipartite_balanced", side=3, workers=1)
         cfg2 = SweepConfig(mode="bipartite_balanced", side=3, workers=2)
-        assert run_sweep(cfg1).to_json() == run_sweep(cfg2).to_json()
+        assert report_json(run_sweep(cfg1)) == report_json(run_sweep(cfg2))
 
 
 # sha256 of the isomorph-free order-6 report, the bytes
@@ -73,7 +75,7 @@ class TestDedup:
             seen_classes.add(key[0])
             assert dedup_status[key] == rec.status
         assert len(seen_classes) > 50
-        digest = hashlib.sha256(dedup.to_json().encode()).hexdigest()
+        digest = hashlib.sha256(report_json(dedup).encode()).hexdigest()
         assert digest == DEDUP_ORDER_6_REPORT_SHA256
 
 
@@ -113,9 +115,9 @@ class TestStream:
         )
         full = run_sweep(SweepConfig(mode="stream", stream_path=str(path)))
         resumed = run_sweep(cfg)
-        assert resumed.to_json() == full.to_json()
+        assert report_json(resumed) == report_json(full)
         # a second run resumes from the completed cursor and changes nothing
-        assert run_sweep(cfg).to_json() == full.to_json()
+        assert report_json(run_sweep(cfg)) == report_json(full)
 
     def test_family_stream_report_bytes(self, tmp_path, capsys):
         # the lines `forcing-lab generate` prints for these specs: the
@@ -172,7 +174,52 @@ class TestCheckpointCrash:
             fh.write('{"theorem_id": "THM_')
         resumed = run_sweep(cfg)
         assert resumed.summary["graphs_verified"] == 38
-        assert resumed.to_json() == full.to_json()
+        assert report_json(resumed) == report_json(full)
+
+
+class TestCheckpointRecords:
+    def test_record_lines_are_report_bytes(self, tmp_path):
+        ck = tmp_path / "ck.json"
+        report = run_sweep(
+            SweepConfig(mode="all_graphs", max_order=4, workers=1, checkpoint=str(ck))
+        )
+        text = report_json(report)
+        lines = (tmp_path / "ck.json.records.jsonl").read_text().splitlines()
+        record_lines = [line for line in lines if "shard_counts" not in line]
+        assert len(record_lines) == len(report.records) > 0
+        for line in record_lines:
+            assert line in text
+
+    def test_spaced_records_file_resumes(self, tmp_path):
+        # the first shard's lines as earlier versions wrote them, with ", "
+        # and ": ", and a cursor that names that shard complete
+        ck = tmp_path / "ck.json"
+        records_path = tmp_path / "ck.json.records.jsonl"
+        cfg = SweepConfig(mode="all_graphs", max_order=4, workers=1, checkpoint=str(ck))
+        full = run_sweep(cfg)
+        spaced = []
+        for line in records_path.read_text().splitlines():
+            obj = json.loads(line)
+            if "shard_counts" in obj:
+                spaced.append(json.dumps(obj) + "\n")
+                break
+            spaced.append(json.dumps(obj, sort_keys=True) + "\n")
+        records_path.write_text("".join(spaced))
+        assert '", "' in spaced[0] and '": ' in spaced[0]
+        cursor = json.loads(ck.read_text())
+        cursor.update(completed_shards=1, records_offset=records_path.stat().st_size)
+        ck.write_text(json.dumps(cursor))
+        assert report_json(run_sweep(cfg)) == report_json(full)
+
+    def test_verify_cursor_and_environment(self, tmp_path, capsys):
+        stream, ck, out = (tmp_path / name for name in ("in.g6", "ck.json", "r.json"))
+        stream.write_text(graph6_encode(generate("cycle", 4)) + "\n")
+        argv = ["verify", str(stream), "--checkpoint", str(ck), "--json", str(out)]
+        assert main(argv) == 0
+        cfg = SweepConfig(mode="stream", stream_path=str(stream))
+        assert json.loads(ck.read_text())["fingerprint"] == cfg.fingerprint()
+        environment = build_report(cfg, [], {}, 0).environment
+        assert json.loads(out.read_text())["environment"] == environment
 
 
 class TestCheckpointFingerprint:
@@ -197,7 +244,7 @@ class TestCheckpointFingerprint:
 
     def test_earlier_labelled_cursor_resumes(self, tmp_path):
         cfg, report = self.run_and_restamp(tmp_path, dedup=False)
-        assert run_sweep(cfg).to_json() == report.to_json()
+        assert report_json(run_sweep(cfg)) == report_json(report)
 
     def test_earlier_dedup_cursor_refused(self, tmp_path):
         cfg, _ = self.run_and_restamp(tmp_path, dedup=True)
@@ -233,19 +280,32 @@ class TestReportShape:
         from forcing_lab.cli import _finish_report
 
         # --strict-conjectures sets only the exit code
-        args = argparse.Namespace(
-            json_path=None, csv_path=None, workers=1, strict_conjectures=True
-        )
-        assert _finish_report(report, args, 0.0) == 4
+        args = argparse.Namespace(workers=1, strict_conjectures=True)
+        assert _finish_report(report, None, None, args, 0.0) == 4
         args.strict_conjectures = False
-        assert _finish_report(report, args, 0.0) == 0
+        assert _finish_report(report, None, None, args, 0.0) == 0
+
+    def test_write_json_holds_no_whole_report(self, tmp_path):
+        report = run_sweep(SweepConfig(mode="all_graphs", max_order=4, workers=1))
+        path = tmp_path / "report.json"
+        with open(path, "w") as fh:
+            tracemalloc.start()
+            try:
+                report.write_json(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert path.stat().st_size == 219_625
+        assert peak < 256 * 1024
 
     def test_json_and_csv_outputs(self, tmp_path):
         report = run_sweep(SweepConfig(mode="all_graphs", max_order=4, workers=1))
         jpath = tmp_path / "report.json"
         cpath = tmp_path / "report.csv"
-        jpath.write_text(report.to_json())
-        report.write_csv(str(cpath))
+        with open(jpath, "w") as fh:
+            report.write_json(fh)
+        with open(cpath, "w", newline="") as fh:
+            report.write_csv(fh)
         payload = json.loads(jpath.read_text())
         assert payload["schema_version"] == 1
         assert "wall" not in json.dumps(payload)  # determinism: no timing inside
@@ -256,7 +316,7 @@ class TestReportShape:
 
 class TestShardPlanning:
     def test_shards_cover_space(self):
-        shards = plan_shards(SweepConfig(mode="all_graphs", max_order=6))
+        shards = list(plan_shards(SweepConfig(mode="all_graphs", max_order=6)))
         orders = {s.order for s in shards}
         assert orders == {2, 4, 6}
         for s in shards:
@@ -264,10 +324,10 @@ class TestShardPlanning:
 
     def test_largest_universes_plan(self):
         # 2**28 edge masks at order 8 and 2**25 at side 5, 2**16 masks a shard
-        shards = plan_shards(SweepConfig(mode="all_graphs", max_order=9))
+        shards = list(plan_shards(SweepConfig(mode="all_graphs", max_order=9)))
         assert max(s.order for s in shards) == 8
         assert sum(s.order == 8 for s in shards) == 2**12
-        shards = plan_shards(SweepConfig(mode="bipartite_balanced", side=5))
+        shards = list(plan_shards(SweepConfig(mode="bipartite_balanced", side=5)))
         assert len(shards) == 2**9 and shards[-1].total_bits == 25
 
     @pytest.mark.parametrize(
@@ -302,6 +362,28 @@ class TestShardPlanning:
         monkeypatch.setattr(sweep, "_shards_for_masks", no_shards)
         with pytest.raises(GraphError, match="max order of at least 2"):
             plan_shards(SweepConfig(mode="all_graphs", max_order=max_order))
+
+    def test_stream_read_64_lines_a_shard(self, tmp_path):
+        path = tmp_path / "in.g6"
+        path.write_text("\n\n".join([graph6_encode(generate("cycle", 4))] * 150) + "\n")
+        shards = plan_shards(SweepConfig(mode="stream", stream_path=str(path)))
+        assert [(s.prefix, len(s.lines)) for s in shards] == [(0, 64), (64, 64), (128, 22)]
+
+    def test_no_pool_without_shards_to_run(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        def no_pool(*args):
+            raise AssertionError("a pool was started for a sweep with nothing to do")
+
+        ck = tmp_path / "ck.json"
+        done = run_sweep(SweepConfig(mode="all_graphs", max_order=4, checkpoint=str(ck)))
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        cfg = SweepConfig(mode="all_graphs", max_order=4, workers=2, checkpoint=str(ck))
+        assert report_json(run_sweep(cfg)) == report_json(done)
+        empty = tmp_path / "empty.g6"
+        empty.write_text("\n")
+        report = run_sweep(SweepConfig(mode="stream", stream_path=str(empty), workers=2))
+        assert report.summary["graphs_verified"] == 0
 
     def test_odd_max_order_sweeps_the_even_orders_below(self):
         assert {s.order for s in plan_shards(SweepConfig(mode="all_graphs", max_order=3))} == {2}
@@ -440,6 +522,59 @@ class TestCli:
     def test_sweep_rejects_max_order_below_two(self, max_order, capsys):
         assert main(["sweep", "--max-order", max_order]) == 2
         assert "max order of at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["cycle:5", "A?"])
+    def test_compute_without_perfect_matching_exit2(self, text, capsys):
+        assert main(["compute", text]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "no perfect matching" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "Q:3", "--pm-limit", "-1"],
+            ["sweep", "--max-order", "4", "--pm-limit", "-1"],
+            ["sweep", "--max-order", "4", "--node-limit", "-1"],
+            ["verify", "in.g6", "--cycle-limit", "-1"],
+            ["sweep", "--max-order", "4", "--workers", "0"],
+            ["verify", "in.g6", "--workers", "-2"],
+        ],
+    )
+    def test_negative_limit_or_workers_below_one_exit2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
+    def test_zero_limit_is_a_ceiling(self, capsys):
+        assert main(["compute", "Q:3", "--pm-limit", "0"]) == 3
+        assert main(["compute", "cycle:6", "--node-limit", "0"]) == 3
+
+    @pytest.mark.parametrize("flag", ["--json", "--csv"])
+    def test_unwritable_report_exit2_before_the_sweep(self, flag, tmp_path, monkeypatch, capsys):
+        from forcing_lab import cli
+
+        def no_sweep(config):
+            raise AssertionError("the sweep ran before its report path was opened")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        target = tmp_path / "missing" / "report"
+        assert main(["sweep", "--max-order", "4", flag, str(target)]) == 2
+        assert capsys.readouterr().err.startswith("parse error: ")
+
+    def test_refused_sweep_keeps_an_earlier_report(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        out.write_text("earlier\n")
+        assert main(["sweep", "--max-order", "10", "--json", str(out)]) == 2
+        assert out.read_text() == "earlier\n"
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_unusable_checkpoint_exit2(self, command, tmp_path, capsys):
+        stream = tmp_path / "in.g6"
+        stream.write_text(graph6_encode(generate("cycle", 4)) + "\n")
+        argv = ["verify", str(stream)] if command == "verify" else ["sweep", "--max-order", "4"]
+        assert main(argv + ["--checkpoint", str(tmp_path / "missing" / "ck")]) == 2
+        assert capsys.readouterr().err.startswith("parse error: ")
 
     def test_workers_env_default(self, monkeypatch):
         from forcing_lab.cli import _default_workers
