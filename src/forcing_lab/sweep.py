@@ -51,6 +51,11 @@ _STREAM_SHARD_LINES = 64
 # The one JSON encoding of a record: each checkpoint line holds the bytes
 # the record has in the report.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_escape = json.encoder.encode_basestring_ascii  # a string as ensure_ascii encodes it
+_RECORD = (
+    '{"bound":%s,"detail":%s,"equality_case":%s,"graph_id":%s,"inputs":%s,'
+    '"observed":%s,"status":%s,"theorem_id":%s}'
+)
 
 STATUSES = (PASS, FAIL, INAPPLICABLE, COUNTEREXAMPLE, ABORTED)
 
@@ -86,6 +91,25 @@ class SweepConfig:
         )
 
 
+def _record_lines(records: list[VerdictRecord]) -> Iterator[str]:
+    """``_encode(rec.to_json_dict())`` of each record.  ``inputs`` is encoded
+    again only where it is not the previous record's dict, so a graph's
+    records, which come together and share one, encode it once."""
+    inputs = encoded = None
+    for rec in records:
+        if rec.inputs is not inputs:
+            inputs, encoded = rec.inputs, _encode(rec.inputs)
+        observed = rec.observed
+        if observed is not None and type(observed) is not int:  # a bool is true or false
+            yield _encode(rec.to_json_dict())
+            continue
+        yield _RECORD % (
+            _escape(rec.bound), _escape(rec.detail), _escape(rec.equality_case),
+            _escape(rec.graph_id), encoded, "null" if observed is None else observed,
+            _escape(rec.status), _escape(rec.theorem_id),
+        )
+
+
 @dataclass
 class Report:
     records: list[VerdictRecord]
@@ -97,8 +121,8 @@ class Report:
         record, so the whole report is never held as one string."""
         fh.write('{"environment":%s,"records":[' % _encode(self.environment))
         sep = ""
-        for rec in self.records:
-            fh.write(sep + _encode(rec.to_json_dict()))
+        for line in _record_lines(self.records):
+            fh.write(sep + line)
             sep = ","
         fh.write('],"schema_version":%d,"summary":%s}\n' % (SCHEMA_VERSION, _encode(self.summary)))
 
@@ -170,8 +194,9 @@ def _shards_for_masks(kind: str, order: int, total_bits: int) -> Iterator[Shard]
 
 def _stream_shards(path: str) -> Iterator[Shard]:
     """The stream's non-blank lines, read one shard of 64 at a time; a
-    shard's prefix is the index of its first line."""
-    with open(path) as fh:
+    shard's prefix is the index of its first line.  Bytes that are not
+    UTF-8 are read as surrogate escapes."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         lines = (ln.rstrip("\n") for ln in fh if ln.strip())
         chunks = iter(lambda: tuple(itertools.islice(lines, _STREAM_SHARD_LINES)), ())
         for i, chunk in enumerate(chunks):
@@ -215,10 +240,14 @@ def _shard_graphs(shard: Shard, dedup: bool) -> Iterator[Graph | VerdictRecord]:
     is its class's canonical member."""
     if shard.kind == "stream":
         for line in shard.lines:
+            # the line with each byte that is not UTF-8 written as \xNN
+            text = line.encode(errors="surrogateescape").decode(errors="backslashreplace")
             try:
+                if text != line:
+                    raise GraphError("line is not UTF-8")
                 item = graph6_decode(line)
             except GraphError as exc:
-                item = VerdictRecord("INPUT", line, {}, "", None, ABORTED, "n/a", str(exc))
+                item = VerdictRecord("INPUT", text, {}, "", None, ABORTED, "n/a", str(exc))
             yield item
         return
     free_bits = shard.total_bits - shard.prefix_bits
@@ -308,8 +337,8 @@ def _append_checkpoint(
 ) -> None:
     cursor_path, records_path = _checkpoint_paths(config)
     with open(records_path, "ab") as fh:
-        for rec in records:
-            fh.write((_encode(rec.to_json_dict()) + "\n").encode())
+        for line in _record_lines(records):
+            fh.write((line + "\n").encode())
         fh.write((_encode({"shard_counts": counts, "shard_graphs": graphs}) + "\n").encode())
         offset = fh.tell()
     tmp = cursor_path + ".tmp"

@@ -73,7 +73,7 @@ _TIGHT = "tight"
 _NONE = "none"
 
 
-@dataclass
+@dataclass(slots=True)
 class VerdictRecord:
     theorem_id: str
     graph_id: str
@@ -154,6 +154,15 @@ class _Extremal(NamedTuple):
     test: Callable[[Graph, int, Optional[int]], bool]
 
 
+# Per process: the closed-form bounds by (order, e, delta), and by inputs key
+# (``_Facts.key``) each table entry's verdict, kept only when it read nothing
+# but c.inputs and c.bounds.  Entries compare by identity (eq=False), so an
+# entry never reads another's verdict.
+_BOUNDS: dict = {}
+_VERDICTS: dict = {}
+_MISS = object()
+
+
 class _Facts:
     """What the checks read about one graph, computed once."""
 
@@ -170,7 +179,11 @@ class _Facts:
         self.Af = None if af is None else max(af)  # None: the af search hit a ceiling
         self.r = self.e - g.order + 1 if self.connected else None
         self.inputs = {key: getattr(self, key) for key in _INPUTS}
-        self.bounds = bound_values(g)
+        self.key = tuple(self.inputs.values())
+        bounds_key = (g.order, self.e, self.delta)
+        if bounds_key not in _BOUNDS:
+            _BOUNDS[bounds_key] = bound_values(g)
+        self.bounds = _BOUNDS[bounds_key]
 
     def witness(self) -> str:
         """Detail of a failed record: every matching with its forcing number."""
@@ -185,7 +198,12 @@ class _Facts:
 # detail), or None for no record; a detail of None stands for the witness.
 
 
-@dataclass(frozen=True)
+class _OwnVerdict(tuple):
+    """A verdict that read the graph itself, not only c.inputs and c.bounds:
+    it holds for that graph alone, so the verdict cache never keeps it."""
+
+
+@dataclass(frozen=True, eq=False)
 class _Bound:
     """``observed <= bound`` for a ``<quantity>_upper`` kind and ``>=`` for
     ``<quantity>_lower``, the quantity being e, f, F or Af, wherever the
@@ -207,7 +225,7 @@ class _Bound:
 
     def verdict(self, c: _Facts):
         if self.reads_af and c.Af is None:
-            return "", None, ABORTED, EQ_NA, c.spec.af_error
+            return _OwnVerdict(("", None, ABORTED, EQ_NA, c.spec.af_error))
         bound = self.value(c)
         quantity, side = self.kind.split("_")
         observed = c.inputs[quantity]
@@ -223,13 +241,15 @@ class _Bound:
         if self.policy == _NONE:
             return label, shown, PASS, EQ_NA, ""
         if self.extremal is not None and self.extremal.test(c.g, c.n, c.f):
-            return label, shown, PASS, EQ_MATCH, ""
-        if self.policy == _TIGHT:
-            return label, shown, PASS, EQ_NA, ""
-        return label, shown, FAIL, EQ_MISMATCH, None
+            verdict = label, shown, PASS, EQ_MATCH, ""
+        elif self.policy == _TIGHT:
+            verdict = label, shown, PASS, EQ_NA, ""
+        else:
+            verdict = label, shown, FAIL, EQ_MISMATCH, None
+        return verdict if self.extremal is None else _OwnVerdict(verdict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Iff:
     """``f(G) = n - deficit`` exactly when ``predicted`` holds."""
 
@@ -238,17 +258,21 @@ class _Iff:
     deficit: int
     predicted: Callable[[_Facts], bool]
     applies: Callable[[_Facts], bool] = lambda c: True
+    reads_graph: bool = False  # ``predicted`` reads the graph, not c.inputs
 
     def verdict(self, c: _Facts):
         if not self.applies(c):
             return self.label, None, INAPPLICABLE, EQ_NA, ""
         observed = c.f == c.n - self.deficit
         if self.predicted(c) != observed:
-            return self.label, int(observed), FAIL, EQ_NA, None
-        return self.label, int(observed), PASS, EQ_MATCH if observed else EQ_NA, ""
+            verdict = self.label, int(observed), FAIL, EQ_NA, None
+        else:
+            verdict = self.label, int(observed), PASS, EQ_MATCH if observed else EQ_NA, ""
+        return _OwnVerdict(verdict) if self.reads_graph else verdict
 
 
-class _Custom(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class _Custom:
     theorem_id: str
     verdict: Callable[[_Facts], Optional[tuple]]
 
@@ -350,7 +374,7 @@ THEOREMS = (
             and is_c4_k2_union(g, (g.edge_count - n) // 2),
         ),
     ),
-    _Custom("LEM_3_3", _lemma_3_3),
+    _Custom("LEM_3_3", lambda c: _OwnVerdict(_lemma_3_3(c))),
     _Bound(
         "THM_3_4", _TIGHT, "e_lower", lambda c: Fraction(c.n * (c.n + 1), c.n - c.F) - c.F - 1,
         extremal=_NK2_OR_KNN,
@@ -375,12 +399,12 @@ THEOREMS = (
     ),
     _Iff(
         "THM_4_3", "f=n-1 iff complete multipartite or K_{n,n}+sides", 1,
-        lambda c: recognize_f_n1(c.g),
+        lambda c: recognize_f_n1(c.g), reads_graph=True,
     ),
     _Iff(
         "THM_4_5", "f=n-2 iff G1 or G2 member", 2,
         lambda c: c.report.g1_member or c.report.g2_member,
-        applies=lambda c: c.bipartite and c.n >= 2,
+        applies=lambda c: c.bipartite and c.n >= 2, reads_graph=True,
     ),
     _Bound(
         "REM_4_8", _NONE, "F_upper", lambda c: c.n - 2,
@@ -447,9 +471,14 @@ def verify_graph(g: Graph, *, limits: SolverLimits = DEFAULT_LIMITS) -> list[Ver
         c = _Facts(g, graph_id, limits)
     except ResourceLimitError as exc:
         return _lone_record("RESOURCE", g, graph_id, ABORTED, str(exc))
+    cached = _VERDICTS.setdefault(c.key, {})
     records = []
     for check in THEOREMS:
-        verdict = check.verdict(c)
+        verdict = cached.get(check, _MISS)
+        if verdict is _MISS:
+            verdict = check.verdict(c)
+            if not isinstance(verdict, _OwnVerdict):
+                cached[check] = verdict
         if verdict is None:
             continue
         bound, observed, status, equality, detail = verdict

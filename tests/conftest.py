@@ -57,6 +57,24 @@ def random_graph(order: int, p: float, rng: random.Random):
     return build_graph(order, edges)
 
 
+def family_stream_lines() -> list[str]:
+    """The lines `forcing-lab generate` prints for these specs: the extremal
+    equality cases at orders 8-16 (H, Hhat, HhatJoin, MJoin, K_{n,n}), and
+    HhatJoin:6,2, on which the af search hits its node ceiling."""
+    from forcing_lab.families import family_instances, parse_family_spec
+    from forcing_lab.graphs import graph6_encode
+
+    specs = (
+        "H:4,0 H:4,1 H:6,2 Hhat:4 HhatJoin:4,1 HhatJoin:6,2 MJoin:3,1 MJoin:5,2"
+        " Knn:4 G1:4 cycle:8 grid:4x4 Q:3"
+    ).split()
+    return [
+        graph6_encode(g)
+        for spec in specs
+        for _label, g in family_instances(parse_family_spec(spec))
+    ]
+
+
 def report_json(report) -> str:
     """The report's JSON, the text ``--json`` writes."""
     out = io.StringIO()

@@ -1,12 +1,13 @@
 import argparse
 import hashlib
 import json
+import random
 import tracemalloc
 from collections import Counter
 
 import pytest
 
-from conftest import report_json
+from conftest import family_stream_lines, report_json
 from forcing_lab.cli import main
 from forcing_lab.errors import GraphError, ResourceLimitError
 from forcing_lab.graphs import canonical_graph6, generate, graph6_decode, graph6_encode
@@ -120,21 +121,8 @@ class TestStream:
         assert report_json(run_sweep(cfg)) == report_json(full)
 
     def test_family_stream_report_bytes(self, tmp_path, capsys):
-        # the lines `forcing-lab generate` prints for these specs: the
-        # extremal equality cases at orders 8-16 (H, Hhat, HhatJoin, MJoin,
-        # K_{n,n}), and three records HhatJoin:6,2 aborts at the af search's
-        # node ceiling
-        from forcing_lab.families import family_instances, parse_family_spec
-
-        specs = (
-            "H:4,0 H:4,1 H:6,2 Hhat:4 HhatJoin:4,1 HhatJoin:6,2 MJoin:3,1 MJoin:5,2"
-            " Knn:4 G1:4 cycle:8 grid:4x4 Q:3"
-        ).split()
-        lines = [
-            graph6_encode(g)
-            for spec in specs
-            for _label, g in family_instances(parse_family_spec(spec))
-        ]
+        # three records of HhatJoin:6,2 abort at the af search's node ceiling
+        lines = family_stream_lines()
         assert len(lines) == 39
         stream, report, table = (tmp_path / name for name in ("in.g6", "out.json", "out.csv"))
         stream.write_text("\n".join(lines) + "\n")
@@ -145,6 +133,53 @@ class TestStream:
         assert Counter(r["status"] for r in records)["aborted"] == 3
         assert hashlib.sha256(report.read_bytes()).hexdigest() == FAMILY_STREAM_JSON_SHA256
         assert hashlib.sha256(table.read_bytes()).hexdigest() == FAMILY_STREAM_CSV_SHA256
+
+
+    def test_non_utf8_line_is_an_input_record(self, tmp_path, capsys):
+        # the bytes \xff\xfe stand as written, so the CSV can hold the line
+        stream, report, table = (tmp_path / name for name in ("in.g6", "out.json", "out.csv"))
+        stream.write_bytes(b"A_\r\n\xff\xfe\n\nzz\r\n")
+        argv = ["verify", str(stream), "--json", str(report), "--csv", str(table)]
+        assert main(argv) == 0  # as for "zz", a line that is not graph6
+        capsys.readouterr()
+        payload = json.loads(report.read_text())
+        assert payload["summary"]["graphs_verified"] == 3
+        records = payload["records"]
+        aborted = [(r["graph_id"], r["detail"]) for r in records if r["status"] == "aborted"]
+        assert aborted == [
+            ("\\xff\\xfe", "line is not UTF-8"), ("zz", "graph6 order 59 outside 1..32")
+        ]
+        rows = table.read_text().splitlines()
+        assert [row for row in rows if ",INPUT," in row] == [
+            "\\xff\\xfe,INPUT,,,,,,,,,,,,,,aborted,n/a",
+            "zz,INPUT,,,,,,,,,,,,,,aborted,n/a",
+        ]
+
+
+# sha256 of the `verify --workers 2 --json --csv` reports of the order-8
+# sample in TestOrder8Sample
+ORDER_8_SAMPLE_JSON_SHA256 = "f8dc22b6749dd405c2331b273c15b22b43be109f3742688c8ceff203b7acdc35"
+ORDER_8_SAMPLE_CSV_SHA256 = "cc994d4ea2f9a72496be14642d9fcbb003dbc9b79e943181a6ea10506f5c29c8"
+
+
+class TestOrder8Sample:
+    def test_order8_sample_report_bytes(self, tmp_path, capsys):
+        # 2,000 labelled order-8 graphs with a perfect matching, from seeded
+        # random edge masks, verified by a pool of two workers
+        from forcing_lab.matchings import has_perfect_matching
+
+        rng, pairs, lines = random.Random(8), sweep._all_pairs(8), []
+        while len(lines) < 2000:
+            g = sweep.graph_from_edge_mask(8, pairs, rng.getrandbits(28))
+            if has_perfect_matching(g):
+                lines.append(graph6_encode(g))
+        stream, report, table = (tmp_path / name for name in ("in.g6", "out.json", "out.csv"))
+        stream.write_text("\n".join(lines) + "\n")
+        argv = ["verify", str(stream), "--workers", "2", "--json", str(report)]
+        assert main(argv + ["--csv", str(table)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == ORDER_8_SAMPLE_JSON_SHA256
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == ORDER_8_SAMPLE_CSV_SHA256
 
 
 class TestCheckpointCrash:
@@ -189,6 +224,27 @@ class TestCheckpointRecords:
         assert len(record_lines) == len(report.records) > 0
         for line in record_lines:
             assert line in text
+
+    def test_record_lines_match_the_encoder(self, tmp_path):
+        from forcing_lab.verify import verify_known_values
+
+        ck = tmp_path / "ck.json"
+        cfg = SweepConfig(mode="all_graphs", max_order=4, workers=1, checkpoint=str(ck))
+        swept = run_sweep(cfg).records  # graphs share one inputs dict each
+        loaded = sweep._load_checkpoint(cfg)[1]  # each record has its own inputs dict
+        assert swept[0].inputs is swept[1].inputs and loaded[0].inputs is not loaded[1].inputs
+        odd = 'back\\slash "quoted" caf\u00e9 \u2603'
+        made = [
+            VerdictRecord("INPUT", odd, {}, "", None, "aborted", "n/a", odd),
+            VerdictRecord("INPUT", odd, {}, "", None, "aborted", "n/a", "graph6 " + odd),
+            VerdictRecord("KNOWN_VALUE", "Cr", {"family": odd, "quantity": "f"}, "2", 2, "pass"),
+            VerdictRecord("THM_4_2", "Cr", {"n": 2, "e": 4}, "b", True, "fail", "n/a", odd),
+            VerdictRecord("THM_4_2", "Cr", {"n": 2, "e": 4}, "b", False, "pass"),
+            VerdictRecord("THM_4_2", "Cr", {"n": 2, "e": 4}, "b", -3, "pass"),
+        ]
+        for records in (swept, loaded, verify_known_values(["Q:2", "pc:2x3"]), made):
+            expected = [sweep._encode(rec.to_json_dict()) for rec in records]
+            assert list(sweep._record_lines(records)) == expected
 
     def test_spaced_records_file_resumes(self, tmp_path):
         # the first shard's lines as earlier versions wrote them, with ", "

@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+from conftest import family_stream_lines, random_graph
+from forcing_lab import verify
 from forcing_lab.families import (
     make_G1_member,
     make_H,
@@ -13,6 +17,8 @@ from forcing_lab.graphs import (
     cartesian_product,
     disjoint_union,
     generate,
+    graph6_decode,
+    graph6_encode,
 )
 from forcing_lab.solver import SolverLimits, spectrum
 from forcing_lab.verify import (
@@ -271,6 +277,71 @@ class TestTheoremTable:
     def test_policy_verdicts(self, g, theorem_id, expected):
         rec = records_by_id(verify_graph(g))[theorem_id]
         assert (rec.status, rec.equality_case, rec.bound) == expected
+
+
+def cache_graphs():
+    """Seeded random graphs of orders 2-10 (sparser at 10, where dense graphs
+    make the af search slow) and the 39-graph family stream."""
+    rng = random.Random(16)
+    graphs = [
+        random_graph(order, rng.choice((0.3, 0.5, 0.7)), rng)
+        for order in (2, 4, 6, 8)
+        for _ in range(60)
+    ]
+    graphs += [random_graph(10, 0.5, rng) for _ in range(30)]
+    return graphs + [graph6_decode(line) for line in family_stream_lines()]
+
+
+class TestVerdictCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(verify, "_VERDICTS", {})
+
+    def test_warm_cache_gives_the_cold_records(self):
+        graphs = cache_graphs()
+        cold = []
+        for g in graphs:
+            verify._VERDICTS.clear()
+            cold.append(verify_graph(g))
+        for g in graphs:
+            verify_graph(g)
+        assert [verify_graph(g) for g in graphs] == cold
+        assert len(verify._VERDICTS) < len(graphs) / 2  # graphs share inputs keys
+
+    def test_each_failing_graph_keeps_its_own_witness(self, monkeypatch):
+        # two labellings of C_4: one inputs key, two witnesses.  The failing
+        # entry shares its theorem id with COR_3_1 but not its verdicts.
+        fails = verify._Bound("COR_3_1", "none", "e_upper", lambda c: -1)
+        monkeypatch.setattr(verify, "THEOREMS", THEOREMS + (fails,))
+        details = []
+        for g in (generate("cycle", 4), build_graph(4, [(0, 2), (2, 1), (1, 3), (3, 0)])):
+            real, injected = [r for r in verify_graph(g) if r.theorem_id == "COR_3_1"]
+            assert (real.status, injected.status) == ("pass", "fail")
+            facts = verify._Facts(g, graph6_encode(g), SolverLimits())
+            assert injected.detail == facts.witness()
+            details.append(injected.detail)
+        assert details[0] != details[1]
+        (cached,) = verify._VERDICTS.values()
+        assert cached[fails][2:] == ("fail", "n/a", None)
+
+    def test_no_verdict_that_read_the_graph_is_kept(self):
+        records = [r for g in cache_graphs() for r in verify_graph(g)]
+        records += verify_graph(generate("hypercube", 3), limits=SolverLimits(node_limit=50))
+        seen = {(r.theorem_id, r.status, r.equality_case) for r in records}
+        assert ("F_LE_AF", "aborted", "n/a") in seen
+        for theorem_id in ("THM_2_3", "THM_4_5"):
+            assert (theorem_id, "pass", "equality_matches_extremal") in seen
+        for key, cached in verify._VERDICTS.items():
+            inputs = dict(zip(verify._INPUTS, key))
+            assert _BY_ID["THM_4_3"] not in cached and _BY_ID["LEM_3_3"] not in cached
+            if inputs["bipartite"] and inputs["n"] >= 2:
+                assert _BY_ID["THM_4_5"] not in cached
+            for check, verdict in cached.items():
+                assert verdict is None or verdict[2] != "aborted"
+                if getattr(check, "extremal", None) is not None:
+                    assert verdict[2:4] in {
+                        ("inapplicable", "n/a"), ("pass", "strict"), (check.violation, "n/a")
+                    }
 
 
 class TestKnownValues:
