@@ -35,6 +35,6 @@ pack_masks = _impl.pack_masks
 # the compiled whole-search values (compiled backend only); see solver._value
 forcing_value = getattr(_impl, "forcing_value", None)
 anti_forcing_value = getattr(_impl, "anti_forcing_value", None)
-# the compiled maximum independent set, which nothing calls; it stays only
-# because the benchmark's tracer names it among the kernels it times
-mis = getattr(_impl, "mis", None)
+# always None: neither backend has a maximum independent set, but the
+# benchmark's tracer names ``mis`` among the kernels it times
+mis = None

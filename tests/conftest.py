@@ -2,7 +2,10 @@ import importlib.util
 import io
 import os
 import random
+import shlex
 import shutil
+import subprocess
+import sysconfig
 import time
 from pathlib import Path
 
@@ -37,6 +40,13 @@ def _build_kernels():
 
 
 NO_KERNELS_REASON = _build_kernels()
+
+
+def cc(*args: str) -> subprocess.CompletedProcess:
+    """Run the C compiler that builds the kernels, with Python's headers."""
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    include = sysconfig.get_paths()["include"]
+    return subprocess.run([*compiler, f"-I{include}", *args], capture_output=True, text=True)
 
 import forcing_lab  # noqa: E402  (after the build, so the backend choice sees it)
 from forcing_lab.graphs import build_graph  # noqa: E402

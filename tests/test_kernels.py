@@ -2,14 +2,16 @@
 bit for bit on every exposed operation.  ``conftest`` builds the compiled
 kernels; this module is skipped only where no C compiler exists."""
 
+import __future__
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NO_KERNELS_REASON, random_graph
-from forcing_lab import _kernels_py
+from conftest import NO_KERNELS_REASON, ROOT, cc, random_graph
+from forcing_lab import _backend, _kernels_py
 
 if NO_KERNELS_REASON:
     pytest.skip(NO_KERNELS_REASON, allow_module_level=True)
@@ -60,7 +62,7 @@ def test_pm_subset_parity(gh, seed):
 
 @given(graphs)
 @settings(max_examples=200, deadline=None)
-def test_cycles_and_mis_parity(gh):
+def test_alt_cycles_parity(gh):
     n, bits = gh
     rows = graph_rows(n, bits)
     full = (1 << n) - 1
@@ -227,3 +229,103 @@ def test_backend_env_override(tmp_path):
         )
         assert out.stdout.strip() == backend
     assert "unknown FORCING_LAB_BACKEND value: 'c'" in out.stderr
+
+
+SHARED_KERNELS = {"make_handle", "pm_count", "pm_enumerate", "alt_cycles", "pack_masks"}
+SEARCH_KERNELS = {"forcing_value", "anti_forcing_value"}
+
+
+def public_names(module):
+    """The module's public names; ``from __future__ import annotations`` adds none."""
+    return {
+        name
+        for name, value in vars(module).items()
+        if not name.startswith("_") and value is not __future__.annotations
+    }
+
+
+def test_module_exports():
+    # each backend exports exactly the names _backend binds from it
+    assert public_names(compiled) == {"BACKEND_NAME"} | SHARED_KERNELS | SEARCH_KERNELS
+    assert public_names(_kernels_py) == {"BACKEND_NAME"} | SHARED_KERNELS
+    assert all(hasattr(_backend, kernel) for kernel in SHARED_KERNELS | SEARCH_KERNELS)
+    assert _backend.mis is None
+
+
+def test_tracked_c_compiles_without_warnings():
+    out = cc("-fsyntax-only", "-Wall", "-Werror", str(ROOT / "src" / "forcing_lab" / "_ckernels.c"))
+    assert out.returncode == 0, out.stderr
+
+
+K4 = (0b1110, 0b1101, 0b1011, 0b0111)
+K4_MATES = (1, 0, 3, 2)
+
+
+def bad_calls(h):
+    """(exception, call) for arguments the kernels must refuse, not crash on."""
+    return [
+        (TypeError, lambda: compiled.pm_count(None, 3, 2)),
+        (TypeError, lambda: compiled.pm_enumerate(K4, 15, -1)),
+        (TypeError, lambda: compiled.alt_cycles(None, K4_MATES, 10)),
+        (TypeError, lambda: compiled.forcing_value(None, K4_MATES, 10)),
+        (TypeError, lambda: compiled.anti_forcing_value(None, K4_MATES, 10)),
+        (TypeError, lambda: compiled.pack_masks([1.0])),
+        (OverflowError, lambda: compiled.make_handle([-1])),
+        (OverflowError, lambda: compiled.make_handle([2**64])),
+        (OverflowError, lambda: compiled.pm_count(h, -1, 2)),
+        (OverflowError, lambda: compiled.pm_enumerate(h, 2**64, -1)),
+        (OverflowError, lambda: compiled.pack_masks([3, 2**64])),
+        (OverflowError, lambda: compiled.pack_masks([-1])),
+        (ValueError, lambda: compiled.make_handle([0] * 65)),
+        (ValueError, lambda: compiled.make_handle([0b10, 0b00])),  # asymmetric
+        (ValueError, lambda: compiled.make_handle([0b1])),  # loop
+        (ValueError, lambda: compiled.pm_count(h, 0b110000, 2)),  # vertices 4 and 5
+        (ValueError, lambda: compiled.pm_count(h, 15, 2, ((0, 64),))),
+        (ValueError, lambda: compiled.pm_count(h, 15, 2, ((-1, 0),))),
+        (ValueError, lambda: compiled.pm_enumerate(h, 15, -1, ((0, 4),))),
+        (ValueError, lambda: compiled.alt_cycles(h, (1, 0, 3, 64), 10)),
+        (ValueError, lambda: compiled.alt_cycles(h, (1, 0, 3, -1), 10)),
+        (ValueError, lambda: compiled.alt_cycles(h, (1, 0, 3), 10)),
+        (ValueError, lambda: compiled.forcing_value(h, (1, 2, 3, 0), 10)),  # not a matching
+        (ValueError, lambda: compiled.anti_forcing_value(h, (1, 0, 3, 4), 10)),
+    ]
+
+
+def test_bad_arguments_raise():
+    h = compiled.make_handle(K4)
+    for error, call in bad_calls(h):
+        with pytest.raises(error):
+            call()
+
+
+def kernel_round(h):
+    compiled.make_handle(K4)
+    assert compiled.pm_count(h, 15, 10, ((0, 1),)) == 2
+    assert len(compiled.pm_enumerate(h, 15, -1, [(2, 3)])) == 2
+    assert len(compiled.alt_cycles(h, K4_MATES, 10)) == 2
+    assert compiled.alt_cycles(h, K4_MATES, 1) is None
+    assert compiled.pack_masks([3, 12, 5, 6, 15]) == 2
+    assert compiled.forcing_value(h, K4_MATES, 100) == 1
+    assert compiled.anti_forcing_value(h, K4_MATES, 100) == 2
+    for error, call in bad_calls(h):
+        try:
+            call()
+        except error:
+            pass
+
+
+def test_no_reference_leaks():
+    # a reference a kernel fails to drop keeps its object alive, so traced
+    # memory grows with the number of calls
+    h = compiled.make_handle(K4)
+    for _ in range(200):
+        kernel_round(h)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(5000):
+            kernel_round(h)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024, grown
