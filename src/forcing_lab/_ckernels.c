@@ -53,6 +53,16 @@ static int to_u64(PyObject *obj, void *out)
     return 1;
 }
 
+/* A Python int into *out; -1 with an exception set otherwise. */
+static int to_longlong(PyObject *obj, long long *out)
+{
+    long long value = PyLong_AsLongLong(obj);
+    if (value == -1 && PyErr_Occurred())
+        return -1;
+    *out = value;
+    return 0;
+}
+
 /* A Python int in 0..n-1 into *out; -1 with an exception set otherwise. */
 static int to_vertex(PyObject *obj, int n, const char *what, int *out)
 {
@@ -124,17 +134,38 @@ static PyObject *make_handle(PyObject *self, PyObject *rows)
     return (PyObject *)h;
 }
 
+/* The handle args[0] of a kernel called with min to max positional
+ * arguments, or NULL with an exception set. */
+static GraphHandle *parse_handle(const char *name, PyObject *const *args, Py_ssize_t nargs,
+                                 Py_ssize_t min, Py_ssize_t max)
+{
+    if (nargs < min || nargs > max) {
+        if (min == max)
+            PyErr_Format(PyExc_TypeError, "%s() takes exactly %zd positional arguments (%zd given)",
+                         name, min, nargs);
+        else
+            PyErr_Format(PyExc_TypeError, "%s() takes %zd to %zd positional arguments (%zd given)",
+                         name, min, max, nargs);
+        return NULL;
+    }
+    if (!PyObject_TypeCheck(args[0], &GraphHandleType)) {
+        PyErr_Format(PyExc_TypeError, "%s() argument 1 must be %s, not %.50s", name,
+                     GraphHandleType.tp_name, Py_TYPE(args[0])->tp_name);
+        return NULL;
+    }
+    return (GraphHandle *)args[0];
+}
+
 /* The arguments (h, active, cap or limit, removed=()) of pm_count and
  * pm_enumerate.  Copies the handle's rows minus each removed (u, v) pair into
  * rows[]; returns 1, or 0 when active has odd size, or -1 on error. */
-static int parse_induced(PyObject *args, PyObject *kwargs, char **kwlist, const char *format,
+static int parse_induced(const char *name, PyObject *const *args, Py_ssize_t nargs,
                          uint64_t *rows, uint64_t *active, long long *cap)
 {
-    GraphHandle *h;
-    PyObject *removed = NULL, *pair;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, format, kwlist, &GraphHandleType, &h,
-                                     to_u64, active, cap, &removed))
+    GraphHandle *h = parse_handle(name, args, nargs, 3, 4);
+    if (h == NULL || !to_u64(args[1], active) || to_longlong(args[2], cap) < 0)
         return -1;
+    PyObject *removed = nargs > 3 ? args[3] : NULL, *pair;
     if (h->n < MAXV && *active >> h->n) {
         PyErr_Format(PyExc_ValueError, "active mask has vertices past the handle's %d", h->n);
         return -1;
@@ -168,14 +199,13 @@ static int parse_induced(PyObject *args, PyObject *kwargs, char **kwlist, const 
 /* The arguments (h, mates, limit) of alt_cycles and the two searches: the
  * handle, or NULL with an exception set.  mates[] gets a sequence that pairs
  * every vertex of the handle along one of its edges (a perfect matching). */
-static GraphHandle *parse_matching(PyObject *args, PyObject *kwargs, char **kwlist,
-                                   const char *format, int *mates, long long *limit)
+static GraphHandle *parse_matching(const char *name, PyObject *const *args, Py_ssize_t nargs,
+                                   int *mates, long long *limit)
 {
-    GraphHandle *h;
-    PyObject *obj;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, format, kwlist, &GraphHandleType, &h, &obj, limit))
+    GraphHandle *h = parse_handle(name, args, nargs, 3, 3);
+    if (h == NULL || to_longlong(args[2], limit) < 0)
         return NULL;
-    PyObject *seq = PySequence_Tuple(obj);
+    PyObject *seq = PySequence_Tuple(args[1]);
     if (seq == NULL)
         return NULL;
     int rc = 0;
@@ -216,12 +246,11 @@ static int64_t count_rec(const uint64_t *adj, uint64_t rem, int64_t budget)
     return total;
 }
 
-static PyObject *pm_count(PyObject *self, PyObject *args, PyObject *kwargs)
+static PyObject *pm_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    static char *kwlist[] = {"h", "active", "cap", "removed", NULL};
     uint64_t rows[MAXV], active;
     long long cap;
-    int rc = parse_induced(args, kwargs, kwlist, "O!O&L|O:pm_count", rows, &active, &cap);
+    int rc = parse_induced("pm_count", args, nargs, rows, &active, &cap);
     if (rc <= 0)
         return rc < 0 ? NULL : PyLong_FromLong(0);
     return PyLong_FromLongLong(count_rec(rows, active, cap));
@@ -269,12 +298,11 @@ static int enum_rec(Enumeration *e, uint64_t rem)
     return 0;
 }
 
-static PyObject *pm_enumerate(PyObject *self, PyObject *args, PyObject *kwargs)
+static PyObject *pm_enumerate(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    static char *kwlist[] = {"h", "active", "limit", "removed", NULL};
     uint64_t rows[MAXV], active;
     long long limit;
-    int rc = parse_induced(args, kwargs, kwlist, "O!O&L|O:pm_enumerate", rows, &active, &limit);
+    int rc = parse_induced("pm_enumerate", args, nargs, rows, &active, &limit);
     if (rc < 0)
         return NULL;
     Enumeration e = {.adj = rows, .limit = limit, .out = PyList_New(0), .depth = 0};
@@ -345,12 +373,11 @@ static int cycles_rec(CycleSearch *s, int x, uint64_t used, int depth)
     return 0;
 }
 
-static PyObject *alt_cycles(PyObject *self, PyObject *args, PyObject *kwargs)
+static PyObject *alt_cycles(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    static char *kwlist[] = {"h", "mates", "ceiling", NULL};
     long long ceiling;
     int mates[MAXV];
-    GraphHandle *h = parse_matching(args, kwargs, kwlist, "O!OL:alt_cycles", mates, &ceiling);
+    GraphHandle *h = parse_matching("alt_cycles", args, nargs, mates, &ceiling);
     if (h == NULL)
         return NULL;
     CycleSearch s = {.adj = h->adj, .mates = mates, .out = PyList_New(0), .ceiling = ceiling};
@@ -659,14 +686,11 @@ static int lazy_search(const uint64_t *adj, int n, const int *mates, int n_unive
     return -2;  /* unreachable for well-formed inputs */
 }
 
-static char *search_kwlist[] = {"h", "mates", "node_limit", NULL};
-
-static PyObject *forcing_value(PyObject *self, PyObject *args, PyObject *kwargs)
+static PyObject *forcing_value(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     long long node_limit;
     int mates[MAXV], uni_u[MAXUNI], uni_v[MAXUNI], edge_index[MAXV];
-    GraphHandle *h = parse_matching(args, kwargs, search_kwlist, "O!OL:forcing_value", mates,
-                                    &node_limit);
+    GraphHandle *h = parse_matching("forcing_value", args, nargs, mates, &node_limit);
     if (h == NULL)
         return NULL;
     int nm = 0;
@@ -681,14 +705,13 @@ static PyObject *forcing_value(PyObject *self, PyObject *args, PyObject *kwargs)
                                        node_limit));
 }
 
-static PyObject *anti_forcing_value(PyObject *self, PyObject *args, PyObject *kwargs)
+static PyObject *anti_forcing_value(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     long long node_limit;
     int mates[MAXV], uni_u[MAXUNI], uni_v[MAXUNI];
     /* only the slots set below are read, so one zeroed array serves every call */
     static int edge_index[MAXV * MAXV];
-    GraphHandle *h = parse_matching(args, kwargs, search_kwlist, "O!OL:anti_forcing_value", mates,
-                                    &node_limit);
+    GraphHandle *h = parse_matching("anti_forcing_value", args, nargs, mates, &node_limit);
     if (h == NULL)
         return NULL;
     int ne = 0;
@@ -711,28 +734,28 @@ static PyObject *anti_forcing_value(PyObject *self, PyObject *args, PyObject *kw
 /* ------------------------------------------------------------------------
  * module */
 
-#define KEYWORDS(f) (PyCFunction)(void (*)(void))(f), METH_VARARGS | METH_KEYWORDS
+#define FASTCALL(f) (PyCFunction)(void (*)(void))(f), METH_FASTCALL
 
 static PyMethodDef methods[] = {
     {"make_handle", make_handle, METH_O,
      "make_handle($module, adj, /)\n--\n\nCopy adjacency rows into a C-array-backed handle."},
-    {"pm_count", KEYWORDS(pm_count),
-     "pm_count($module, h, active, cap, removed=())\n--\n\n"
+    {"pm_count", FASTCALL(pm_count),
+     "pm_count($module, h, active, cap, removed=(), /)\n--\n\n"
      "Count perfect matchings of the subgraph induced by ``active``, up to ``cap``."},
-    {"pm_enumerate", KEYWORDS(pm_enumerate),
-     "pm_enumerate($module, h, active, limit, removed=())\n--\n\n"
+    {"pm_enumerate", FASTCALL(pm_enumerate),
+     "pm_enumerate($module, h, active, limit, removed=(), /)\n--\n\n"
      "All perfect matchings of the induced subgraph, lexicographic order."},
-    {"alt_cycles", KEYWORDS(alt_cycles),
-     "alt_cycles($module, h, mates, ceiling)\n--\n\n"
+    {"alt_cycles", FASTCALL(alt_cycles),
+     "alt_cycles($module, h, mates, ceiling, /)\n--\n\n"
      "Enumerate all M-alternating cycles in canonical form; None past ceiling."},
     {"pack_masks", pack_masks, METH_O,
      "pack_masks($module, masks, /)\n--\n\n"
      "Maximum number of pairwise-disjoint masks (exact branch and bound)."},
-    {"forcing_value", KEYWORDS(forcing_value),
-     "forcing_value($module, h, mates, node_limit)\n--\n\n"
+    {"forcing_value", FASTCALL(forcing_value),
+     "forcing_value($module, h, mates, node_limit, /)\n--\n\n"
      "Minimum forcing-set size of the matching given by ``mates``."},
-    {"anti_forcing_value", KEYWORDS(anti_forcing_value),
-     "anti_forcing_value($module, h, mates, node_limit)\n--\n\n"
+    {"anti_forcing_value", FASTCALL(anti_forcing_value),
+     "anti_forcing_value($module, h, mates, node_limit, /)\n--\n\n"
      "Minimum anti-forcing-set size of the matching given by ``mates``."},
     {NULL, NULL, 0, NULL},
 };

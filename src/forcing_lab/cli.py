@@ -243,7 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument("--max-order", type=int, default=6)
             p.add_argument("--side", type=int, default=3)
-            p.add_argument("--dedup", action="store_true")
+            p.add_argument(
+                "--dedup",
+                action="store_true",
+                help="verify one graph per isomorphism class, generated class by class",
+            )
         p.add_argument("--json", dest="json_path", metavar="PATH", default=None)
         p.add_argument("--csv", dest="csv_path", metavar="PATH", default=None)
         p.add_argument("--workers", type=_int_at_least(1), default=_default_workers())

@@ -8,7 +8,7 @@ construction and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import _backend
 from .errors import GraphError
@@ -475,6 +475,43 @@ def canonical_graph6(g: Graph) -> str:
     """graph6 of the canonical relabelling: equal for two graphs exactly when
     they are isomorphic."""
     return graph6_encode(_raw_graph(g.order, _canonical_rows(g)))
+
+
+def graph_classes(
+    max_order: int, bipartite: bool = False
+) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
+    """(order, canonical rows of every isomorphism class of that order) for
+    orders 1..max_order, each list sorted; with ``bipartite``, the bipartite
+    classes only.  Built lazily, one order at a time.
+
+    Vertex augmentation (after McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 1998): each class of order k is a class of
+    order k-1 plus a new vertex joined to some subset S, namely the graph
+    minus one of its vertices of largest degree.  So only the subsets S that
+    leave the new vertex of largest degree are labelled, and the distinct
+    canonical rows of those children are the classes of order k.  Deleting
+    a vertex keeps a graph bipartite, so filtering each order keeps the
+    bipartite generation complete."""
+    level: list[tuple[int, ...]] = [()]
+    for order in range(1, max_order + 1):
+        new = order - 1
+        seen: set[tuple[int, ...]] = set()
+        for rows in level:
+            degrees = [row.bit_count() for row in rows]
+            top = max(degrees, default=0)
+            # tied[k]: the vertices that would pass a new vertex of degree k
+            # if joined to it
+            tied = [sum(1 << v for v, d in enumerate(degrees) if d == k) for k in range(order)]
+            for s in range(1 << new):
+                size = s.bit_count()
+                if size < top or s & tied[size]:
+                    continue
+                child = [row | (s >> v & 1) << new for v, row in enumerate(rows)]
+                g = _raw_graph(order, child + [s])
+                if not bipartite or bipartition_of(g) is not None:
+                    seen.add(_canonical_rows(g))
+        level = sorted(seen)
+        yield order, level
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -3,8 +3,9 @@ merge deterministic reports.
 
 Determinism contract: the JSON report depends only on the sweep universe
 and the verification config, never on the worker count.  Workers shard the
-edge-mask space by fixed prefix; shard results are merged in shard order
-and records are finally sorted by (graph6, theorem_id).  Wall time goes to
+edge-mask space by fixed prefix (under dedup, the sorted list of classes
+64 at a time); shard results are merged in shard order and records are
+finally sorted by (graph6, theorem_id).  Wall time goes to
 stderr, not into the report.
 """
 
@@ -20,7 +21,14 @@ from typing import Iterator, Optional
 
 from . import __version__
 from .errors import GraphError
-from .graphs import Graph, _raw_graph, canonical_graph6, graph6_decode, graph6_encode
+from .graphs import (
+    Graph,
+    _raw_graph,
+    canonical_graph6,
+    graph6_decode,
+    graph6_encode,
+    graph_classes,
+)
 from .matchings import has_perfect_matching
 from .solver import DEFAULT_LIMITS, SolverLimits
 from .verify import (
@@ -37,9 +45,9 @@ from .verify import (
 
 SCHEMA_VERSION = 1
 
-# Names the member each class keeps under dedup, so a checkpoint written
+# Names how dedup builds and shards its classes, so a checkpoint written
 # under another rule is refused instead of resumed with a mixed set.
-_DEDUP_RULE = "equals-canonical_graph6/refine-individualize"
+_DEDUP_RULE = "canonical-members-by-vertex-augmentation/64-classes-a-shard"
 
 _SHARD_TARGET_BITS = 16  # at most 2**16 edge masks per shard
 # Shards are planned lazily, so this cap bounds time, not memory: 2**28 edge
@@ -138,12 +146,12 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# optional dedup
+# canonical members
 
 
 def is_canonical_representative(g: Graph) -> bool:
-    """True when the labeled graph equals its own canonical relabeling, so
-    each isomorphism class keeps exactly one member under dedup."""
+    """True when the labeled graph equals its own canonical relabeling: the
+    one member of its isomorphism class that dedup verifies."""
     return canonical_graph6(g) == graph6_encode(g)
 
 
@@ -176,14 +184,16 @@ def bipartite_graph_from_mask(side: int, mask: int) -> Graph:
 
 @dataclass(frozen=True)
 class Shard:
-    """A fixed slice of one enumeration space (prefix of the edge mask)."""
+    """A fixed slice of one enumeration space: a prefix of the edge mask,
+    a run of stream lines or a run of isomorphism classes."""
 
-    kind: str  # "all_graphs" | "bipartite" | "stream"
+    kind: str  # "all_graphs" | "bipartite" | "stream" | "classes"
     order: int
     prefix: int
     prefix_bits: int
     total_bits: int
     lines: tuple[str, ...] = ()
+    classes: tuple[tuple[int, ...], ...] = ()  # canonical rows
 
 
 def _shards_for_masks(kind: str, order: int, total_bits: int) -> Iterator[Shard]:
@@ -203,11 +213,24 @@ def _stream_shards(path: str) -> Iterator[Shard]:
             yield Shard("stream", 0, i * _STREAM_SHARD_LINES, 0, 0, chunk)
 
 
+def _class_shards(orders: list[int], bipartite: bool) -> Iterator[Shard]:
+    """The classes of each order in ``orders``, bipartite ones only if asked,
+    64 a shard in the sorted order ``graph_classes`` gives them; a shard's
+    prefix is the index of its first class."""
+    for order, classes in graph_classes(max(orders), bipartite):
+        if order in orders:
+            for i in range(0, len(classes), _STREAM_SHARD_LINES):
+                chunk = tuple(classes[i : i + _STREAM_SHARD_LINES])
+                yield Shard("classes", order, i, 0, 0, classes=chunk)
+
+
 def plan_shards(config: SweepConfig) -> Iterator[Shard]:
     """The sweep's shards, in merge order, built as they are read.  A stream
     mode without a stream path, a universe of more than 2**28 edge masks, a
     maximum order below 2 or a bipartite side below 1 raises GraphError
-    here, before any shard is built."""
+    here, before any shard is built.  Under dedup the shards hold each
+    class of the universe once instead of its edge masks; the classes are
+    generated as the shards are read, too."""
     if config.mode == "stream":
         if config.stream_path is None:
             raise GraphError("stream mode needs a stream path")
@@ -230,14 +253,19 @@ def plan_shards(config: SweepConfig) -> Iterator[Shard]:
         raise GraphError(
             f"2**{bits} edge masks in one universe; sweeps stop at 2**{_MAX_UNIVERSE_BITS}"
         )
+    if config.dedup:
+        # a bipartite graph with a perfect matching has only balanced
+        # bipartitions, so its class meets the side-major universe
+        orders = [order if kind == "all_graphs" else 2 * order for kind, order, _ in universes]
+        return _class_shards(orders, bipartite=config.mode == "bipartite_balanced")
     return (shard for universe in universes for shard in _shards_for_masks(*universe))
 
 
-def _shard_graphs(shard: Shard, dedup: bool) -> Iterator[Graph | VerdictRecord]:
+def _shard_graphs(shard: Shard) -> Iterator[Graph | VerdictRecord]:
     """The graphs a shard verifies, in order: every line of a stream, where a
     line that does not decode stands as its aborted INPUT record, or every
-    graph of a universe slice that has a perfect matching and, under dedup,
-    is its class's canonical member."""
+    graph of a universe slice or every canonical member of a class shard
+    that has a perfect matching."""
     if shard.kind == "stream":
         for line in shard.lines:
             # the line with each byte that is not UTF-8 written as \xNN
@@ -250,15 +278,18 @@ def _shard_graphs(shard: Shard, dedup: bool) -> Iterator[Graph | VerdictRecord]:
                 item = VerdictRecord("INPUT", text, {}, "", None, ABORTED, "n/a", str(exc))
             yield item
         return
-    free_bits = shard.total_bits - shard.prefix_bits
-    masks = range(shard.prefix << free_bits, (shard.prefix + 1) << free_bits)
-    if shard.kind == "all_graphs":
-        pairs = _all_pairs(shard.order)
-        graphs = (graph_from_edge_mask(shard.order, pairs, mask) for mask in masks)
+    if shard.kind == "classes":
+        graphs = (_raw_graph(shard.order, rows) for rows in shard.classes)
     else:
-        graphs = (bipartite_graph_from_mask(shard.order, mask) for mask in masks)
+        free_bits = shard.total_bits - shard.prefix_bits
+        masks = range(shard.prefix << free_bits, (shard.prefix + 1) << free_bits)
+        if shard.kind == "all_graphs":
+            pairs = _all_pairs(shard.order)
+            graphs = (graph_from_edge_mask(shard.order, pairs, mask) for mask in masks)
+        else:
+            graphs = (bipartite_graph_from_mask(shard.order, mask) for mask in masks)
     for g in graphs:
-        if has_perfect_matching(g) and (not dedup or is_canonical_representative(g)):
+        if has_perfect_matching(g):
             yield g
 
 
@@ -268,7 +299,7 @@ def run_shard(shard: Shard, config: SweepConfig) -> tuple[list[VerdictRecord], d
     counts: dict = {}
     kept: list[VerdictRecord] = []
     graphs = 0
-    for item in _shard_graphs(shard, config.dedup):
+    for item in _shard_graphs(shard):
         graphs += 1
         if isinstance(item, VerdictRecord):
             records = [item]

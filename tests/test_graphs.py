@@ -9,6 +9,7 @@ from oracles import oracle_automorphisms
 from forcing_lab.errors import GraphError
 from forcing_lab.families import instantiate_family, parse_family_spec
 from forcing_lab.graphs import (
+    Graph,
     are_isomorphic,
     automorphism_generators,
     bipartition_of,
@@ -21,6 +22,7 @@ from forcing_lab.graphs import (
     generate,
     graph6_decode,
     graph6_encode,
+    graph_classes,
     is_connected,
     join,
 )
@@ -262,6 +264,36 @@ class TestCanonicalLabelling:
         for _ in range(30):
             g = random_graph(7, 0.5, rng)
             assert are_isomorphic(g, relabelled(g, rng))
+
+
+class TestGraphClasses:
+    def test_class_counts_match_oeis(self):
+        # graphs (A000088) and bipartite graphs (A033995) on 1-7 vertices
+        counts = [len(classes) for _, classes in graph_classes(7)]
+        assert counts == [1, 2, 4, 11, 34, 156, 1044]
+        counts = [len(classes) for _, classes in graph_classes(7, bipartite=True)]
+        assert counts == [1, 2, 3, 7, 13, 35, 88]
+
+    @pytest.mark.parametrize("bipartite", [False, True])
+    def test_one_canonical_member_per_labelled_class(self, bipartite):
+        for n, classes in graph_classes(5, bipartite):
+            pairs = list(itertools.combinations(range(n), 2))
+            graphs = (
+                build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+                for mask in range(1 << len(pairs))
+            )
+            forms = {
+                canonical_graph6(g)
+                for g in graphs
+                if not bipartite or bipartition_of(g) is not None
+            }
+            members = [graph6_encode(Graph(n, rows)) for rows in classes]
+            assert classes == sorted(classes)
+            assert sorted(members) == sorted(forms)
+
+    def test_generated_lazily(self):
+        classes = graph_classes(30)  # order 30 would never finish
+        assert [len(level) for _, level in itertools.islice(classes, 4)] == [1, 2, 4, 11]
 
 
 def generated_group(order, generators):

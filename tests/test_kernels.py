@@ -270,6 +270,8 @@ def bad_calls(h):
         (TypeError, lambda: compiled.forcing_value(None, K4_MATES, 10)),
         (TypeError, lambda: compiled.anti_forcing_value(None, K4_MATES, 10)),
         (TypeError, lambda: compiled.pack_masks([1.0])),
+        (TypeError, lambda: compiled.pm_count(h, 15, cap=2)),  # positional only
+        (TypeError, lambda: compiled.alt_cycles(h, K4_MATES)),
         (OverflowError, lambda: compiled.make_handle([-1])),
         (OverflowError, lambda: compiled.make_handle([2**64])),
         (OverflowError, lambda: compiled.pm_count(h, -1, 2)),

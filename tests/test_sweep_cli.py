@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -11,6 +12,7 @@ from conftest import family_stream_lines, report_json
 from forcing_lab.cli import main
 from forcing_lab.errors import GraphError, ResourceLimitError
 from forcing_lab.graphs import canonical_graph6, generate, graph6_decode, graph6_encode
+from forcing_lab.matchings import has_perfect_matching
 from forcing_lab import sweep
 from forcing_lab.sweep import SweepConfig, build_report, plan_shards, run_sweep
 from forcing_lab.verify import VerdictRecord
@@ -37,29 +39,81 @@ class TestSweepDeterminism:
         assert report_json(run_sweep(cfg1)) == report_json(run_sweep(cfg2))
 
 
-# sha256 of the isomorph-free order-6 report, the bytes
-# `sweep --max-order 6 --dedup --json` writes
+# sha256 of the isomorph-free order-6 and side-3 reports, the bytes
+# `sweep --max-order 6 --dedup --json` and
+# `sweep --mode bipartite_balanced --side 3 --dedup --json` write
 DEDUP_ORDER_6_REPORT_SHA256 = "604da8b50b4103821a28abdfc30a5a0cfafffda5ae8789268dacf42854808fcb"
+DEDUP_SIDE_3_REPORT_SHA256 = "0369dadd069e6727233e7ece53cd31efde7bae426178d7b04e568609a7b8e7dd"
+
+
+def assert_one_member_per_class(base, dedup):
+    """``dedup`` holds the canonical member of each class of the labelled
+    sweep ``base``, and each class's labelled copies agree with it."""
+    # group verdicts of the labeled sweep by canonical class
+    by_class = {}
+    for rec in base.records:
+        key = (canonical_graph6(graph6_decode(rec.graph_id)), rec.theorem_id)
+        by_class.setdefault(key, Counter())[rec.status] += 1
+    dedup_classes = set()
+    for rec in dedup.records:
+        g = graph6_decode(rec.graph_id)
+        assert canonical_graph6(g) == rec.graph_id  # the canonical member
+        dedup_classes.add((rec.graph_id, rec.theorem_id))
+        # each class's labeled copies all agree with the representative
+        statuses = by_class[(rec.graph_id, rec.theorem_id)]
+        assert set(statuses) == {rec.status}
+    assert dedup_classes == set(by_class)
 
 
 class TestDedup:
     def test_dedup_keeps_one_per_class_order4(self):
         base = run_sweep(SweepConfig(mode="all_graphs", max_order=4, workers=1))
         dedup = run_sweep(SweepConfig(mode="all_graphs", max_order=4, workers=1, dedup=True))
-        # group verdicts of the labeled sweep by canonical class
-        by_class = {}
-        for rec in base.records:
-            key = (canonical_graph6(graph6_decode(rec.graph_id)), rec.theorem_id)
-            by_class.setdefault(key, Counter())[rec.status] += 1
-        dedup_classes = set()
-        for rec in dedup.records:
-            g = graph6_decode(rec.graph_id)
-            assert canonical_graph6(g) == rec.graph_id  # the canonical member
-            dedup_classes.add((rec.graph_id, rec.theorem_id))
-            # each class's labeled copies all agree with the representative
-            statuses = by_class[(rec.graph_id, rec.theorem_id)]
-            assert set(statuses) == {rec.status}
-        assert dedup_classes == set(by_class)
+        assert_one_member_per_class(base, dedup)
+
+    def test_dedup_keeps_one_per_class_side3(self):
+        # no canonical member has the side-major bipartition of the
+        # labelled universe, so dedup keeps members from outside it
+        base = run_sweep(SweepConfig(mode="bipartite_balanced", side=3, workers=1))
+        dedup = run_sweep(
+            SweepConfig(mode="bipartite_balanced", side=3, workers=1, dedup=True)
+        )
+        universe = (sweep.bipartite_graph_from_mask(3, mask) for mask in range(1 << 9))
+        classes = {canonical_graph6(g) for g in universe if has_perfect_matching(g)}
+        assert {rec.graph_id for rec in dedup.records} == classes
+        assert dedup.summary["graphs_verified"] == len(classes) == 12
+        assert_one_member_per_class(base, dedup)
+        digest = hashlib.sha256(report_json(dedup).encode()).hexdigest()
+        assert digest == DEDUP_SIDE_3_REPORT_SHA256
+
+    def test_dedup_bytes_do_not_depend_on_workers(self):
+        one, two = (
+            report_json(
+                run_sweep(SweepConfig(mode="all_graphs", max_order=6, workers=w, dedup=True))
+            )
+            for w in (1, 2)
+        )
+        assert one == two
+        assert hashlib.sha256(one.encode()).hexdigest() == DEDUP_ORDER_6_REPORT_SHA256
+
+    def test_dedup_resumes_after_its_first_shard(self, tmp_path, monkeypatch):
+        ck = tmp_path / "ck.json"
+        cfg = SweepConfig(
+            mode="all_graphs", max_order=6, workers=1, dedup=True, checkpoint=str(ck)
+        )
+        real_replace = sweep.os.replace
+
+        def stop_after_cursor(src, dst):
+            real_replace(src, dst)
+            raise OSError("stopped")
+
+        monkeypatch.setattr(sweep.os, "replace", stop_after_cursor)
+        with pytest.raises(OSError, match="stopped"):
+            run_sweep(cfg)
+        monkeypatch.undo()
+        assert json.loads(ck.read_text())["completed_shards"] == 1
+        digest = hashlib.sha256(report_json(run_sweep(cfg)).encode()).hexdigest()
+        assert digest == DEDUP_ORDER_6_REPORT_SHA256
 
     def test_dedup_verdict_multiset_spot_check_order6(self, order6_sweep):
         base, _ = order6_sweep
@@ -162,24 +216,67 @@ ORDER_8_SAMPLE_JSON_SHA256 = "f8dc22b6749dd405c2331b273c15b22b43be109f3742688c8c
 ORDER_8_SAMPLE_CSV_SHA256 = "cc994d4ea2f9a72496be14642d9fcbb003dbc9b79e943181a6ea10506f5c29c8"
 
 
-class TestOrder8Sample:
-    def test_order8_sample_report_bytes(self, tmp_path, capsys):
-        # 2,000 labelled order-8 graphs with a perfect matching, from seeded
-        # random edge masks, verified by a pool of two workers
-        from forcing_lab.matchings import has_perfect_matching
+@pytest.fixture(scope="module")
+def order8_sample(tmp_path_factory):
+    """2,000 labelled order-8 graphs with a perfect matching, from seeded
+    random edge masks, and the JSON and CSV reports of `verify` by a pool of
+    two workers."""
+    rng, pairs, lines = random.Random(8), sweep._all_pairs(8), []
+    while len(lines) < 2000:
+        g = sweep.graph_from_edge_mask(8, pairs, rng.getrandbits(28))
+        if has_perfect_matching(g):
+            lines.append(graph6_encode(g))
+    tmp_path = tmp_path_factory.mktemp("order8_sample")
+    stream, report, table = (tmp_path / name for name in ("in.g6", "out.json", "out.csv"))
+    stream.write_text("\n".join(lines) + "\n")
+    argv = ["verify", str(stream), "--workers", "2", "--json", str(report)]
+    assert main(argv + ["--csv", str(table)]) == 0
+    return lines, report, table
 
-        rng, pairs, lines = random.Random(8), sweep._all_pairs(8), []
-        while len(lines) < 2000:
-            g = sweep.graph_from_edge_mask(8, pairs, rng.getrandbits(28))
-            if has_perfect_matching(g):
-                lines.append(graph6_encode(g))
-        stream, report, table = (tmp_path / name for name in ("in.g6", "out.json", "out.csv"))
-        stream.write_text("\n".join(lines) + "\n")
-        argv = ["verify", str(stream), "--workers", "2", "--json", str(report)]
-        assert main(argv + ["--csv", str(table)]) == 0
-        capsys.readouterr()
+
+class TestOrder8Sample:
+    def test_order8_sample_report_bytes(self, order8_sample):
+        _, report, table = order8_sample
         assert hashlib.sha256(report.read_bytes()).hexdigest() == ORDER_8_SAMPLE_JSON_SHA256
         assert hashlib.sha256(table.read_bytes()).hexdigest() == ORDER_8_SAMPLE_CSV_SHA256
+
+
+# graphs of 2, 4, 6 and 8 vertices with a perfect matching, one per class:
+# 1 + 6 + 101 + 10,413
+ORDER_8_DEDUP_GRAPHS = 10_521
+
+
+class TestOrder8Dedup:
+    def test_order8_dedup_sweep(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["sweep", "--max-order", "8", "--dedup", "--failures-only", "--workers", "2"]
+        start = time.monotonic()
+        assert main(argv + ["--json", str(out)]) == 0
+        elapsed = time.monotonic() - start
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        summary = payload["summary"]
+        assert summary["graphs_verified"] == ORDER_8_DEDUP_GRAPHS
+        assert summary["totals"]["fail"] == 0, summary["by_theorem"]
+        assert summary["totals"]["counterexample"] == 0
+        assert summary["totals"]["aborted"] == 0
+        assert payload["records"] == []
+        assert elapsed < 60, f"isomorph-free order-8 sweep took {elapsed:.1f}s"
+
+    def test_order8_sample_agrees_with_its_classes(self, order8_sample):
+        # the labelled route: each sampled graph's records, as `verify`
+        # reports them, are its class's records in the isomorph-free sweep
+        lines, report, _ = order8_sample
+        dedup = run_sweep(SweepConfig(mode="all_graphs", max_order=8, workers=2, dedup=True))
+        assert dedup.summary["graphs_verified"] == ORDER_8_DEDUP_GRAPHS
+        by_class, by_graph = {}, {}
+        for rec in dedup.records:
+            by_class.setdefault(rec.graph_id, {})[rec.theorem_id] = rec.status
+        for rec in json.loads(report.read_text())["records"]:
+            by_graph.setdefault(rec["graph_id"], {})[rec["theorem_id"]] = rec["status"]
+        assert set(by_graph) == set(lines)
+        for line, statuses in by_graph.items():
+            assert statuses == by_class[canonical_graph6(graph6_decode(line))], line
 
 
 class TestCheckpointCrash:
@@ -307,6 +404,22 @@ class TestCheckpointFingerprint:
         with pytest.raises(GraphError, match="different sweep config"):
             run_sweep(cfg)
 
+    def test_cursor_of_the_mask_filter_dedup_refused(self, tmp_path):
+        # dedup used to filter the edge masks, so its shards were not the
+        # class shards of today
+        ck = tmp_path / "ck.json"
+        cfg = SweepConfig(
+            mode="all_graphs", max_order=4, workers=1, dedup=True, checkpoint=str(ck)
+        )
+        run_sweep(cfg)
+        cursor = json.loads(ck.read_text())
+        old_rule = "equals-canonical_graph6/refine-individualize"
+        cursor["fingerprint"] = cursor["fingerprint"].replace(sweep._DEDUP_RULE, old_rule)
+        assert old_rule in cursor["fingerprint"]
+        ck.write_text(json.dumps(cursor))
+        with pytest.raises(GraphError, match="different sweep config"):
+            run_sweep(cfg)
+
 
 class TestReportShape:
     def test_counts_match_records(self):
@@ -418,6 +531,48 @@ class TestShardPlanning:
         monkeypatch.setattr(sweep, "_shards_for_masks", no_shards)
         with pytest.raises(GraphError, match="max order of at least 2"):
             plan_shards(SweepConfig(mode="all_graphs", max_order=max_order))
+
+    def test_dedup_shards_hold_64_classes(self):
+        shards = plan_shards(SweepConfig(mode="all_graphs", max_order=6, dedup=True))
+        layout = [(s.kind, s.order, s.prefix, len(s.classes)) for s in shards]
+        assert layout == [
+            ("classes", 2, 0, 2),
+            ("classes", 4, 0, 11),
+            ("classes", 6, 0, 64),
+            ("classes", 6, 64, 64),
+            ("classes", 6, 128, 28),
+        ]
+        shards = plan_shards(SweepConfig(mode="bipartite_balanced", side=3, dedup=True))
+        assert [(s.order, len(s.classes)) for s in shards] == [(6, 35)]
+
+    def test_dedup_classes_generated_as_shards_are_read(self, monkeypatch):
+        calls, real = [], sweep.graph_classes
+
+        def graph_classes(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sweep, "graph_classes", graph_classes)
+        shards = plan_shards(SweepConfig(mode="all_graphs", max_order=8, dedup=True))
+        assert calls == []
+        assert next(shards).order == 2
+        assert calls == [(8, False)]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SweepConfig(mode="all_graphs", max_order=10, dedup=True),
+            SweepConfig(mode="bipartite_balanced", side=6, dedup=True),
+            SweepConfig(mode="all_graphs", max_order=1, dedup=True),
+        ],
+    )
+    def test_dedup_refusals_come_before_generation(self, config, monkeypatch):
+        def no_classes(*args):
+            raise AssertionError("classes were generated for a refused universe")
+
+        monkeypatch.setattr(sweep, "graph_classes", no_classes)
+        with pytest.raises(GraphError):
+            plan_shards(config)
 
     def test_stream_read_64_lines_a_shard(self, tmp_path):
         path = tmp_path / "in.g6"
