@@ -7,6 +7,10 @@ edge-mask space by fixed prefix (under dedup, the sorted list of classes
 64 at a time); shard results are merged in shard order and records are
 finally sorted by (graph6, theorem_id).  Wall time goes to
 stderr, not into the report.
+
+The unit of a sweep is a graph's verdict row (``verify.VerdictRow``), not
+its records: a shard counts each distinct row once, the report sorts graph
+ids, and each row's record bytes are encoded once per process.
 """
 
 from __future__ import annotations
@@ -15,8 +19,10 @@ import functools
 import itertools
 import json
 import os
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass
+from operator import attrgetter, itemgetter
 from typing import Iterator, Optional
 
 from . import __version__
@@ -39,8 +45,9 @@ from .verify import (
     INAPPLICABLE,
     PASS,
     VerdictRecord,
-    record_csv_row,
-    verify_graph,
+    VerdictRow,
+    _encode,
+    verdict_row,
 )
 
 SCHEMA_VERSION = 1
@@ -56,14 +63,7 @@ _SHARD_TARGET_BITS = 16  # at most 2**16 edge masks per shard
 _MAX_UNIVERSE_BITS = 28
 _STREAM_SHARD_LINES = 64
 
-# The one JSON encoding of a record: each checkpoint line holds the bytes
-# the record has in the report.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_escape = json.encoder.encode_basestring_ascii  # a string as ensure_ascii encodes it
-_RECORD = (
-    '{"bound":%s,"detail":%s,"equality_case":%s,"graph_id":%s,"inputs":%s,'
-    '"observed":%s,"status":%s,"theorem_id":%s}'
-)
+_escape = json.encoder.encode_basestring_ascii  # a string as _encode writes it
 
 STATUSES = (PASS, FAIL, INAPPLICABLE, COUNTEREXAMPLE, ABORTED)
 
@@ -99,38 +99,63 @@ class SweepConfig:
         )
 
 
-def _record_lines(records: list[VerdictRecord]) -> Iterator[str]:
-    """``_encode(rec.to_json_dict())`` of each record.  ``inputs`` is encoded
-    again only where it is not the previous record's dict, so a graph's
-    records, which come together and share one, encode it once."""
-    inputs = encoded = None
-    for rec in records:
-        if rec.inputs is not inputs:
-            inputs, encoded = rec.inputs, _encode(rec.inputs)
-        observed = rec.observed
-        if observed is not None and type(observed) is not int:  # a bool is true or false
-            yield _encode(rec.to_json_dict())
-            continue
-        yield _RECORD % (
-            _escape(rec.bound), _escape(rec.detail), _escape(rec.equality_case),
-            _escape(rec.graph_id), encoded, "null" if observed is None else observed,
-            _escape(rec.status), _escape(rec.theorem_id),
+class _Rows(VerdictRow):
+    """The rows of one graph_id that a stream repeats, in stream order.  Their
+    records interleave as a stable sort of them all by theorem_id orders
+    them, each with its own row's inputs."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: list[VerdictRow]):
+        super().__init__({}, tuple(v for part in parts for v in part.verdicts))
+        self.parts = parts
+
+    def records(self, graph_id: str) -> list[VerdictRecord]:
+        return [rec for part in self.parts for rec in part.records(graph_id)]
+
+    def json_units(self) -> list:
+        return sorted(itertools.chain(*(p.json_units() for p in self.parts)), key=itemgetter(0))
+
+    def csv_units(self) -> list:
+        return sorted(itertools.chain(*(p.csv_units() for p in self.parts)), key=itemgetter(0))
+
+
+def rows_of_records(records) -> Iterator[tuple[str, VerdictRow]]:
+    """(graph_id, row) of each run of records that share a graph_id and
+    inputs, in order."""
+    for (graph_id, inputs), run in itertools.groupby(
+        records, key=attrgetter("graph_id", "inputs")
+    ):
+        verdicts = tuple(
+            (r.theorem_id, r.bound, r.observed, r.status, r.equality_case, r.detail) for r in run
         )
+        yield graph_id, VerdictRow(inputs, verdicts)
 
 
 @dataclass
 class Report:
-    records: list[VerdictRecord]
+    """``rows`` holds (graph_id, row) pairs sorted by graph_id, one per
+    graph_id; ``records`` builds the records from them."""
+
+    rows: list[tuple[str, VerdictRow]]
     summary: dict
     environment: dict
 
+    @property
+    def records(self) -> list[VerdictRecord]:
+        """Every record, sorted by (graph_id, theorem_id)."""
+        by_theorem = attrgetter("theorem_id")
+        return [
+            rec for gid, row in self.rows for rec in sorted(row.records(gid), key=by_theorem)
+        ]
+
     def write_json(self, fh) -> None:
-        """Write the report as one line of sort-keyed compact JSON, record by
-        record, so the whole report is never held as one string."""
+        """Write the report as one line of sort-keyed compact JSON, graph by
+        graph, so the whole report is never held as one string."""
         fh.write('{"environment":%s,"records":[' % _encode(self.environment))
         sep = ""
-        for line in _record_lines(self.records):
-            fh.write(sep + line)
+        for graph_id, row in self.rows:
+            fh.write(sep + _escape(graph_id).join(row.json_pieces()))
             sep = ","
         fh.write('],"schema_version":%d,"summary":%s}\n' % (SCHEMA_VERSION, _encode(self.summary)))
 
@@ -141,8 +166,8 @@ class Report:
 
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for rec in self.records:
-            writer.writerow(record_csv_row(rec))
+        for graph_id, row in self.rows:
+            writer.writerows([graph_id, *tail] for _tid, tail in row.csv_units())
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +286,11 @@ def plan_shards(config: SweepConfig) -> Iterator[Shard]:
     return (shard for universe in universes for shard in _shards_for_masks(*universe))
 
 
-def _shard_graphs(shard: Shard) -> Iterator[Graph | VerdictRecord]:
+def _shard_graphs(shard: Shard) -> Iterator[Graph | tuple[str, VerdictRow]]:
     """The graphs a shard verifies, in order: every line of a stream, where a
-    line that does not decode stands as its aborted INPUT record, or every
-    graph of a universe slice or every canonical member of a class shard
-    that has a perfect matching."""
+    line that does not decode stands as the (graph_id, row) of its aborted
+    INPUT record, or every graph of a universe slice or every canonical
+    member of a class shard that has a perfect matching."""
     if shard.kind == "stream":
         for line in shard.lines:
             # the line with each byte that is not UTF-8 written as \xNN
@@ -275,7 +300,7 @@ def _shard_graphs(shard: Shard) -> Iterator[Graph | VerdictRecord]:
                     raise GraphError("line is not UTF-8")
                 item = graph6_decode(line)
             except GraphError as exc:
-                item = VerdictRecord("INPUT", text, {}, "", None, ABORTED, "n/a", str(exc))
+                item = text, VerdictRow({}, (("INPUT", "", None, ABORTED, "n/a", str(exc)),))
             yield item
         return
     if shard.kind == "classes":
@@ -293,24 +318,26 @@ def _shard_graphs(shard: Shard) -> Iterator[Graph | VerdictRecord]:
             yield g
 
 
-def run_shard(shard: Shard, config: SweepConfig) -> tuple[list[VerdictRecord], dict, int]:
-    """Verify one shard's graphs.  Returns (kept records, status counts by
-    theorem, graphs verified)."""
-    counts: dict = {}
-    kept: list[VerdictRecord] = []
-    graphs = 0
+def run_shard(shard: Shard, config: SweepConfig) -> tuple[list, dict, int]:
+    """Verify one shard's graphs.  Returns (kept (graph_id, row) pairs,
+    status counts by theorem, graphs verified).  Under failures_only a
+    graph keeps its row's failing records, if it has any."""
+    tally: Counter = Counter()
+    kept = []
     for item in _shard_graphs(shard):
-        graphs += 1
-        if isinstance(item, VerdictRecord):
-            records = [item]
-        else:
-            records = verify_graph(item, limits=config.limits)
-        for rec in records:
-            slot = counts.setdefault(rec.theorem_id, dict.fromkeys(STATUSES, 0))
-            slot[rec.status] += 1
-            if not config.failures_only or rec.status in (FAIL, COUNTEREXAMPLE, ABORTED):
-                kept.append(rec)
-    return kept, counts, graphs
+        graph_id, row = item if isinstance(item, tuple) else verdict_row(item, limits=config.limits)
+        tally[row] += 1
+        if config.failures_only:
+            row = row.failing()
+            if row is None:
+                continue
+        kept.append((graph_id, row))
+    counts: dict = {}
+    for row, graphs in tally.items():
+        for theorem_id, _bound, _observed, status, _equality, _detail in row.verdicts:
+            slot = counts.setdefault(theorem_id, dict.fromkeys(STATUSES, 0))
+            slot[status] += graphs
+    return kept, counts, sum(tally.values())
 
 
 def _merge_counts(into: dict, other: dict) -> None:
@@ -326,7 +353,8 @@ def _merge_counts(into: dict, other: dict) -> None:
 # The cursor names the completed shards and the byte length of the records
 # file after their records.  Resuming truncates the file to that length, so
 # records of a shard whose cursor update never landed, or a torn last line,
-# are dropped and that shard is verified again.
+# are dropped and that shard is verified again.  Each graph's records are
+# lines in theorem_id order; resuming regroups them into rows.
 
 
 def _checkpoint_paths(config: SweepConfig) -> tuple[str, str]:
@@ -334,7 +362,7 @@ def _checkpoint_paths(config: SweepConfig) -> tuple[str, str]:
     return config.checkpoint, config.checkpoint + ".records.jsonl"
 
 
-def _load_checkpoint(config: SweepConfig) -> tuple[int, list[VerdictRecord], dict, int]:
+def _load_checkpoint(config: SweepConfig) -> tuple[int, list, dict, int]:
     cursor_path, records_path = _checkpoint_paths(config)
     state = {"completed_shards": 0, "records_offset": 0}
     if os.path.exists(cursor_path):
@@ -342,34 +370,40 @@ def _load_checkpoint(config: SweepConfig) -> tuple[int, list[VerdictRecord], dic
             state = json.load(fh)
         if state.get("fingerprint") != config.fingerprint():
             raise GraphError("checkpoint belongs to a different sweep config")
-    records: list[VerdictRecord] = []
     counts: dict = {}
     graphs = 0
     if not os.path.exists(records_path):
-        return 0, records, counts, graphs
-    with open(records_path, "r+") as fh:
-        fh.truncate(state.get("records_offset", os.path.getsize(records_path)))
+        return 0, [], counts, graphs
+
+    def records(fh) -> Iterator[VerdictRecord]:
+        nonlocal graphs
         for line in fh:
             obj = json.loads(line)
             if "shard_counts" in obj:
                 _merge_counts(counts, obj["shard_counts"])
                 graphs += obj["shard_graphs"]
-                continue
-            records.append(VerdictRecord(**obj))
-    return int(state["completed_shards"]), records, counts, graphs
+            else:
+                yield VerdictRecord(**obj)
+
+    with open(records_path, "r+") as fh:
+        fh.truncate(state.get("records_offset", os.path.getsize(records_path)))
+        rows = list(rows_of_records(records(fh)))
+    return int(state["completed_shards"]), rows, counts, graphs
 
 
 def _append_checkpoint(
     config: SweepConfig,
     completed: int,
-    records: list[VerdictRecord],
+    rows: list,
     counts: dict,
     graphs: int,
 ) -> None:
     cursor_path, records_path = _checkpoint_paths(config)
     with open(records_path, "ab") as fh:
-        for line in _record_lines(records):
-            fh.write((line + "\n").encode())
+        for graph_id, row in rows:
+            escaped = _escape(graph_id)
+            lines = "".join(head + escaped + tail + "\n" for _, head, tail in row.json_units())
+            fh.write(lines.encode())
         fh.write((_encode({"shard_counts": counts, "shard_graphs": graphs}) + "\n").encode())
         offset = fh.tell()
     tmp = cursor_path + ".tmp"
@@ -390,14 +424,32 @@ def _append_checkpoint(
 # driver
 
 
+def _share_rows(pairs: list, table: dict) -> list:
+    """``pairs`` with each row replaced by the first equal row in ``table``:
+    a pool worker's rows arrive as copies, one per shard, and resumed rows
+    one per graph.  Observed values are keyed with their type, so a True is
+    never shared with a 1."""
+    seen: dict = {}  # id(row) -> shared row; a shard's copies of a row are one object
+    out = []
+    for graph_id, row in pairs:
+        shared = seen.get(id(row))
+        if shared is None:
+            key = (tuple(row.inputs.items()), tuple((*v, type(v[2])) for v in row.verdicts))
+            shared = seen[id(row)] = table.setdefault(key, row)
+        out.append((graph_id, shared))
+    return out
+
+
 def run_sweep(config: SweepConfig) -> Report:
     shards = plan_shards(config)
     completed = 0
-    records: list[VerdictRecord] = []
+    rows: list = []
     counts: dict = {}
     graphs = 0
+    table: dict = {}
     if config.checkpoint:
-        completed, records, counts, graphs = _load_checkpoint(config)
+        completed, rows, counts, graphs = _load_checkpoint(config)
+        rows = _share_rows(rows, table)
     todo = itertools.islice(shards, completed, None)
     first = list(itertools.islice(todo, 1))  # no pool for a sweep with nothing left to do
     todo = itertools.chain(first, todo)
@@ -407,25 +459,29 @@ def run_sweep(config: SweepConfig) -> Report:
         import multiprocessing  # here, not at the top: only a pool needs it (about 1 MB)
     with multiprocessing.Pool(config.workers) if parallel else nullcontext() as pool:
         results = pool.imap(shard_fn, todo) if parallel else map(shard_fn, todo)
-        for shard_records, shard_counts, shard_graphs in results:
-            records.extend(shard_records)
+        for shard_rows, shard_counts, shard_graphs in results:
+            shard_rows = _share_rows(shard_rows, table)
+            rows.extend(shard_rows)
             _merge_counts(counts, shard_counts)
             graphs += shard_graphs
             completed += 1
             if config.checkpoint:
-                _append_checkpoint(
-                    config, completed, shard_records, shard_counts, shard_graphs
-                )
-    return build_report(config, records, counts, graphs)
+                _append_checkpoint(config, completed, shard_rows, shard_counts, shard_graphs)
+    return build_report(config, rows, counts, graphs)
 
 
 def build_report(
     config: SweepConfig,
-    records: list[VerdictRecord],
+    rows: list,
     counts: dict,
     graphs: int,
 ) -> Report:
-    records = sorted(records, key=lambda r: (r.graph_id, r.theorem_id))
+    """The report of (graph_id, row) pairs in merge order: sorted by
+    graph_id, the rows of a repeated graph_id merged in that order."""
+    merged = []
+    for graph_id, run in itertools.groupby(sorted(rows, key=itemgetter(0)), key=itemgetter(0)):
+        parts = [row for _, row in run]
+        merged.append((graph_id, parts[0] if len(parts) == 1 else _Rows(parts)))
     totals = dict.fromkeys(STATUSES, 0)
     for slot in counts.values():
         for status, cnt in slot.items():
@@ -450,4 +506,4 @@ def build_report(
             "limits": asdict(config.limits),
         },
     }
-    return Report(records, summary, environment)
+    return Report(merged, summary, environment)

@@ -1,5 +1,5 @@
 """Executable checks for every theorem, bound, equality case and the
-conjecture, producing VerdictRecords.
+conjecture, producing one VerdictRow per graph and VerdictRecords.
 
 Statuses: pass / fail / inapplicable / counterexample / aborted.  A fail
 means a proved statement was violated (an artifact bug); a counterexample
@@ -23,8 +23,10 @@ only for the graphs it flags) are custom entries.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import FamilyError, GraphError, ResourceLimitError
@@ -117,6 +119,68 @@ def record_csv_row(rec: VerdictRecord) -> list:
     ]
 
 
+# The one JSON encoding of a record, sort-keyed and compact: the report and
+# each checkpoint line hold these bytes.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_GRAPH_ID = ',"graph_id":'
+_FAILING = (FAIL, COUNTEREXAMPLE, ABORTED)
+
+
+class VerdictRow:
+    """A graph's records less its graph_id: the inputs they share and, per
+    record, (theorem_id, bound, observed, status, equality_case, detail).
+    Its encodings are computed on first use and kept, so graphs that share
+    a row encode it once."""
+
+    __slots__ = ("inputs", "verdicts", "_json", "_pieces", "_csv", "_failing")
+
+    def __init__(self, inputs: dict, verdicts: tuple):
+        self.inputs, self.verdicts = inputs, verdicts
+        self._json = self._pieces = self._csv = self._failing = None
+
+    def records(self, graph_id: str) -> list[VerdictRecord]:
+        """The row's records, in row order; they share one copy of the inputs."""
+        inputs = dict(self.inputs)
+        return [VerdictRecord(tid, graph_id, inputs, *rest) for tid, *rest in self.verdicts]
+
+    def json_units(self) -> list[tuple[str, str, str]]:
+        """(theorem_id, text before the graph_id, text after it) of each
+        record's ``_encode`` bytes, in a stable theorem_id order."""
+        if self._json is None:
+            units = []
+            for rec in self.records(""):
+                head, _, tail = _encode(rec.to_json_dict()).partition(_GRAPH_ID + '""')
+                units.append((rec.theorem_id, head + _GRAPH_ID, tail))
+            self._json = sorted(units, key=itemgetter(0))
+        return self._json
+
+    def json_pieces(self) -> list[str]:
+        """The records' bytes in the report, joined by ",": the escaped
+        graph_id joins these pieces into them."""
+        if self._pieces is None:
+            pieces, prev = [], ""
+            for _tid, head, tail in self.json_units():
+                pieces.append(prev + head)
+                prev = tail + ","
+            self._pieces = pieces + [prev[:-1]]
+        return self._pieces
+
+    def csv_units(self) -> list[tuple[str, list]]:
+        """(theorem_id, CSV row less the graph6) of each record, in a stable
+        theorem_id order."""
+        if self._csv is None:
+            units = [(rec.theorem_id, record_csv_row(rec)[1:]) for rec in self.records("")]
+            self._csv = sorted(units, key=itemgetter(0))
+        return self._csv
+
+    def failing(self) -> Optional[VerdictRow]:
+        """The row of the fail, counterexample and aborted records, or None."""
+        if self._failing is None:
+            kept = tuple(v for v in self.verdicts if v[3] in _FAILING)
+            self._failing = VerdictRow(self.inputs, kept) if kept else ()
+        return self._failing or None
+
+
 # ---------------------------------------------------------------------------
 # class recognizers by components and counts (the constructed extremal
 # graphs are decided by are_isomorphic)
@@ -160,6 +224,8 @@ class _Extremal(NamedTuple):
 # entry never reads another's verdict.
 _BOUNDS: dict = {}
 _VERDICTS: dict = {}
+# Per process: each row by (THEOREMS, inputs key, its verdicts); see verdict_row.
+_ROWS: dict = {}
 _MISS = object()
 
 
@@ -281,8 +347,9 @@ def _lemma_3_3(c: _Facts):
     """Every perfect matching M has an edge of degree sum >= 2n/(n-f(G,M)),
     and equality needs n-f(G,M) to divide n."""
     label, n, any_equality = "max degree-sum >= 2n/(n-f(G,M))", c.n, False
+    degrees = c.g.degrees
     for m, fv in c.spec.per_matching:
-        best = max(c.g.degree(u) + c.g.degree(v) for u, v in m.edges)
+        best = max(degrees[u] + degrees[v] for u, v in m.edges)
         slack = best * (n - fv) - 2 * n  # n - f(G,M) >= 1
         if slack < 0:
             detail = f"matching {m.edges} has max degree sum {best} < {Fraction(2 * n, n - fv)}"
@@ -454,41 +521,63 @@ def verify_equality_case(theorem_id: str, g: Graph, k: Optional[int] = None) -> 
 # per-graph verification
 
 
-def _lone_record(theorem_id: str, g: Graph, graph_id: str, status: str, detail: str):
+_PLAIN_OBSERVED = (int, type(None))
+
+
+def _lone_row(theorem_id: str, g: Graph, status: str, detail: str) -> VerdictRow:
     inputs = {"n": g.order // 2, "e": g.edge_count}
-    return [VerdictRecord(theorem_id, graph_id, inputs, "", None, status, EQ_NA, detail)]
+    return VerdictRow(inputs, ((theorem_id, "", None, status, EQ_NA, detail),))
 
 
-def verify_graph(g: Graph, *, limits: SolverLimits = DEFAULT_LIMITS) -> list[VerdictRecord]:
-    """One record per statement of THEOREMS; see the module docstring for
-    the status semantics."""
+def verdict_row(g: Graph, *, limits: SolverLimits = DEFAULT_LIMITS) -> tuple[str, VerdictRow]:
+    """The graph's graph6 and its row: one verdict per statement of
+    THEOREMS, in table order; see the module docstring for the status
+    semantics.  Graphs with equal verdicts and inputs share one interned
+    row, except where a verdict holds the graph's own failure witness or a
+    freshly computed observed value that is not an int (True and 1 are
+    equal keys, but encode apart)."""
     graph_id = graph6_encode(g)
     if g.order % 2 or not has_perfect_matching(g):
-        return _lone_record(
-            "NO_PERFECT_MATCHING", g, graph_id, INAPPLICABLE, "graph has no perfect matching"
+        return graph_id, _lone_row(
+            "NO_PERFECT_MATCHING", g, INAPPLICABLE, "graph has no perfect matching"
         )
     try:
         c = _Facts(g, graph_id, limits)
     except ResourceLimitError as exc:
-        return _lone_record("RESOURCE", g, graph_id, ABORTED, str(exc))
+        return graph_id, _lone_row("RESOURCE", g, ABORTED, str(exc))
     cached = _VERDICTS.setdefault(c.key, {})
-    records = []
+    verdicts, shared = [], True
     for check in THEOREMS:
         verdict = cached.get(check, _MISS)
         if verdict is _MISS:
             verdict = check.verdict(c)
+            if verdict is not None and type(verdict[1]) not in _PLAIN_OBSERVED:
+                shared = False
             if not isinstance(verdict, _OwnVerdict):
                 cached[check] = verdict
-        if verdict is None:
-            continue
-        bound, observed, status, equality, detail = verdict
-        detail = c.witness() if detail is None else detail
-        records.append(
-            VerdictRecord(
-                check.theorem_id, graph_id, c.inputs, bound, observed, status, equality, detail
-            )
-        )
-    return records
+        verdicts.append(verdict)
+    key = (THEOREMS, c.key, tuple(verdicts))
+    row = _ROWS.get(key) if shared else None
+    if row is None:
+        entries, witness = [], None
+        for check, verdict in zip(THEOREMS, verdicts):
+            if verdict is None:
+                continue
+            bound, observed, status, equality, detail = verdict
+            if detail is None:
+                detail = witness = witness or c.witness()
+            entries.append((check.theorem_id, bound, observed, status, equality, detail))
+        row = VerdictRow(c.inputs, tuple(entries))
+        if shared and witness is None:
+            _ROWS[key] = row
+    return graph_id, row
+
+
+def verify_graph(g: Graph, *, limits: SolverLimits = DEFAULT_LIMITS) -> list[VerdictRecord]:
+    """One record per statement of THEOREMS: the graph's ``verdict_row``
+    as records, in table order."""
+    graph_id, row = verdict_row(g, limits=limits)
+    return row.records(graph_id)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,32 @@
 import argparse
+import csv
 import hashlib
+import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
 
 import pytest
 
-from conftest import family_stream_lines, report_json
+from conftest import ROOT, family_stream_lines, report_json
 from forcing_lab.cli import main
 from forcing_lab.errors import GraphError, ResourceLimitError
-from forcing_lab.graphs import canonical_graph6, generate, graph6_decode, graph6_encode
+from forcing_lab.graphs import (
+    build_graph,
+    canonical_graph6,
+    generate,
+    graph6_decode,
+    graph6_encode,
+)
 from forcing_lab.matchings import has_perfect_matching
-from forcing_lab import sweep
+from forcing_lab import sweep, verify
 from forcing_lab.sweep import SweepConfig, build_report, plan_shards, run_sweep
-from forcing_lab.verify import VerdictRecord
+from forcing_lab.verify import CSV_COLUMNS, VerdictRecord, record_csv_row, verify_graph
 
 
 class TestCanonicalForm:
@@ -322,14 +333,14 @@ class TestCheckpointRecords:
         for line in record_lines:
             assert line in text
 
-    def test_record_lines_match_the_encoder(self, tmp_path):
+    def test_row_pieces_match_the_encoder(self, tmp_path):
         from forcing_lab.verify import verify_known_values
 
         ck = tmp_path / "ck.json"
         cfg = SweepConfig(mode="all_graphs", max_order=4, workers=1, checkpoint=str(ck))
-        swept = run_sweep(cfg).records  # graphs share one inputs dict each
-        loaded = sweep._load_checkpoint(cfg)[1]  # each record has its own inputs dict
-        assert swept[0].inputs is swept[1].inputs and loaded[0].inputs is not loaded[1].inputs
+        swept = run_sweep(cfg).rows  # rows interned per process
+        loaded = sweep._load_checkpoint(cfg)[1]  # rows regrouped from the record lines
+        assert len(loaded) == len(swept)
         odd = 'back\\slash "quoted" caf\u00e9 \u2603'
         made = [
             VerdictRecord("INPUT", odd, {}, "", None, "aborted", "n/a", odd),
@@ -339,9 +350,14 @@ class TestCheckpointRecords:
             VerdictRecord("THM_4_2", "Cr", {"n": 2, "e": 4}, "b", False, "pass"),
             VerdictRecord("THM_4_2", "Cr", {"n": 2, "e": 4}, "b", -3, "pass"),
         ]
-        for records in (swept, loaded, verify_known_values(["Q:2", "pc:2x3"]), made):
-            expected = [sweep._encode(rec.to_json_dict()) for rec in records]
-            assert list(sweep._record_lines(records)) == expected
+        for rows in (swept, loaded, sweep.rows_of_records(verify_known_values(["Q:2", "pc:2x3"]))):
+            for graph_id, row in rows:
+                records = sorted(row.records(graph_id), key=lambda r: r.theorem_id)
+                assert sweep._escape(graph_id).join(row.json_pieces()) == encoded(records)
+        # "Cr" has two rows with different inputs, merged into one report entry
+        merged = build_report(cfg, list(sweep.rows_of_records(made)), {}, 0)
+        in_order = sorted(made, key=lambda r: (r.graph_id, r.theorem_id))
+        assert records_bytes(report_json(merged)) == encoded(in_order)
 
     def test_spaced_records_file_resumes(self, tmp_path):
         # the first shard's lines as earlier versions wrote them, with ", "
@@ -421,6 +437,156 @@ class TestCheckpointFingerprint:
             run_sweep(cfg)
 
 
+def reference_records(lines):
+    """The records of a stream, built record by record: each line's
+    ``verify_graph`` records, or its INPUT record when it does not decode,
+    sorted by (graph_id, theorem_id)."""
+    records = []
+    for line in lines:
+        try:
+            g = graph6_decode(line)
+        except GraphError as exc:
+            records.append(VerdictRecord("INPUT", line, {}, "", None, "aborted", "n/a", str(exc)))
+        else:
+            records += verify_graph(g)
+    return sorted(records, key=lambda r: (r.graph_id, r.theorem_id))
+
+
+def records_bytes(report_text: str) -> str:
+    """The records array of a JSON report, without its brackets."""
+    start = report_text.index('"records":[') + len('"records":[')
+    return report_text[start : report_text.rindex('],"schema_version":')]
+
+
+def encoded(records) -> str:
+    return ",".join(sweep._encode(rec.to_json_dict()) for rec in records)
+
+
+def recount(records) -> dict:
+    counts = {}
+    for rec in records:
+        counts.setdefault(rec.theorem_id, Counter())[rec.status] += 1
+    return counts
+
+
+def nonzero(by_theorem: dict) -> dict:
+    return {tid: Counter({s: n for s, n in slot.items() if n}) for tid, slot in by_theorem.items()}
+
+
+# two labellings of C_4, one inputs key
+C4_ONE = generate("cycle", 4)
+C4_TWO = build_graph(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
+
+
+class TestVerdictRows:
+    def test_repeated_graph_ids_keep_the_record_order(self, tmp_path, monkeypatch, capsys):
+        # repeated good lines, next to each other and apart, repeated bad
+        # lines and a line without a perfect matching, four lines a shard
+        monkeypatch.setattr(sweep, "_STREAM_SHARD_LINES", 4)
+        c6, c4, other = (graph6_encode(g) for g in (generate("cycle", 6), C4_ONE, C4_TWO))
+        lines = [c6, "zz", other, c6, "A?", "zz", c4, other, other, "@@", c6, "A?", c4]
+        stream = tmp_path / "in.g6"
+        stream.write_text("\n".join(lines) + "\n")
+        records = reference_records(lines)
+        table = io.StringIO()
+        writer = csv.writer(table)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(record_csv_row(rec) for rec in records)
+
+        def check(name, *flags):
+            report, csv_path = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            argv = ["verify", str(stream), "--json", str(report), "--csv", str(csv_path)]
+            assert main(argv + list(flags)) == 0
+            capsys.readouterr()
+            text = report.read_text()
+            assert records_bytes(text) == encoded(records)
+            assert csv_path.read_bytes().decode() == table.getvalue()
+            summary = json.loads(text)["summary"]
+            assert summary["graphs_verified"] == len(lines)
+            assert nonzero(summary["by_theorem"]) == recount(records)
+
+        check("one", "--workers", "1")
+        check("two", "--workers", "2")
+        ck = tmp_path / "ck.json"
+        real_replace = sweep.os.replace
+
+        def stop_after_cursor(src, dst):
+            real_replace(src, dst)
+            raise OSError("stopped")
+
+        monkeypatch.setattr(sweep.os, "replace", stop_after_cursor)
+        with pytest.raises(OSError, match="stopped"):
+            run_sweep(SweepConfig(mode="stream", stream_path=str(stream), checkpoint=str(ck)))
+        monkeypatch.setattr(sweep.os, "replace", real_replace)
+        assert json.loads(ck.read_text())["completed_shards"] == 1
+        check("resumed", "--workers", "1", "--checkpoint", str(ck))
+
+    def test_failing_rows_keep_their_own_witnesses(self, monkeypatch):
+        # an injected entry fails on every graph, so every row holds a witness
+        fails = verify._Bound("COR_3_1", "none", "e_upper", lambda c: -1)
+        monkeypatch.setattr(verify, "THEOREMS", verify.THEOREMS + (fails,))
+        full = run_sweep(SweepConfig(mode="all_graphs", max_order=4, workers=1))
+        universe = []
+        for order in (2, 4):
+            pairs = sweep._all_pairs(order)
+            for mask in range(1 << len(pairs)):
+                g = sweep.graph_from_edge_mask(order, pairs, mask)
+                if has_perfect_matching(g):
+                    universe.append(graph6_encode(g))
+        records = reference_records(universe)
+        assert records_bytes(report_json(full)) == encoded(records)
+        details = {
+            rec.graph_id: rec.detail
+            for rec in full.records
+            if rec.theorem_id == "COR_3_1" and rec.status == "fail"
+        }
+        assert len(details) == len(universe)
+        for g in (C4_ONE, C4_TWO):
+            gid = graph6_encode(g)
+            assert details[gid] == verify._Facts(g, gid, verify.DEFAULT_LIMITS).witness()
+        assert details[graph6_encode(C4_ONE)] != details[graph6_encode(C4_TWO)]
+        assert nonzero(full.summary["by_theorem"]) == recount(full.records)
+        kept = run_sweep(
+            SweepConfig(mode="all_graphs", max_order=4, workers=1, failures_only=True)
+        )
+        failing = [r for r in records if r.status in ("fail", "counterexample", "aborted")]
+        assert records_bytes(report_json(kept)) == encoded(failing) != ""
+        assert kept.summary == full.summary
+
+    def test_rows_keep_true_apart_from_one(self, monkeypatch):
+        # the two labellings of C_4 share every verdict but this one, whose
+        # observed is True on one of them and 1 on the other
+        flag = verify._Custom(
+            "OBSERVED_FLAG",
+            lambda c: verify._OwnVerdict(
+                ("flag", True if c.g.has_edge(0, 1) else 1, "pass", "n/a", "")
+            ),
+        )
+        monkeypatch.setattr(verify, "THEOREMS", verify.THEOREMS + (flag,))
+        for workers in (1, 2):
+            report = report_json(
+                run_sweep(SweepConfig(mode="all_graphs", max_order=4, workers=workers))
+            )
+            for g, observed in ((C4_ONE, "true"), (C4_TWO, "1")):
+                (rec,) = [r for r in verify_graph(g) if r.theorem_id == "OBSERVED_FLAG"]
+                assert f'"observed":{observed},' in sweep._encode(rec.to_json_dict())
+                assert sweep._encode(rec.to_json_dict()) in report
+
+    def test_warm_sweep_holds_rows_not_records(self):
+        # the side-3 sweep keeps all 5,434 of its records; in a warm process
+        # it builds only the report's (graph_id, row) pairs
+        cfg = SweepConfig(mode="bipartite_balanced", side=3, workers=1)
+        run_sweep(cfg)
+        tracemalloc.start()
+        try:
+            report = run_sweep(cfg)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(report.records) == 5434
+        assert retained < 400 * 1024
+
+
 class TestReportShape:
     def test_counts_match_records(self):
         report = run_sweep(SweepConfig(mode="all_graphs", max_order=4, workers=1))
@@ -444,7 +610,7 @@ class TestReportShape:
         counts = {"CONJ_5_1": {"pass": 0, "fail": 0, "inapplicable": 0,
                                "counterexample": 1, "aborted": 0}}
         cfg = SweepConfig(mode="all_graphs", max_order=4)
-        report = build_report(cfg, [fake], counts, 1)
+        report = build_report(cfg, list(sweep.rows_of_records([fake])), counts, 1)
         assert report.summary["counterexamples_found"]
         from forcing_lab.cli import _finish_report
 
@@ -786,6 +952,14 @@ class TestCli:
         argv = ["verify", str(stream)] if command == "verify" else ["sweep", "--max-order", "4"]
         assert main(argv + ["--checkpoint", str(tmp_path / "missing" / "ck")]) == 2
         assert capsys.readouterr().err.startswith("parse error: ")
+
+    def test_python_dash_m_runs_the_cli(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *sys.path])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "forcing_lab", "generate", "cycle:4"],
+            capture_output=True, text=True, env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (0, graph6_encode(generate("cycle", 4)) + "\n")
 
     def test_workers_env_default(self, monkeypatch):
         from forcing_lab.cli import _default_workers

@@ -296,17 +296,31 @@ class TestVerdictCache:
     @pytest.fixture(autouse=True)
     def empty_cache(self, monkeypatch):
         monkeypatch.setattr(verify, "_VERDICTS", {})
+        monkeypatch.setattr(verify, "_ROWS", {})
 
     def test_warm_cache_gives_the_cold_records(self):
         graphs = cache_graphs()
         cold = []
         for g in graphs:
             verify._VERDICTS.clear()
+            verify._ROWS.clear()
             cold.append(verify_graph(g))
         for g in graphs:
             verify_graph(g)
         assert [verify_graph(g) for g in graphs] == cold
         assert len(verify._VERDICTS) < len(graphs) / 2  # graphs share inputs keys
+        assert len(verify._ROWS) < len(graphs) / 2
+
+    def test_graphs_with_equal_verdicts_share_one_row(self):
+        c4 = generate("cycle", 4)
+        relabelled = build_graph(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
+        (one, row), (two, same) = (verify.verdict_row(g) for g in (c4, relabelled))
+        assert one != two and row is same
+        assert row.records(one) == verify_graph(c4)
+        assert [r.theorem_id for r in row.records(two)] == [r.theorem_id for r in row.records(one)]
+        # a graph without a perfect matching has a row of its own
+        lone = build_graph(2, [])
+        assert verify.verdict_row(lone)[1] is not verify.verdict_row(lone)[1]
 
     def test_each_failing_graph_keeps_its_own_witness(self, monkeypatch):
         # two labellings of C_4: one inputs key, two witnesses.  The failing
