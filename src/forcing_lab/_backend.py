@@ -32,7 +32,7 @@ pm_enumerate = _impl.pm_enumerate
 alt_cycles = _impl.alt_cycles
 pack_masks = _impl.pack_masks
 
-# the compiled whole-search values (compiled backend only); see solver._value
+# the compiled whole-search values (compiled backend only); see solver._search_values
 forcing_value = getattr(_impl, "forcing_value", None)
 anti_forcing_value = getattr(_impl, "anti_forcing_value", None)
 # always None: neither backend has a maximum independent set, but the

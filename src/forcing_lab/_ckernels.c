@@ -3,13 +3,19 @@
  * Twin of forcing_lab._kernels_py; see that module for the contract.  Every
  * function here but the two whole-search values has a pure-Python
  * counterpart with identical results, and tests/test_kernels.py holds the
- * two bit for bit equal.
+ * two bit for bit equal.  The two searches, forcing_value and
+ * anti_forcing_value, take a graph's list of perfect matchings and return
+ * one value per matching.  They mirror the hitting-set search of
+ * forcing_lab.solver and spend search nodes exactly as it does, but hold its
+ * constraints as bit sets over constraint indices, so that a search node
+ * filters and prunes with word operations.
  *
  * A graph handle copies the adjacency rows of a simple graph on at most 64
  * vertices into a C array.  Arguments that come from Python are checked
  * before any shift or array index uses them: masks and rows must fit in 64
  * unsigned bits (OverflowError otherwise), vertex indices must lie in
- * 0..n-1, and mates must pair every vertex along an edge (ValueError).
+ * 0..n-1, mates must pair every vertex along an edge, and a matching must be
+ * a sequence of (u, v) edges that covers every vertex once (ValueError).
  *
  * Build: cc -O3 -shared -fPIC -I<python include> _ckernels.c -o
  * _ckernels<EXT_SUFFIX>, or `python3 setup.py build_ext --inplace`.
@@ -196,9 +202,9 @@ static int parse_induced(const char *name, PyObject *const *args, Py_ssize_t nar
     return PyErr_Occurred() ? -1 : 1;
 }
 
-/* The arguments (h, mates, limit) of alt_cycles and the two searches: the
- * handle, or NULL with an exception set.  mates[] gets a sequence that pairs
- * every vertex of the handle along one of its edges (a perfect matching). */
+/* The arguments (h, mates, ceiling) of alt_cycles: the handle, or NULL with
+ * an exception set.  mates[] gets a sequence that pairs every vertex of the
+ * handle along one of its edges (a perfect matching). */
 static GraphHandle *parse_matching(const char *name, PyObject *const *args, Py_ssize_t nargs,
                                    int *mates, long long *limit)
 {
@@ -485,66 +491,45 @@ static PyObject *pack_masks(PyObject *self, PyObject *masks)
 
 
 /* ------------------------------------------------------------------------
- * whole-search fast paths: minimum forcing / anti-forcing values
+ * whole-search values: minimum forcing / anti-forcing sets
  *
- * These mirror the Python lazy hitting-set search (iterative deepening in
- * lexicographic order, pruned by discovered alternating cycles and their
- * greedy disjoint packing) but run entirely in C and return only the value.
- * Return codes: >= 0 value, -1 node budget exhausted, -2 caller must use the
- * Python path (universe or constraint store too large). */
+ * These mirror solver._lazy_minimum_hitting, the Python lazy hitting-set
+ * search (iterative deepening in lexicographic order, pruned by discovered
+ * alternating cycles and their greedy disjoint packing), and spend search
+ * nodes as it does, but run entirely in C and return only the value.  One
+ * call solves a list of perfect matchings of a graph.  Per matching: >= 0
+ * value, -1 node budget exhausted, -2 caller must use the Python search
+ * (universe or constraint store too large). */
 
-/* First two perfect matchings (lex order) as mate arrays out[0..64) and
- * out[64..128); returns 1 once both are found. */
-static int enum2_rec(const uint64_t *adj, uint64_t rem, int *work, int *out, int *found)
+#define CONWORDS (MAXCON / 64)  /* words of a set of constraints */
+
+/* The lexicographically first perfect matching of adj on rem that differs
+ * from mates (same: the branch so far agrees with it) into other[]; returns
+ * 1 if there is one, 0 if mates is the only one. */
+static int other_matching(const uint64_t *adj, uint64_t rem, const int *mates, int same,
+                          int *other)
 {
-    if (rem == 0) {
-        memcpy(out + *found * MAXV, work, MAXV * sizeof *work);
-        *found += 1;
-        return *found == 2;
-    }
+    if (rem == 0)
+        return !same;
     int u = lowest_bit(rem);
     uint64_t nbrs = adj[u] & rem;
     while (nbrs) {
         uint64_t vbit = nbrs & (~nbrs + 1);
         nbrs ^= vbit;
         int v = lowest_bit(vbit);
-        work[u] = v;
-        work[v] = u;
-        if (enum2_rec(adj, rem ^ BIT(u) ^ vbit, work, out, found))
+        other[u] = v;
+        other[v] = u;
+        if (other_matching(adj, rem ^ BIT(u) ^ vbit, mates, same && mates[u] == v, other))
             return 1;
-        work[u] = -1;
-        work[v] = -1;
     }
     return 0;
-}
-
-static void enum2(const uint64_t *adj, uint64_t rem, int *out)
-{
-    int work[MAXV];
-    int found = 0;
-    for (int i = 0; i < MAXV; i++)
-        work[i] = -1;
-    enum2_rec(adj, rem, work, out, &found);
-}
-
-static int greedy_lb(const uint64_t *cons, int ncon)
-{
-    uint64_t used = 0;
-    int count = 0;
-    for (int i = 0; i < ncon; i++) {
-        if (!(cons[i] & used)) {
-            used |= cons[i];
-            count++;
-        }
-    }
-    return count;
 }
 
 /* Constraint mask from the first cycle of the symmetric difference.
  *
  * edge_index maps a vertex (forcing: either endpoint of its matching edge)
  * or an edge slot (anti-forcing: 64*u+v with u < v) to the universe
- * position; see the callers for the two encodings. */
+ * position; see search_value for the two encodings. */
 static uint64_t difference_constraint(const int *rmates, const int *omates, int n,
                                       int mark_m_side, const int *edge_index)
 {
@@ -574,70 +559,141 @@ static uint64_t difference_constraint(const int *rmates, const int *omates, int 
     return mask;
 }
 
+/* The constraints learnt so far, as bit sets over constraint indices; only
+ * the first nwords words of a set are in use. */
 typedef struct {
     int n_universe;
     int ncon;
+    int nwords;
     int64_t budget;
-    uint64_t cons[MAXCON];
+    uint64_t every[CONWORDS];              /* all constraints */
+    uint64_t hits[MAXUNI][CONWORDS];       /* constraints each element hits */
+    uint64_t reach[MAXUNI + 1][CONWORDS];  /* constraints hit from each position on */
+    uint64_t meets[MAXCON][CONWORDS];      /* constraints sharing an element with each */
 } HitSearch;
 
-/* Lex enumeration of hitting candidates; 1 = candidate in *result,
- * 0 = subtree exhausted, -1 = budget out. */
-static int hit_rec(HitSearch *hs, int start, int slots, const uint64_t *unhit, int nunhit,
-                   uint64_t chosen, uint64_t *result)
+static void add_constraint(HitSearch *hs, uint64_t mask)
 {
-    uint64_t newunhit[MAXCON];
-    int rc;
-    hs->budget -= 1;
-    if (hs->budget < 0)
+    int j = hs->ncon++, w = j / 64;
+    if (j % 64 == 0) {
+        for (int i = 0; i < hs->n_universe; i++)
+            hs->hits[i][w] = 0;
+        for (int i = 0; i <= hs->n_universe; i++)
+            hs->reach[i][w] = 0;
+        for (int i = 0; i < j; i++)
+            hs->meets[i][w] = 0;
+        hs->every[w] = 0;
+        hs->nwords = w + 1;
+    }
+    uint64_t bit = BIT(j % 64);
+    hs->every[w] |= bit;
+    for (uint64_t rest = mask; rest; rest &= rest - 1)
+        hs->hits[lowest_bit(rest)][w] |= bit;
+    for (int i = mask ? 63 - __builtin_clzll(mask) : -1; i >= 0; i--)
+        hs->reach[i][w] |= bit;
+    uint64_t *met = hs->meets[j];
+    memset(met, 0, hs->nwords * sizeof *met);
+    for (uint64_t rest = mask; rest; rest &= rest - 1) {
+        for (int x = 0; x < hs->nwords; x++)
+            met[x] |= hs->hits[lowest_bit(rest)][x];
+    }
+    for (int x = 0; x < hs->nwords; x++) {
+        for (uint64_t rest = met[x]; rest; rest &= rest - 1)
+            hs->meets[64 * x + lowest_bit(rest)][w] |= bit;
+    }
+}
+
+/* The constraints of set taken greedily in index order, each when it shares
+ * no element with one taken before: their number, or limit + 1 once that is
+ * passed. */
+static int greedy_count(const HitSearch *hs, const uint64_t *set, int limit)
+{
+    uint64_t rest[CONWORDS];
+    int count = 0;
+    memcpy(rest, set, hs->nwords * sizeof *rest);
+    for (int w = 0; w < hs->nwords; w++) {
+        while (rest[w]) {
+            if (++count > limit)
+                return count;
+            /* drop the constraint taken and every one that meets it */
+            const uint64_t *met = hs->meets[64 * w + lowest_bit(rest[w])];
+            rest[w] &= rest[w] - 1;
+            for (int x = w; x < hs->nwords; x++)
+                rest[x] &= ~met[x];
+        }
+    }
+    return count;
+}
+
+/* Lexicographically first completion of chosen by slots elements from start
+ * on that hits every constraint of unhit.  Spends one node per call, plus
+ * one per slot of a free completion.  1 = candidate in *result, 0 = none,
+ * -1 = budget out. */
+static int hit_rec(HitSearch *hs, int start, int slots, const uint64_t *unhit, uint64_t chosen,
+                   uint64_t *result)
+{
+    if (--hs->budget < 0)
         return -1;
+    uint64_t stranded = 0;
+    int nunhit = 0;
+    for (int w = 0; w < hs->nwords; w++) {
+        nunhit += popcount(unhit[w]);
+        stranded |= unhit[w] & ~hs->reach[start][w];
+    }
     if (nunhit == 0) {
-        /* free completion: lexicographically first = take the lowest indices */
-        if (slots == 0) {
-            *result = chosen;
-            return 1;
-        }
-        /* delegate remaining positions one at a time to keep lex order */
-        for (int i = start; i < hs->n_universe - slots + 1; i++) {
-            rc = hit_rec(hs, i + 1, slots - 1, unhit, 0, chosen | BIT(i), result);
-            if (rc != 0)
-                return rc;
-        }
-        return 0;
-    }
-    if (slots == 0)
-        return 0;
-    for (int j = 0; j < nunhit; j++) {
-        if (unhit[j] >> start == 0)
+        /* free completion: lexicographically first = the lowest indices */
+        if (start + slots > hs->n_universe)
             return 0;
+        hs->budget -= slots;
+        if (hs->budget < 0)
+            return -1;
+        *result = slots ? chosen | ~(uint64_t)0 >> (64 - slots) << start : chosen;
+        return 1;
     }
-    if (greedy_lb(unhit, nunhit) > slots)
+    /* no slot left, a constraint no element from start on hits, or more
+       disjoint constraints than slots */
+    if (slots == 0 || stranded || (nunhit > slots && greedy_count(hs, unhit, slots) > slots))
         return 0;
-    for (int i = start; i < hs->n_universe - slots + 1; i++) {
-        uint64_t bit = BIT(i);
-        int nnew = 0;
-        for (int j = 0; j < nunhit; j++) {
-            if (!(unhit[j] & bit))
-                newunhit[nnew++] = unhit[j];
+    uint64_t next[CONWORDS];
+    int last = hs->n_universe - slots;
+    for (int i = start; i <= last; i++) {
+        uint64_t left = 0, lost = 0;
+        for (int w = 0; w < hs->nwords; w++) {
+            next[w] = unhit[w] & ~hs->hits[i][w];
+            left |= next[w];
+            lost |= unhit[w] & ~hs->reach[i][w];
         }
-        rc = hit_rec(hs, i + 1, slots - 1, newunhit, nnew, chosen | bit, result);
+        /* Children that return 0 at once are not called, but spend their
+           node here: all from i on once a constraint has no element from i
+           on, and a last slot's that leave a constraint unhit. */
+        if (lost) {
+            if (hs->budget < last - i + 1) {
+                hs->budget = -1;
+                return -1;
+            }
+            hs->budget -= last - i + 1;
+            return 0;
+        }
+        if (slots == 1 && left) {
+            if (--hs->budget < 0)
+                return -1;
+            continue;
+        }
+        int rc = hit_rec(hs, i + 1, slots - 1, next, chosen | BIT(i), result);
         if (rc != 0)
             return rc;
     }
     return 0;
 }
 
-static int lazy_search(const uint64_t *adj, int n, const int *mates, int n_universe,
-                       int forcing, const int *uni_u, const int *uni_v, const int *edge_index,
-                       int64_t node_limit)
+static int lazy_search(HitSearch *hs, const uint64_t *adj, int n, const int *mates, int forcing,
+                       const int *uni_u, const int *uni_v, const int *edge_index)
 {
-    HitSearch hs = {.n_universe = n_universe, .ncon = 0, .budget = node_limit};
-    uint64_t result, unhit[MAXCON], rows[MAXV];
-    int rmates[MAXV], pair_out[2 * MAXV];
+    uint64_t result, rows[MAXV];
+    int rmates[MAXV], omates[MAXV];
     int k = 0;
-    while (k <= n_universe) {
-        memcpy(unhit, hs.cons, hs.ncon * sizeof *unhit);
-        int rc = hit_rec(&hs, 0, k, unhit, hs.ncon, 0, &result);
+    while (k <= hs->n_universe) {
+        int rc = hit_rec(hs, 0, k, hs->every, 0, &result);
         if (rc == -1)
             return -1;
         if (rc == 0) {
@@ -648,7 +704,7 @@ static int lazy_search(const uint64_t *adj, int n, const int *mates, int n_unive
         uint64_t cand = result, active = all_vertices(n);
         memcpy(rows, adj, n * sizeof *rows);
         if (forcing) {
-            for (int i = 0; i < n_universe; i++) {
+            for (int i = 0; i < hs->n_universe; i++) {
                 if (cand & BIT(i))
                     active &= ~(BIT(uni_u[i]) | BIT(uni_v[i]));
             }
@@ -657,78 +713,161 @@ static int lazy_search(const uint64_t *adj, int n, const int *mates, int n_unive
         } else {
             for (int i = 0; i < n; i++)
                 rmates[i] = mates[i];
-            for (int i = 0; i < n_universe; i++) {
+            for (int i = 0; i < hs->n_universe; i++) {
                 if (cand & BIT(i)) {
                     rows[uni_u[i]] &= ~BIT(uni_v[i]);
                     rows[uni_v[i]] &= ~BIT(uni_u[i]);
                 }
             }
         }
-        if (count_rec(rows, active, 2) == 1)
+        if (!other_matching(rows, active, rmates, 1, omates))
             return k;
-        enum2(rows, active, pair_out);
-        /* pick the enumerated matching that differs from the residual one */
-        int slot = 1;
-        for (int i = 0; i < n; i++) {
-            if (rmates[i] >= 0 && pair_out[i] != rmates[i]) {
-                slot = 0;
-                break;
-            }
-        }
-        if (hs.ncon >= MAXCON)
+        if (hs->ncon >= MAXCON)
             return -2;
-        hs.cons[hs.ncon++] = difference_constraint(rmates, pair_out + slot * MAXV, n, forcing,
-                                                   edge_index);
-        int lb = greedy_lb(hs.cons, hs.ncon);
+        add_constraint(hs, difference_constraint(rmates, omates, n, forcing, edge_index));
+        int lb = greedy_count(hs, hs->every, MAXCON);
         if (lb > k)
             k = lb;
     }
     return -2;  /* unreachable for well-formed inputs */
 }
 
-static PyObject *forcing_value(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* f(G,M) (forcing: the universe is M's edges) or af(G,M) (the edges off M)
+ * of the perfect matching mates of h, with node_limit search nodes. */
+static int search_value(HitSearch *hs, const GraphHandle *h, const int *mates, int forcing,
+                        int64_t node_limit)
 {
-    long long node_limit;
-    int mates[MAXV], uni_u[MAXUNI], uni_v[MAXUNI], edge_index[MAXV];
-    GraphHandle *h = parse_matching("forcing_value", args, nargs, mates, &node_limit);
-    if (h == NULL)
-        return NULL;
-    int nm = 0;
-    for (int i = 0; i < h->n; i++) {
-        if (mates[i] > i) {
-            uni_u[nm] = i;
-            uni_v[nm] = mates[i];
-            edge_index[i] = edge_index[mates[i]] = nm++;
-        }
-    }
-    return PyLong_FromLong(lazy_search(h->adj, h->n, mates, nm, 1, uni_u, uni_v, edge_index,
-                                       node_limit));
-}
-
-static PyObject *anti_forcing_value(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    long long node_limit;
-    int mates[MAXV], uni_u[MAXUNI], uni_v[MAXUNI];
     /* only the slots set below are read, so one zeroed array serves every call */
     static int edge_index[MAXV * MAXV];
-    GraphHandle *h = parse_matching("anti_forcing_value", args, nargs, mates, &node_limit);
-    if (h == NULL)
-        return NULL;
-    int ne = 0;
+    int uni_u[MAXUNI], uni_v[MAXUNI], size = 0;
     for (int i = 0; i < h->n; i++) {
+        if (forcing) {
+            if (mates[i] > i) {
+                uni_u[size] = i;
+                uni_v[size] = mates[i];
+                edge_index[i] = edge_index[mates[i]] = size++;
+            }
+            continue;
+        }
         for (uint64_t row = h->adj[i] & bits_above(i); row; row &= row - 1) {
             int v = lowest_bit(row);
             if (mates[i] == v)
                 continue;
-            if (ne >= MAXUNI)
-                return PyLong_FromLong(-2);
-            uni_u[ne] = i;
-            uni_v[ne] = v;
-            edge_index[MAXV * i + v] = ne++;
+            if (size >= MAXUNI)
+                return -2;
+            uni_u[size] = i;
+            uni_v[size] = v;
+            edge_index[MAXV * i + v] = size++;
         }
     }
-    return PyLong_FromLong(lazy_search(h->adj, h->n, mates, ne, 0, uni_u, uni_v, edge_index,
-                                       node_limit));
+    hs->n_universe = size;
+    hs->ncon = hs->nwords = 0;
+    hs->budget = node_limit;
+    return lazy_search(hs, h->adj, h->n, mates, forcing, uni_u, uni_v, edge_index);
+}
+
+/* The edge (u, v) of h that item holds into ends[]; -1 with an exception
+ * set otherwise. */
+static int parse_edge(const GraphHandle *h, PyObject *item, int *ends)
+{
+    PyObject *pair = PySequence_Fast(item, "an edge must be a sequence of two vertices");
+    if (pair == NULL)
+        return -1;
+    int rc = 0;
+    if (PySequence_Fast_GET_SIZE(pair) != 2) {
+        PyErr_Format(PyExc_ValueError, "an edge must have two ends, not %zd",
+                     PySequence_Fast_GET_SIZE(pair));
+        rc = -1;
+    }
+    for (int k = 0; rc == 0 && k < 2; k++)
+        rc = to_vertex(PySequence_Fast_GET_ITEM(pair, k), h->n, "edge end", &ends[k]);
+    Py_DECREF(pair);
+    if (rc == 0 && !((h->adj[ends[0]] >> ends[1]) & 1)) {
+        PyErr_Format(PyExc_ValueError, "(%d, %d) is not an edge of the handle", ends[0], ends[1]);
+        rc = -1;
+    }
+    return rc;
+}
+
+/* The mates of the perfect matching item of h, a sequence of edges, into
+ * mates[0..n); -1 with an exception set otherwise. */
+static int parse_matching_edges(const GraphHandle *h, PyObject *item, unsigned char *mates)
+{
+    PyObject *edges = PySequence_Fast(item, "a matching must be a sequence of edges");
+    if (edges == NULL)
+        return -1;
+    Py_ssize_t size = PySequence_Fast_GET_SIZE(edges);
+    uint64_t covered = 0;
+    int rc = 0;
+    for (Py_ssize_t i = 0; rc == 0 && i < size; i++) {
+        int ends[2];
+        rc = parse_edge(h, PySequence_Fast_GET_ITEM(edges, i), ends);
+        if (rc == 0 && covered & (BIT(ends[0]) | BIT(ends[1]))) {
+            PyErr_Format(PyExc_ValueError, "the matching covers a vertex of (%d, %d) twice",
+                         ends[0], ends[1]);
+            rc = -1;
+        }
+        if (rc == 0) {
+            covered |= BIT(ends[0]) | BIT(ends[1]);
+            mates[ends[0]] = (unsigned char)ends[1];
+            mates[ends[1]] = (unsigned char)ends[0];
+        }
+    }
+    Py_DECREF(edges);
+    if (rc == 0 && covered != all_vertices(h->n)) {
+        PyErr_Format(PyExc_ValueError, "the matching is not perfect on the handle's %d vertices",
+                     h->n);
+        rc = -1;
+    }
+    return rc;
+}
+
+/* The two searches: (h, matchings, node_limit) -> a list of values, one per
+ * matching, that ends at the first -1. */
+static PyObject *search_values(const char *name, int forcing, PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    long long node_limit;
+    GraphHandle *h = parse_handle(name, args, nargs, 3, 3);
+    if (h == NULL || to_longlong(args[2], &node_limit) < 0)
+        return NULL;
+    PyObject *seq = PySequence_Fast(args[1], "matchings must be a sequence");
+    if (seq == NULL)
+        return NULL;
+    Py_ssize_t count = PySequence_Fast_GET_SIZE(seq);
+    /* every matching is checked before any search runs */
+    unsigned char *all_mates = PyMem_Malloc(count * h->n + 1);
+    int rc = all_mates == NULL ? (PyErr_NoMemory(), -1) : 0;
+    for (Py_ssize_t i = 0; rc == 0 && i < count; i++)
+        rc = parse_matching_edges(h, PySequence_Fast_GET_ITEM(seq, i), all_mates + i * h->n);
+    Py_DECREF(seq);
+    PyObject *out = rc == 0 ? PyList_New(0) : NULL;
+    HitSearch hs;
+    int mates[MAXV];
+    for (Py_ssize_t i = 0; out != NULL && i < count; i++) {
+        for (int v = 0; v < h->n; v++)
+            mates[v] = all_mates[i * h->n + v];
+        int value = search_value(&hs, h, mates, forcing, node_limit);
+        PyObject *item = PyLong_FromLong(value);
+        /* a signal (Ctrl-C) ends the call between two matchings */
+        if (item == NULL || PyList_Append(out, item) < 0 || PyErr_CheckSignals() < 0)
+            Py_CLEAR(out);
+        Py_XDECREF(item);
+        if (value == -1)
+            break;
+    }
+    PyMem_Free(all_mates);
+    return out;
+}
+
+static PyObject *forcing_value(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    return search_values("forcing_value", 1, args, nargs);
+}
+
+static PyObject *anti_forcing_value(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    return search_values("anti_forcing_value", 0, args, nargs);
 }
 
 /* ------------------------------------------------------------------------
@@ -752,11 +891,11 @@ static PyMethodDef methods[] = {
      "pack_masks($module, masks, /)\n--\n\n"
      "Maximum number of pairwise-disjoint masks (exact branch and bound)."},
     {"forcing_value", FASTCALL(forcing_value),
-     "forcing_value($module, h, mates, node_limit, /)\n--\n\n"
-     "Minimum forcing-set size of the matching given by ``mates``."},
+     "forcing_value($module, h, matchings, node_limit, /)\n--\n\n"
+     "Minimum forcing-set size of each perfect matching; the list ends at the first -1."},
     {"anti_forcing_value", FASTCALL(anti_forcing_value),
-     "anti_forcing_value($module, h, mates, node_limit, /)\n--\n\n"
-     "Minimum anti-forcing-set size of the matching given by ``mates``."},
+     "anti_forcing_value($module, h, matchings, node_limit, /)\n--\n\n"
+     "Minimum anti-forcing-set size of each perfect matching; the list ends at the first -1."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -3,7 +3,8 @@
 Fallback twin of the compiled extension ``forcing_lab._ckernels``: each
 function here has a compiled counterpart with identical semantics, so the
 backend can be swapped at import time (see ``forcing_lab._backend``).  Only
-the compiled module has the whole-search values (see ``solver._value``).
+the compiled module has the whole-search values (see
+``solver._search_values``).
 
 Conventions: a graph handle is the adjacency row tuple itself (row ``u``
 has bit ``v`` set iff ``uv`` is an edge); vertex sets are int bitmasks;

@@ -338,23 +338,29 @@ def graph6_decode(text: str) -> Graph:
         raise GraphError(
             f"graph6 body for order {n} needs {nbytes} bytes, got {len(body)}"
         )
-    bits = []
+    value = 0
     for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
+        digit = ord(ch) - 63
+        if not 0 <= digit < 64:
             raise GraphError(f"invalid graph6 byte {ch!r}")
-        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
-    if any(bits[nbits:]):
+        value = value << 6 | digit
+    pad = 6 * nbytes - nbits
+    if value & ((1 << pad) - 1):
         raise GraphError("nonzero padding bits in graph6 string")
+    # the body lists the upper triangle column by column, (0,1), (0,2),
+    # (1,2), (0,3), ...; reversed, its k-th entry is bit k of ``bits``
+    bits = int(f"{value >> pad:0{nbits}b}"[::-1], 2) if nbits else 0
     rows = [0] * n
     pos = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
-    return Graph(n, rows)
+        column = bits >> pos & ((1 << j) - 1)  # the neighbours i < j of j
+        pos += j
+        rows[j] = column
+        while column:
+            low = column & -column
+            rows[low.bit_length() - 1] |= 1 << j
+            column ^= low
+    return _raw_graph(n, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ cycles are never tried.  Each failed uniqueness check contributes a new
 cycle, so the search is a lazy minimum-hitting-set computation.  The
 anti-forcing search is the same search over the non-matching edges, and
 ``_min_hitting`` serves both.  The compiled extension runs the same search
-in C for the value alone (``_value``); the witnesses, and the values where
-the extension is missing or declines, come from ``_min_hitting``.  Both
-spend search nodes alike (one per call of the recursion, plus one per slot
-of a free completion), so a node limit stops both at the same point.
+in C for the values alone, one call per graph for all the matchings it
+solves (``_search_values``), with the discovered cycles held as bit sets
+over their indices; the witnesses, and the values where the extension is
+missing or declines, come from ``_min_hitting``.  Both spend search nodes
+alike (one per call of the recursion, plus one per slot of a free
+completion), so a node limit stops both at the same point.
 
 f(G,M), af(G,M) and C(G,M) depend only on the isomorphism type of the
 pair (G, M), so on graphs with many perfect matchings ``spectrum`` solves
@@ -265,23 +267,30 @@ def _min_hitting(
     return value, tuple(universe[i] for i in cand)
 
 
-def _value(g: Graph, m: Matching, forcing: bool, limits: SolverLimits) -> int:
-    """f(G,M) (``forcing``) or af(G,M).
+def _search_values(
+    g: Graph, pms: Sequence[Matching], forcing: bool, limits: SolverLimits
+) -> list[int]:
+    """f(G,M) (``forcing``) or af(G,M) of each matching of ``pms``.
 
-    The compiled backend runs the same search in C, spending nodes as
-    ``_lazy_minimum_hitting`` does, and returns only the value: -1 when the
-    node budget runs out (raised here as ``ResourceLimitError``, as
-    ``_min_hitting`` would), -2 when the universe (over 64 edges) or the
-    constraint store (over 512) is too large for it.  On -2, or with no
-    compiled search, ``_min_hitting`` answers.
+    The compiled backend runs the same search in C for all of them in one
+    call, spending nodes as ``_lazy_minimum_hitting`` does, and returns the
+    values alone, ending at the first -1: the node budget ran out (raised
+    here as ``ResourceLimitError``, as ``_min_hitting`` would).  A -2 says
+    the universe (over 64 edges) or the constraint store (over 512) is too
+    large for it; ``_min_hitting`` answers for that matching, and for every
+    matching when there is no compiled search.
     """
     fn = _backend.forcing_value if forcing else _backend.anti_forcing_value
-    value = -2 if fn is None else fn(g.handle, m.mates(g.order), limits.node_limit)
-    if value == -1:
+    if fn is None:
+        values = [-2] * len(pms)
+    else:
+        values = fn(g.handle, [m.edges for m in pms], limits.node_limit)
+    if values and values[-1] == -1:
         raise ResourceLimitError("subset-search node limit exceeded")
-    if value == -2:
-        value = _min_hitting(g, m, forcing, limits)[0]
-    return value
+    return [
+        _min_hitting(g, m, forcing, limits)[0] if value == -2 else value
+        for m, value in zip(pms, values)
+    ]
 
 
 def cycle_packing(
@@ -300,7 +309,15 @@ def cycle_packing(
 # Below this many perfect matchings every matching is solved directly; from
 # it on, once per orbit.  At order 8 the automorphism search costs more than
 # it saves for 8-15 matchings and pays from 16 on (K6 has 15, so sweeps of
-# order <= 6 never take the orbit path).
+# order <= 6 never take the orbit path).  Re-measured with the one-call
+# bit-set searches, as the median of nine in-process runs of
+# spectrum(with_anti_forcing=True): on the 1,811 graphs of the seed-1
+# order-8 sample with at least 16 matchings, 0.59 s at 16, 0.53 s at 24,
+# 0.57 s at 32, 0.65 s at 48 and 0.68 s with no orbit search; on the 13
+# compute-families specs (with C(G,M) too), 0.063 s at 16 and at 24, 0.068 s
+# at 32 and 0.091 s with none.  An earlier set read 0.85 s at 12 and 0.82 s
+# at 16, which do the same work on those graphs, so the gap between 16 and
+# 24 is within the run-to-run spread, and 16 stays.
 _ORBIT_MIN_MATCHINGS = 16
 
 
@@ -342,23 +359,28 @@ def matching_orbit_firsts(g: Graph, pms: Sequence[Matching]) -> list[int]:
     return [find(i) for i in range(len(pms))]
 
 
-def _per_matching(
-    pms: Sequence[Matching], firsts: Optional[list[int]], solve: Callable[[Matching], int]
-) -> tuple[int, ...]:
-    """``solve`` on each matching, or only on the first of each orbit."""
-    if firsts is None:
-        return tuple(solve(m) for m in pms)
-    out: list[int] = []
-    for i, m in enumerate(pms):
-        out.append(solve(m) if firsts[i] == i else out[firsts[i]])
-    return tuple(out)
-
-
 def _orbits(g: Graph, pms: Sequence[Matching]) -> Optional[list[int]]:
-    """``matching_orbit_firsts``, or None where the plain loop is cheaper."""
+    """``matching_orbit_firsts``, or None where solving every matching is
+    cheaper."""
     if len(pms) < _ORBIT_MIN_MATCHINGS:
         return None
     return matching_orbit_firsts(g, pms)
+
+
+def _solved(pms: Sequence[Matching], firsts: Optional[list[int]]) -> Sequence[Matching]:
+    """The matchings a search runs on: all, or the first of each orbit."""
+    return pms if firsts is None else [m for i, m in enumerate(pms) if firsts[i] == i]
+
+
+def _spread(values: Sequence[int], firsts: Optional[list[int]]) -> tuple[int, ...]:
+    """The values of ``_solved(pms, firsts)`` copied to every matching."""
+    if firsts is None:
+        return tuple(values)
+    solved = iter(values)
+    out: list[int] = []
+    for i, first in enumerate(firsts):
+        out.append(next(solved) if first == i else out[first])
+    return tuple(out)
 
 
 def spectrum(
@@ -373,15 +395,16 @@ def spectrum(
     graph has many perfect matchings."""
     pms = _perfect_matchings(g, limits)
     firsts = _orbits(g, pms)
-    values = _per_matching(pms, firsts, lambda m: _value(g, m, True, limits))
+    solved = _solved(pms, firsts)
+    values = _spread(_search_values(g, solved, True, limits), firsts)
     c_values = af_values = af_error = None
     if with_anti_forcing:
         try:
-            af_values = _per_matching(pms, firsts, lambda m: _value(g, m, False, limits))
+            af_values = _spread(_search_values(g, solved, False, limits), firsts)
         except ResourceLimitError as exc:
             af_error = str(exc)
     if with_cycle_packing and af_error is None:
-        c_values = _per_matching(pms, firsts, lambda m: cycle_packing(g, m, limits=limits))
+        c_values = _spread([cycle_packing(g, m, limits=limits) for m in solved], firsts)
     return SpectrumReport(
         tuple(zip(pms, values)), min(values), max(values), c_values, af_values, af_error
     )
@@ -392,7 +415,8 @@ def anti_forcing_values(
 ) -> tuple[int, ...]:
     """af(G,M) per perfect matching, in enumeration order."""
     pms = _perfect_matchings(g, limits)
-    return _per_matching(pms, _orbits(g, pms), lambda m: _value(g, m, False, limits))
+    firsts = _orbits(g, pms)
+    return _spread(_search_values(g, _solved(pms, firsts), False, limits), firsts)
 
 
 # ---------------------------------------------------------------------------

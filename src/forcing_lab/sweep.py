@@ -56,9 +56,15 @@ SCHEMA_VERSION = 1
 # under another rule is refused instead of resumed with a mixed set.
 _DEDUP_RULE = "canonical-members-by-vertex-augmentation/64-classes-a-shard"
 
-_SHARD_TARGET_BITS = 16  # at most 2**16 edge masks per shard
+# A labelled universe is cut by edge-mask prefix into shards of at most
+# 2**12 masks: order 6 (2**15 masks) into 8, so that workers share it.
+_SHARD_TARGET_BITS = 12
+# Names that cut, so a checkpoint written under another is refused.  A
+# universe of at most 2**12 masks is one shard under every cut used so far
+# (2**16 masks a shard before this one), so only larger ones name it.
+_SHARD_RULE = f"edge-mask-prefixes/2**{_SHARD_TARGET_BITS}-masks-a-shard"
 # Shards are planned lazily, so this cap bounds time, not memory: 2**28 edge
-# masks (order 8; side 5 has 2**25) take about 1.8 h on 8 workers, and order
+# masks (order 8; side 5 has 2**25) take about 1 h on 8 workers, and order
 # 10, with 2**45, would take some 2**17 times as long.
 _MAX_UNIVERSE_BITS = 28
 _STREAM_SHARD_LINES = 64
@@ -81,22 +87,23 @@ class SweepConfig:
     checkpoint: Optional[str] = None
 
     def fingerprint(self) -> str:
-        """Identity of the sweep universe and verification config; worker
-        count and output paths deliberately excluded."""
-        return json.dumps(
-            {
-                "mode": self.mode,
-                "max_order": self.max_order,
-                "side": self.side,
-                "require_pm": True,  # sweeps skip graphs with no perfect matching
-                "dedup": _DEDUP_RULE if self.dedup else False,
-                "failures_only": self.failures_only,
-                "limits": astuple(self.limits),
-                "stream_path": self.stream_path,
-                "schema": SCHEMA_VERSION,
-            },
-            sort_keys=True,
-        )
+        """Identity of the sweep universe, its shards and the verification
+        config; worker count and output paths deliberately excluded."""
+        identity = {
+            "mode": self.mode,
+            "max_order": self.max_order,
+            "side": self.side,
+            "require_pm": True,  # sweeps skip graphs with no perfect matching
+            "dedup": _DEDUP_RULE if self.dedup else False,
+            "failures_only": self.failures_only,
+            "limits": astuple(self.limits),
+            "stream_path": self.stream_path,
+            "schema": SCHEMA_VERSION,
+        }
+        if self.mode != "stream" and not self.dedup:
+            if max(bits for _kind, _order, bits in _universes(self)) > _SHARD_TARGET_BITS:
+                identity["shards"] = _SHARD_RULE
+        return json.dumps(identity, sort_keys=True)
 
 
 class _Rows(VerdictRow):
@@ -249,6 +256,24 @@ def _class_shards(orders: list[int], bipartite: bool) -> Iterator[Shard]:
                 yield Shard("classes", order, i, 0, 0, classes=chunk)
 
 
+def _universes(config: SweepConfig) -> list[tuple[str, int, int]]:
+    """The (kind, order, edge bits) of each labelled universe of a sweep
+    that is not a stream.  A maximum order below 2, a bipartite side below
+    1 or an unknown mode raises GraphError."""
+    if config.mode == "all_graphs":
+        if config.max_order < 2:
+            raise GraphError(f"a sweep needs a max order of at least 2, got {config.max_order}")
+        return [
+            ("all_graphs", order, order * (order - 1) // 2)
+            for order in range(2, config.max_order + 1, 2)
+        ]
+    if config.mode == "bipartite_balanced":
+        if config.side < 1:
+            raise GraphError(f"a bipartite sweep needs a side of at least 1, got {config.side}")
+        return [("bipartite", config.side, config.side**2)]
+    raise GraphError(f"unknown sweep mode {config.mode!r}")
+
+
 def plan_shards(config: SweepConfig) -> Iterator[Shard]:
     """The sweep's shards, in merge order, built as they are read.  A stream
     mode without a stream path, a universe of more than 2**28 edge masks, a
@@ -260,19 +285,7 @@ def plan_shards(config: SweepConfig) -> Iterator[Shard]:
         if config.stream_path is None:
             raise GraphError("stream mode needs a stream path")
         return _stream_shards(config.stream_path)
-    if config.mode == "all_graphs":
-        if config.max_order < 2:
-            raise GraphError(f"a sweep needs a max order of at least 2, got {config.max_order}")
-        universes = [
-            ("all_graphs", order, order * (order - 1) // 2)
-            for order in range(2, config.max_order + 1, 2)
-        ]
-    elif config.mode == "bipartite_balanced":
-        if config.side < 1:
-            raise GraphError(f"a bipartite sweep needs a side of at least 1, got {config.side}")
-        universes = [("bipartite", config.side, config.side**2)]
-    else:
-        raise GraphError(f"unknown sweep mode {config.mode!r}")
+    universes = _universes(config)
     bits = max(total_bits for _kind, _order, total_bits in universes)
     if bits > _MAX_UNIVERSE_BITS:
         raise GraphError(

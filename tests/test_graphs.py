@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +225,25 @@ class TestGraph6:
             graph6_decode("D")  # truncated body
         with pytest.raises(GraphError):
             graph6_decode(chr(63 + 40) + "A" * 200)  # order beyond the cap
+
+    def test_nonzero_padding(self):
+        # K2 has one edge bit and five padding bits, K3 three and three
+        assert graph6_decode("Bw") == generate("complete", 3)
+        for text in ("A`", "Ao", "Bx", "B{"):
+            with pytest.raises(GraphError, match="^nonzero padding bits"):
+                graph6_decode(text)
+
+    def test_byte_outside_range(self):
+        # body bytes run from ? (63, no bit set) to ~ (126, all six)
+        for text, byte in (("A>", ">"), ("A\x7f", "\x7f"), ("Bé", "é"), ("D ~", " ")):
+            with pytest.raises(GraphError, match=f"^invalid graph6 byte {re.escape(repr(byte))}$"):
+                graph6_decode(text)
+
+    def test_decode_matches_build_graph(self, rng):
+        for n in range(1, 33):
+            g = random_graph(n, 0.5, rng)
+            decoded = graph6_decode(graph6_encode(g))
+            assert (decoded.order, decoded.adj, decoded.edges) == (n, g.adj, g.edges)
 
 
 def relabelled(g, rng):

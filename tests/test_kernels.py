@@ -4,6 +4,8 @@ kernels; this module is skipped only where no C compiler exists."""
 
 import __future__
 import random
+import signal
+import time
 import tracemalloc
 
 import pytest
@@ -123,15 +125,13 @@ def test_search_fastpath_matches_python_search(gh):
     rows = graph_rows(n, bits)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1]
     g = build_graph(n, edges)
-    pms = enumerate_perfect_matchings(g)
+    pms = enumerate_perfect_matchings(g)[:3]
     h = compiled.make_handle(rows)
-    for m in pms[:3]:
-        mates = m.mates(n)
-        assert compiled.forcing_value(h, mates, 10**7) == forcing_number(g, m).value
-        assert (
-            compiled.anti_forcing_value(h, mates, 10**7)
-            == anti_forcing_number(g, m).value
-        )
+    edges = [m.edges for m in pms]
+    assert compiled.forcing_value(h, edges, 10**7) == [forcing_number(g, m).value for m in pms]
+    assert compiled.anti_forcing_value(h, edges, 10**7) == [
+        anti_forcing_number(g, m).value for m in pms
+    ]
 
 
 def test_search_ceiling_parity():
@@ -148,10 +148,9 @@ def test_search_ceiling_parity():
         g = random_graph(rng.randint(4, 8), 0.3 + 0.2 * rng.random(), rng)
         h = compiled.make_handle(g.adj)
         for m in enumerate_perfect_matchings(g):
-            mates = m.mates(g.order)
             for forcing, fn in searches:
                 for node_limit in range(1, 51):
-                    value = fn(h, mates, node_limit)
+                    (value,) = fn(h, [m.edges], node_limit)
                     if value == -2:
                         continue
                     limits = SolverLimits(node_limit=node_limit)
@@ -165,32 +164,95 @@ def test_search_ceiling_parity():
     assert (results, ceilings) == (8400, 2292)
 
 
+def test_search_parity_past_one_word(monkeypatch):
+    # a dense seeded order-12 graph whose af search learns 82 constraints, so
+    # the compiled search holds each set of them in two words: its value and
+    # the Python search's agree at the node ceiling, and both run out of
+    # budget one node below it
+    from forcing_lab.errors import ResourceLimitError
+    from forcing_lab.matchings import enumerate_perfect_matchings
+    from forcing_lab.solver import SolverLimits, _min_hitting
+
+    g = random_graph(12, 0.85, random.Random(25))
+    m = enumerate_perfect_matchings(g, limit=1)[0]
+    h = compiled.make_handle(g.adj)
+    nodes = 83011
+    assert compiled.anti_forcing_value(h, [m.edges], nodes) == [24]
+    for node_limit in (nodes - 1, nodes // 2, 1000):
+        assert compiled.anti_forcing_value(h, [m.edges], node_limit) == [-1]
+    # each constraint the Python search learns costs it one pm_enumerate call
+    learnt = []
+    enumerate_two = _backend.pm_enumerate
+    monkeypatch.setattr(_backend, "pm_enumerate", lambda *a: learnt.append(a) or enumerate_two(*a))
+    assert _min_hitting(g, m, False, SolverLimits(node_limit=nodes))[0] == 24
+    assert len(learnt) == 82
+    with pytest.raises(ResourceLimitError):
+        _min_hitting(g, m, False, SolverLimits(node_limit=nodes - 1))
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+def test_search_batch_stops_at_a_signal():
+    # one call searches many matchings, but a signal handler still runs
+    # between two of them, as it did between separate calls: 10,000 copies
+    # of a 2 ms search stop within a second of a 50 ms alarm
+    from forcing_lab.matchings import enumerate_perfect_matchings
+
+    class Alarm(Exception):
+        pass
+
+    def ring(signum, frame):
+        raise Alarm
+
+    g = random_graph(12, 0.85, random.Random(25))
+    m = enumerate_perfect_matchings(g, limit=1)[0]
+    h = compiled.make_handle(g.adj)
+    previous = signal.signal(signal.SIGALRM, ring)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.05)
+        with pytest.raises(Alarm):
+            compiled.anti_forcing_value(h, [m.edges] * 10_000, 10**7)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 1.05
+
+
 def test_search_fastpath_budget_sentinel():
     from forcing_lab.graphs import generate
     from forcing_lab.matchings import enumerate_perfect_matchings
 
     g = generate("complete_bipartite", 4, 4)
-    m = enumerate_perfect_matchings(g, limit=1)[0]
+    pms = [m.edges for m in enumerate_perfect_matchings(g)]
     h = compiled.make_handle(g.adj)
-    assert compiled.forcing_value(h, m.mates(g.order), 2) == -1
+    assert compiled.forcing_value(h, pms[:1], 2) == [-1]
+    # the list ends at the first matching whose budget runs out
+    assert compiled.forcing_value(h, pms, 2) == [-1]
+    assert compiled.forcing_value(h, pms, 10**7) == [3] * 24
+    assert compiled.forcing_value(h, [], 2) == []
 
 
-def test_search_fastpath_large_universe_falls_back():
-    # H-hat_10 plus the edge (0, 11): 91 non-matching edges, over the 64 the
-    # compiled af search holds, so it answers -2 and the subset search runs
+def wide_graph():
+    """H-hat_10 plus the edge (0, 11), and its two perfect matchings: each
+    leaves 91 non-matching edges, over the 64 the compiled af search holds."""
     from forcing_lab.families import make_H_hat
     from forcing_lab.graphs import build_graph
     from forcing_lab.matchings import enumerate_perfect_matchings
-    from forcing_lab.solver import anti_forcing_number, is_anti_forcing_set, spectrum
 
     h = make_H_hat(10)
     g = build_graph(h.order, h.edges + ((0, 11),))
-    pms = enumerate_perfect_matchings(g)
+    return g, enumerate_perfect_matchings(g)
+
+
+def test_search_fastpath_large_universe_falls_back():
+    # the compiled af search answers -2 and the subset search runs
+    from forcing_lab.solver import anti_forcing_number, is_anti_forcing_set, spectrum
+
+    g, pms = wide_graph()
     assert (g.edge_count, len(pms)) == (101, 2)
     hc = compiled.make_handle(g.adj)
-    for m in pms:
-        assert g.edge_count - len(m) == 91
-        assert compiled.anti_forcing_value(hc, m.mates(g.order), 10**7) == -2
+    assert all(g.edge_count - len(m) == 91 for m in pms)
+    assert compiled.anti_forcing_value(hc, [m.edges for m in pms], 10**7) == [-2, -2]
     spec = spectrum(g, with_anti_forcing=True)
     assert spec.af_values == (1, 1)
     for m, af in zip(pms, spec.af_values):
@@ -259,16 +321,19 @@ def test_tracked_c_compiles_without_warnings():
 
 K4 = (0b1110, 0b1101, 0b1011, 0b0111)
 K4_MATES = (1, 0, 3, 2)
+K4_M = ((0, 1), (2, 3))
+C4 = (0b1010, 0b0101, 0b1010, 0b0101)  # the cycle 0-1-2-3-0
 
 
 def bad_calls(h):
     """(exception, call) for arguments the kernels must refuse, not crash on."""
+    c4 = compiled.make_handle(C4)
     return [
         (TypeError, lambda: compiled.pm_count(None, 3, 2)),
         (TypeError, lambda: compiled.pm_enumerate(K4, 15, -1)),
         (TypeError, lambda: compiled.alt_cycles(None, K4_MATES, 10)),
-        (TypeError, lambda: compiled.forcing_value(None, K4_MATES, 10)),
-        (TypeError, lambda: compiled.anti_forcing_value(None, K4_MATES, 10)),
+        (TypeError, lambda: compiled.forcing_value(None, [K4_M], 10)),
+        (TypeError, lambda: compiled.anti_forcing_value(None, [K4_M], 10)),
         (TypeError, lambda: compiled.pack_masks([1.0])),
         (TypeError, lambda: compiled.pm_count(h, 15, cap=2)),  # positional only
         (TypeError, lambda: compiled.alt_cycles(h, K4_MATES)),
@@ -288,8 +353,33 @@ def bad_calls(h):
         (ValueError, lambda: compiled.alt_cycles(h, (1, 0, 3, 64), 10)),
         (ValueError, lambda: compiled.alt_cycles(h, (1, 0, 3, -1), 10)),
         (ValueError, lambda: compiled.alt_cycles(h, (1, 0, 3), 10)),
-        (ValueError, lambda: compiled.forcing_value(h, (1, 2, 3, 0), 10)),  # not a matching
-        (ValueError, lambda: compiled.anti_forcing_value(h, (1, 0, 3, 4), 10)),
+    ] + [
+        # a graph's matchings, each a sequence of (u, v) edges covering every
+        # vertex once, for both searches
+        (error, lambda search=search, matchings=matchings: search(h, matchings, 10))
+        for search in (compiled.forcing_value, compiled.anti_forcing_value)
+        for error, matchings in (
+            (TypeError, 5),  # not a sequence
+            (TypeError, None),
+            (TypeError, [K4_M, 5]),
+            (TypeError, [((0, 1), 2)]),
+            (TypeError, [((0, 1), (2.0, 3))]),
+            (ValueError, [((0, 1, 2), (2, 3))]),  # a pair of the wrong length
+            (ValueError, [((0,), (2, 3))]),
+            (ValueError, [K4_M, ((0, 1), (2, 4))]),  # a vertex outside 0..3
+            (ValueError, [((0, 1), (2, -1))]),
+            (ValueError, [((0, 1), (2, 64))]),
+            (ValueError, [((0, 1), (2, 2))]),  # a loop is no edge
+            (ValueError, [((0, 1), (1, 2))]),  # repeats vertex 1
+            (ValueError, [((0, 1), (2, 3), (0, 1))]),
+            (ValueError, [((0, 1),)]),  # misses vertices 2 and 3
+            (ValueError, [()]),
+            (TypeError, [(1, 0, 3, 2)]),  # mates, not edges
+        )
+    ] + [
+        # (0, 2) and (1, 3) are no edges of the 4-cycle
+        (ValueError, lambda search=search: search(c4, [((0, 2), (1, 3))], 10))
+        for search in (compiled.forcing_value, compiled.anti_forcing_value)
     ]
 
 
@@ -300,15 +390,18 @@ def test_bad_arguments_raise():
             call()
 
 
-def kernel_round(h):
+def kernel_round(h, wide):
     compiled.make_handle(K4)
     assert compiled.pm_count(h, 15, 10, ((0, 1),)) == 2
     assert len(compiled.pm_enumerate(h, 15, -1, [(2, 3)])) == 2
     assert len(compiled.alt_cycles(h, K4_MATES, 10)) == 2
     assert compiled.alt_cycles(h, K4_MATES, 1) is None
     assert compiled.pack_masks([3, 12, 5, 6, 15]) == 2
-    assert compiled.forcing_value(h, K4_MATES, 100) == 1
-    assert compiled.anti_forcing_value(h, K4_MATES, 100) == 2
+    assert compiled.forcing_value(h, [K4_M, list(map(list, K4_M))], 100) == [1, 1]
+    assert compiled.anti_forcing_value(h, (K4_M,), 100) == [2]
+    assert compiled.forcing_value(h, [K4_M, K4_M], 1) == [-1]
+    assert compiled.anti_forcing_value(h, [K4_M], 1) == [-1]
+    assert compiled.anti_forcing_value(*wide, 100) == [-2, -2]
     for error, call in bad_calls(h):
         try:
             call()
@@ -320,13 +413,15 @@ def test_no_reference_leaks():
     # a reference a kernel fails to drop keeps its object alive, so traced
     # memory grows with the number of calls
     h = compiled.make_handle(K4)
+    g, pms = wide_graph()
+    wide = compiled.make_handle(g.adj), [m.edges for m in pms]
     for _ in range(200):
-        kernel_round(h)
+        kernel_round(h, wide)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for _ in range(5000):
-            kernel_round(h)
+            kernel_round(h, wide)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -420,6 +421,29 @@ class TestCheckpointFingerprint:
         with pytest.raises(GraphError, match="different sweep config"):
             run_sweep(cfg)
 
+    def test_cursor_of_the_coarser_shards_refused(self, tmp_path):
+        # order 6 was one shard of 2**15 masks, so an order-6 cursor of that
+        # rule names no shards; resuming it would skip 2**15 masks
+        ck = tmp_path / "ck.json"
+        cfg = SweepConfig(mode="all_graphs", max_order=6, workers=1, checkpoint=str(ck))
+        earlier = self.EARLIER.replace('"max_order": 4', '"max_order": 6') % "false"
+        assert json.loads(cfg.fingerprint()) == {
+            **json.loads(earlier),
+            "shards": sweep._SHARD_RULE,
+        }
+        ck.write_text(
+            json.dumps(
+                {
+                    "schema_version": 1,
+                    "fingerprint": earlier,
+                    "completed_shards": 1,
+                    "records_offset": 0,
+                }
+            )
+        )
+        with pytest.raises(GraphError, match="different sweep config"):
+            run_sweep(cfg)
+
     def test_cursor_of_the_mask_filter_dedup_refused(self, tmp_path):
         # dedup used to filter the edge masks, so its shards were not the
         # class shards of today
@@ -658,12 +682,37 @@ class TestShardPlanning:
             assert s.total_bits == s.order * (s.order - 1) // 2
 
     def test_largest_universes_plan(self):
-        # 2**28 edge masks at order 8 and 2**25 at side 5, 2**16 masks a shard
+        # 2**28 edge masks at order 8 and 2**25 at side 5, 2**12 masks a shard
         shards = list(plan_shards(SweepConfig(mode="all_graphs", max_order=9)))
         assert max(s.order for s in shards) == 8
-        assert sum(s.order == 8 for s in shards) == 2**12
+        assert sum(s.order == 8 for s in shards) == 2**16
         shards = list(plan_shards(SweepConfig(mode="bipartite_balanced", side=5)))
-        assert len(shards) == 2**9 and shards[-1].total_bits == 25
+        assert len(shards) == 2**13 and shards[-1].total_bits == 25
+
+    def test_small_universes_split_for_workers(self):
+        # orders 2 and 4 fit one shard; order 6, 2**15 masks, is cut in 8
+        shards = list(plan_shards(SweepConfig(mode="all_graphs", max_order=6)))
+        assert [sum(s.order == k for s in shards) for k in (2, 4, 6)] == [1, 1, 8]
+        shards = list(plan_shards(SweepConfig(mode="bipartite_balanced", side=4)))
+        assert len(shards) == 16
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SweepConfig(mode="all_graphs", max_order=5),
+            SweepConfig(mode="bipartite_balanced", side=3),
+        ],
+    )
+    def test_report_bytes_independent_of_shards_and_workers(self, config, monkeypatch):
+        # 4 masks a shard and the rule's 2**12, on one worker and on two
+        reports, shards = set(), []
+        for bits in (2, sweep._SHARD_TARGET_BITS):
+            monkeypatch.setattr(sweep, "_SHARD_TARGET_BITS", bits)
+            shards.append(len(list(plan_shards(config))))
+            for workers in (1, 2):
+                reports.add(report_json(run_sweep(dataclasses.replace(config, workers=workers))))
+        assert shards == ([17, 2] if config.mode == "all_graphs" else [128, 1])
+        assert len(reports) == 1
 
     @pytest.mark.parametrize(
         "config, bits",
