@@ -3,7 +3,8 @@
 The compiled extension is preferred when present; the pure-Python twin is
 the fallback.  ``FORCING_LAB_BACKEND=python`` (or ``compiled``) forces a
 choice, which the benchmark and the parity tests rely on; unset or empty
-means automatic.
+means automatic.  Both backends export the same kernels, the two subset
+searches included, with the same results.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ pm_count = _impl.pm_count
 pm_enumerate = _impl.pm_enumerate
 alt_cycles = _impl.alt_cycles
 pack_masks = _impl.pack_masks
+forcing_value = _impl.forcing_value
+anti_forcing_value = _impl.anti_forcing_value
 
-# the compiled whole-search values (compiled backend only); see solver._search_values
-forcing_value = getattr(_impl, "forcing_value", None)
-anti_forcing_value = getattr(_impl, "anti_forcing_value", None)
 # always None: neither backend has a maximum independent set, but the
 # benchmark's tracer names ``mis`` among the kernels it times
 mis = None

@@ -1,14 +1,13 @@
 /* Compiled bitmask kernels (hot inner loops), against the CPython C API.
  *
  * Twin of forcing_lab._kernels_py; see that module for the contract.  Every
- * function here but the two whole-search values has a pure-Python
- * counterpart with identical results, and tests/test_kernels.py holds the
- * two bit for bit equal.  The two searches, forcing_value and
- * anti_forcing_value, take a graph's list of perfect matchings and return
- * one value per matching.  They mirror the hitting-set search of
- * forcing_lab.solver and spend search nodes exactly as it does, but hold its
- * constraints as bit sets over constraint indices, so that a search node
- * filters and prunes with word operations.
+ * function here has a pure-Python counterpart with identical results, and
+ * tests/test_kernels.py holds the two bit for bit equal.  The two searches,
+ * forcing_value and anti_forcing_value, take a graph's list of perfect
+ * matchings and return one minimum set per matching as a bit mask over its
+ * universe.  They run the twin's hitting-set search and spend search nodes
+ * exactly as it does, but hold its constraints as bit sets over constraint
+ * indices, so that a search node filters and prunes with word operations.
  *
  * A graph handle copies the adjacency rows of a simple graph on at most 64
  * vertices into a C array.  Arguments that come from Python are checked
@@ -491,14 +490,14 @@ static PyObject *pack_masks(PyObject *self, PyObject *masks)
 
 
 /* ------------------------------------------------------------------------
- * whole-search values: minimum forcing / anti-forcing sets
+ * whole searches: minimum forcing / anti-forcing sets
  *
- * These mirror solver._lazy_minimum_hitting, the Python lazy hitting-set
+ * These mirror _kernels_py._lazy_minimum_hitting, the lazy hitting-set
  * search (iterative deepening in lexicographic order, pruned by discovered
  * alternating cycles and their greedy disjoint packing), and spend search
- * nodes as it does, but run entirely in C and return only the value.  One
- * call solves a list of perfect matchings of a graph.  Per matching: >= 0
- * value, -1 node budget exhausted, -2 caller must use the Python search
+ * nodes as it does.  One call solves a list of perfect matchings of a graph.
+ * Per matching: the lexicographically first minimum set as a mask over the
+ * universe, -1 node budget exhausted, -2 the caller must ask the twin
  * (universe or constraint store too large). */
 
 #define CONWORDS (MAXCON / 64)  /* words of a set of constraints */
@@ -566,6 +565,7 @@ typedef struct {
     int ncon;
     int nwords;
     int64_t budget;
+    uint64_t found;                        /* the last candidate, the accepted one at the end */
     uint64_t every[CONWORDS];              /* all constraints */
     uint64_t hits[MAXUNI][CONWORDS];       /* constraints each element hits */
     uint64_t reach[MAXUNI + 1][CONWORDS];  /* constraints hit from each position on */
@@ -689,11 +689,11 @@ static int hit_rec(HitSearch *hs, int start, int slots, const uint64_t *unhit, u
 static int lazy_search(HitSearch *hs, const uint64_t *adj, int n, const int *mates, int forcing,
                        const int *uni_u, const int *uni_v, const int *edge_index)
 {
-    uint64_t result, rows[MAXV];
+    uint64_t rows[MAXV];
     int rmates[MAXV], omates[MAXV];
     int k = 0;
     while (k <= hs->n_universe) {
-        int rc = hit_rec(hs, 0, k, hs->every, 0, &result);
+        int rc = hit_rec(hs, 0, k, hs->every, 0, &hs->found);
         if (rc == -1)
             return -1;
         if (rc == 0) {
@@ -701,7 +701,7 @@ static int lazy_search(HitSearch *hs, const uint64_t *adj, int n, const int *mat
             continue;
         }
         /* candidate found: run the uniqueness check */
-        uint64_t cand = result, active = all_vertices(n);
+        uint64_t cand = hs->found, active = all_vertices(n);
         memcpy(rows, adj, n * sizeof *rows);
         if (forcing) {
             for (int i = 0; i < hs->n_universe; i++) {
@@ -733,7 +733,8 @@ static int lazy_search(HitSearch *hs, const uint64_t *adj, int n, const int *mat
 }
 
 /* f(G,M) (forcing: the universe is M's edges) or af(G,M) (the edges off M)
- * of the perfect matching mates of h, with node_limit search nodes. */
+ * of the perfect matching mates of h, with node_limit search nodes; a
+ * minimum set is then in hs->found. */
 static int search_value(HitSearch *hs, const GraphHandle *h, const int *mates, int forcing,
                         int64_t node_limit)
 {
@@ -822,8 +823,8 @@ static int parse_matching_edges(const GraphHandle *h, PyObject *item, unsigned c
     return rc;
 }
 
-/* The two searches: (h, matchings, node_limit) -> a list of values, one per
- * matching, that ends at the first -1. */
+/* The two searches: (h, matchings, node_limit) -> a list of set masks, one
+ * per matching, that ends at the first -1. */
 static PyObject *search_values(const char *name, int forcing, PyObject *const *args,
                                Py_ssize_t nargs)
 {
@@ -848,7 +849,8 @@ static PyObject *search_values(const char *name, int forcing, PyObject *const *a
         for (int v = 0; v < h->n; v++)
             mates[v] = all_mates[i * h->n + v];
         int value = search_value(&hs, h, mates, forcing, node_limit);
-        PyObject *item = PyLong_FromLong(value);
+        PyObject *item = value < 0 ? PyLong_FromLong(value)
+                                   : PyLong_FromUnsignedLongLong(hs.found);
         /* a signal (Ctrl-C) ends the call between two matchings */
         if (item == NULL || PyList_Append(out, item) < 0 || PyErr_CheckSignals() < 0)
             Py_CLEAR(out);
@@ -892,10 +894,10 @@ static PyMethodDef methods[] = {
      "Maximum number of pairwise-disjoint masks (exact branch and bound)."},
     {"forcing_value", FASTCALL(forcing_value),
      "forcing_value($module, h, matchings, node_limit, /)\n--\n\n"
-     "Minimum forcing-set size of each perfect matching; the list ends at the first -1."},
+     "Minimum forcing set of each perfect matching as a mask; the list ends at the first -1."},
     {"anti_forcing_value", FASTCALL(anti_forcing_value),
      "anti_forcing_value($module, h, matchings, node_limit, /)\n--\n\n"
-     "Minimum anti-forcing-set size of each perfect matching; the list ends at the first -1."},
+     "Minimum anti-forcing set of each perfect matching as a mask; the list ends at the first -1."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,10 +1,9 @@
 """Pure-Python bitmask kernels.
 
-Fallback twin of the compiled extension ``forcing_lab._ckernels``: each
-function here has a compiled counterpart with identical semantics, so the
-backend can be swapped at import time (see ``forcing_lab._backend``).  Only
-the compiled module has the whole-search values (see
-``solver._search_values``).
+Fallback twin of the compiled extension ``forcing_lab._ckernels``, and the
+reference its parity tests hold it to: every function here has a compiled
+counterpart with identical results, the two subset searches included, so
+the backend can be swapped at import time (see ``forcing_lab._backend``).
 
 Conventions: a graph handle is the adjacency row tuple itself (row ``u``
 has bit ``v`` set iff ``uv`` is an edge); vertex sets are int bitmasks;
@@ -159,3 +158,126 @@ def pack_masks(masks):
 
     rec(0, list(masks))
     return best[0]
+
+
+# ---------------------------------------------------------------------------
+# whole searches: minimum forcing / anti-forcing sets
+
+
+def _greedy_disjoint_count(masks):
+    used = 0
+    count = 0
+    for m in masks:
+        if not (m & used):
+            used |= m
+            count += 1
+    return count
+
+
+def _lazy_minimum_hitting(n_universe, check, node_limit, seed_constraints=()):
+    """Smallest, then lexicographically first, subset of ``range(n_universe)``
+    accepted by ``check``, as a bit mask; -1 once ``node_limit`` search nodes
+    are spent: one per call of ``first``, plus one per slot of a free
+    completion.  ``check`` returns None to accept a candidate, or a new
+    constraint mask (disjoint from it) that later candidates must hit."""
+    constraints = list(dict.fromkeys(seed_constraints))
+    budget = node_limit
+
+    def first(start, slots, unhit, chosen):
+        """Lexicographically first hitting completion of ``chosen`` by
+        ``slots`` indices from ``start`` on, None if there is none, or -1."""
+        nonlocal budget
+        free = not unhit and start + slots <= n_universe
+        budget -= 1 + slots if free else 1
+        if budget < 0:
+            return -1
+        if free:
+            return chosen | ((1 << slots) - 1) << start
+        if slots == 0:
+            return None
+        for c in unhit:
+            if c >> start == 0:
+                return None  # some cycle can no longer be hit
+        if _greedy_disjoint_count(unhit) > slots:
+            return None  # disjoint unhit cycles exceed the remaining slots
+        for i in range(start, n_universe - slots + 1):
+            bit = 1 << i
+            found = first(i + 1, slots - 1, [c for c in unhit if not c & bit], chosen | bit)
+            if found is not None:
+                return found
+        return None
+
+    k = _greedy_disjoint_count(constraints)
+    while k <= n_universe:
+        cand = first(0, k, constraints, 0)
+        if cand is None:
+            k += 1
+            continue
+        if cand == -1 or (constraint := check(cand)) is None:
+            return cand
+        constraints.append(constraint)
+        k = max(k, _greedy_disjoint_count(constraints))
+    raise AssertionError("hitting search exhausted its universe")
+
+
+def _minimum_set(adj, edges, node_limit, forcing):
+    """One matching's search of ``forcing_value`` or ``anti_forcing_value``.
+    A rejected candidate leaves a second perfect matching; the constraint is
+    the first cycle of its symmetric difference with what remains of the
+    matching, walked from its lowest vertex, restricted to the universe."""
+    n = len(adj)
+    mates = [-1] * n
+    for u, v in edges:
+        mates[u], mates[v] = v, u
+    m_edges = [(u, v) for u, v in enumerate(mates) if u < v]
+    universe = m_edges if forcing else [
+        (u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1 and mates[u] != v
+    ]
+    position = {e: i for i, e in enumerate(universe)}
+
+    def check(cand):
+        chosen = tuple(e for i, e in enumerate(universe) if cand >> i & 1)
+        active, removed = (1 << n) - 1, chosen
+        if forcing:
+            active, removed = active & ~sum(1 << u | 1 << v for u, v in chosen), ()
+        if pm_count(adj, active, 2, removed) == 1:
+            return None
+        pms = pm_enumerate(adj, active, 2, removed)
+        residual = tuple(e for e in m_edges if active >> e[0] & 1)
+        other = pms[0] if pms[0] != residual else pms[1]
+        omates = dict(other)
+        omates.update((v, u) for u, v in other)
+        start = v = next(a for a, b in other if mates[a] != b)
+        mask = 0
+        while True:
+            u = mates[v]
+            w = omates[u]
+            e = (v, u) if forcing else (u, w)
+            mask |= 1 << position[e if e[0] < e[1] else (e[1], e[0])]
+            v = w
+            if v == start:
+                return mask
+
+    return _lazy_minimum_hitting(len(universe), check, node_limit)
+
+
+def _search(handle, matchings, node_limit, forcing):
+    out = []
+    for edges in matchings:
+        out.append(_minimum_set(handle, edges, node_limit, forcing))
+        if out[-1] == -1:
+            break
+    return out
+
+
+def forcing_value(handle, matchings, node_limit):
+    """Lexicographically first minimum forcing set of each perfect matching,
+    as a mask over its edges in sorted order; the list ends at the first -1
+    (``node_limit`` search nodes spent)."""
+    return _search(handle, matchings, node_limit, True)
+
+
+def anti_forcing_value(handle, matchings, node_limit):
+    """As ``forcing_value``, for anti-forcing sets: a mask over the edges
+    off the matching, in sorted order."""
+    return _search(handle, matchings, node_limit, False)

@@ -1,20 +1,14 @@
 """Exact forcing and anti-forcing solvers with witnesses, plus the
 closed-form bound evaluators.
 
-The minimum-forcing search is iterative deepening over subsets of the
-matching in lexicographic edge order.  Two prunes keep it exact: subsets
-that miss an already-discovered alternating cycle are skipped (such a set
-cannot force), and sizes below the best disjoint packing of discovered
-cycles are never tried.  Each failed uniqueness check contributes a new
-cycle, so the search is a lazy minimum-hitting-set computation.  The
-anti-forcing search is the same search over the non-matching edges, and
-``_min_hitting`` serves both.  The compiled extension runs the same search
-in C for the values alone, one call per graph for all the matchings it
-solves (``_search_values``), with the discovered cycles held as bit sets
-over their indices; the witnesses, and the values where the extension is
-missing or declines, come from ``_min_hitting``.  Both spend search nodes
-alike (one per call of the recursion, plus one per slot of a free
-completion), so a node limit stops both at the same point.
+A set S of matching edges forces M exactly when it meets every
+M-alternating cycle, so a minimum forcing set is a minimum hitting set of
+those cycles over the matching's edges, and a minimum anti-forcing set one
+over the other edges.  Both backends run that lazy hitting-set search as
+the kernels ``forcing_value`` and ``anti_forcing_value`` (see
+``forcing_lab._kernels_py``), which return the lexicographically first
+minimum set of each matching as a bit mask (``_search_masks``): a value is
+its popcount and a witness its edges.
 
 f(G,M), af(G,M) and C(G,M) depend only on the isomorphism type of the
 pair (G, M), so on graphs with many perfect matchings ``spectrum`` solves
@@ -26,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from . import _backend
+from . import _backend, _kernels_py
 from .errors import GraphError, MatchingError, NoPerfectMatchingError, ResourceLimitError
 from .graphs import Graph, automorphism_generators
 from .matchings import (
@@ -75,81 +69,6 @@ class SpectrumReport:
 
 
 # ---------------------------------------------------------------------------
-# subset search machinery
-
-
-def _greedy_disjoint_count(masks: Sequence[int]) -> int:
-    used = 0
-    count = 0
-    for m in masks:
-        if not (m & used):
-            used |= m
-            count += 1
-    return count
-
-
-def _lazy_minimum_hitting(
-    n_universe: int,
-    check: Callable[[tuple[int, ...]], Optional[int]],
-    node_limit: int,
-    seed_constraints: Sequence[int] = (),
-) -> tuple[int, tuple[int, ...]]:
-    """Smallest (then lexicographically first) subset accepted by ``check``.
-
-    ``check`` returns None to accept a candidate, or a new constraint mask
-    (disjoint from the candidate) that future candidates must hit.  Nodes
-    are spent as the compiled search spends them: one per call of ``first``,
-    plus one per slot of a free completion; exceeding ``node_limit`` raises.
-    """
-    constraints = list(dict.fromkeys(seed_constraints))
-    budget = node_limit
-
-    def first(start: int, slots: int, unhit: list[int], chosen: tuple[int, ...]):
-        """Lexicographically first hitting completion of ``chosen`` by
-        ``slots`` indices from ``start`` on, or None."""
-        nonlocal budget
-        free = not unhit and start + slots <= n_universe
-        budget -= 1 + slots if free else 1
-        if budget < 0:
-            raise ResourceLimitError("subset-search node limit exceeded")
-        if free:
-            return chosen + tuple(range(start, start + slots))
-        if slots == 0:
-            return None
-        for c in unhit:
-            if c >> start == 0:
-                return None  # some cycle can no longer be hit
-        if _greedy_disjoint_count(unhit) > slots:
-            return None  # disjoint unhit cycles exceed the remaining slots
-        for i in range(start, n_universe - slots + 1):
-            bit = 1 << i
-            found = first(i + 1, slots - 1, [c for c in unhit if not c & bit], chosen + (i,))
-            if found is not None:
-                return found
-        return None
-
-    k = _greedy_disjoint_count(constraints)
-    while k <= n_universe:
-        cand = first(0, k, constraints, ())
-        if cand is None:
-            k += 1
-            continue
-        new_constraint = check(cand)
-        if new_constraint is None:
-            return k, cand
-        constraints.append(new_constraint)
-        k = max(k, _greedy_disjoint_count(constraints))
-    raise AssertionError("hitting search exhausted its universe")
-
-
-def _vertex_mask(edges: Sequence[tuple[int, int]]) -> int:
-    mask = 0
-    for u, v in edges:
-        mask |= (1 << u) | (1 << v)
-    return mask
-
-
-# ---------------------------------------------------------------------------
 # forcing numbers
 
 
@@ -160,7 +79,9 @@ def is_forcing_set(g: Graph, m: Matching, s: Sequence[tuple[int, int]]) -> bool:
     m_set = set(m.edges)
     if any(e not in m_set for e in s_norm):
         raise MatchingError("forcing-set candidate is not a subset of the matching")
-    active = g.full_mask & ~_vertex_mask(s_norm)
+    active = g.full_mask
+    for u, v in s_norm:
+        active &= ~(1 << u | 1 << v)
     return _backend.pm_count(g.handle, active, 2) == 1
 
 
@@ -193,24 +114,17 @@ def forcing_number(
     """
     check_perfect_matching(g, m)
     if method == "cycle_hitting":
-        universe = m.edges
-        position = {e: i for i, e in enumerate(universe)}
-        seeds = []
-        for cyc in alternating_cycles(g, m, limits.cycle_limit):
-            mask = 0
-            for e in cyc.m_edges:
-                mask |= 1 << position[e]
-            seeds.append(mask)
-        value, cand = _lazy_minimum_hitting(
-            len(universe), lambda _cand: None, limits.node_limit, seeds
-        )
-        witness = tuple(universe[i] for i in cand)
-        return ForcingResult(value, m, witness, "cycle_hitting")
-
-    if method != "subset_search":
+        bit = {e: 1 << i for i, e in enumerate(m.edges)}
+        cycles = alternating_cycles(g, m, limits.cycle_limit)
+        seeds = [sum(map(bit.__getitem__, cyc.m_edges)) for cyc in cycles]
+        mask = _kernels_py._lazy_minimum_hitting(len(bit), lambda _: None, limits.node_limit, seeds)
+        if mask == -1:
+            raise ResourceLimitError("subset-search node limit exceeded")
+    elif method == "subset_search":
+        (mask,) = _search_masks(g, [m], True, limits)
+    else:
         raise ValueError(f"unknown forcing method {method!r}")
-    value, witness = _min_hitting(g, m, True, limits)
-    return ForcingResult(value, m, witness, "subset_search")
+    return ForcingResult(mask.bit_count(), m, _members(m.edges, mask), method)
 
 
 def anti_forcing_number(
@@ -218,79 +132,37 @@ def anti_forcing_number(
 ) -> ForcingResult:
     """Minimum set of non-matching edges whose removal leaves ``m`` unique."""
     check_perfect_matching(g, m)
-    value, witness = _min_hitting(g, m, False, limits)
-    return ForcingResult(value, m, witness, "subset_search")
+    (mask,) = _search_masks(g, [m], False, limits)
+    universe = [e for e in g.edges if e not in m.edges]
+    return ForcingResult(mask.bit_count(), m, _members(universe, mask), "subset_search")
 
 
-def _min_hitting(
-    g: Graph, m: Matching, forcing: bool, limits: SolverLimits
-) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Size and lexicographically-first witness of a minimum forcing set
-    (``forcing``: a candidate deletes the ends of matching edges) or
-    anti-forcing set (a candidate removes non-matching edges) of ``m``.
-
-    A rejected candidate leaves a second perfect matching; the constraint
-    is the first cycle of its symmetric difference with what remains of
-    ``m``, walked from its lowest vertex, restricted to the universe's side.
-    """
-    mates = m.mates(g.order)
-    if forcing:
-        universe = m.edges
-    else:
-        universe = tuple((u, v) for u, v in g.edges if mates[u] != v)
-    position = {e: i for i, e in enumerate(universe)}
-    h = g.handle
-    full = g.full_mask
-
-    def check(cand: tuple[int, ...]) -> Optional[int]:
-        chosen = tuple(universe[i] for i in cand)
-        active, removed = (full & ~_vertex_mask(chosen), ()) if forcing else (full, chosen)
-        if _backend.pm_count(h, active, 2, removed) == 1:
-            return None
-        pms = _backend.pm_enumerate(h, active, 2, removed)
-        residual = tuple(e for e in m.edges if active >> e[0] & 1)
-        other = pms[0] if pms[0] != residual else pms[1]
-        omates = dict(other)
-        omates.update((v, u) for u, v in other)
-        start = v = next(a for a, b in other if mates[a] != b)
-        mask = 0
-        while True:
-            u = mates[v]
-            w = omates[u]
-            e = (v, u) if forcing else (u, w)
-            mask |= 1 << position[e if e[0] < e[1] else (e[1], e[0])]
-            v = w
-            if v == start:
-                return mask
-
-    value, cand = _lazy_minimum_hitting(len(universe), check, limits.node_limit)
-    return value, tuple(universe[i] for i in cand)
+def _members(universe: Sequence[tuple[int, int]], mask: int) -> tuple[tuple[int, int], ...]:
+    return tuple(e for i, e in enumerate(universe) if mask >> i & 1)
 
 
-def _search_values(
+def _search_masks(
     g: Graph, pms: Sequence[Matching], forcing: bool, limits: SolverLimits
 ) -> list[int]:
-    """f(G,M) (``forcing``) or af(G,M) of each matching of ``pms``.
-
-    The compiled backend runs the same search in C for all of them in one
-    call, spending nodes as ``_lazy_minimum_hitting`` does, and returns the
-    values alone, ending at the first -1: the node budget ran out (raised
-    here as ``ResourceLimitError``, as ``_min_hitting`` would).  A -2 says
-    the universe (over 64 edges) or the constraint store (over 512) is too
-    large for it; ``_min_hitting`` answers for that matching, and for every
-    matching when there is no compiled search.
-    """
-    fn = _backend.forcing_value if forcing else _backend.anti_forcing_value
-    if fn is None:
-        values = [-2] * len(pms)
-    else:
-        values = fn(g.handle, [m.edges for m in pms], limits.node_limit)
-    if values and values[-1] == -1:
+    """The minimum forcing set (``forcing``) or anti-forcing set of each
+    matching of ``pms``, as the backend's search gives it.  A -1 (the node
+    ceiling) raises ``ResourceLimitError``; for a -2 (the compiled search
+    declines the universe or constraint store) the twin answers."""
+    name = "forcing_value" if forcing else "anti_forcing_value"
+    masks = getattr(_backend, name)(g.handle, [m.edges for m in pms], limits.node_limit)
+    if -2 in masks:
+        twin = getattr(_kernels_py, name)
+        masks = [
+            twin(g.adj, [m.edges], limits.node_limit)[0] if mask == -2 else mask
+            for m, mask in zip(pms, masks)
+        ]
+    if -1 in masks:
         raise ResourceLimitError("subset-search node limit exceeded")
-    return [
-        _min_hitting(g, m, forcing, limits)[0] if value == -2 else value
-        for m, value in zip(pms, values)
-    ]
+    return masks
+
+
+def _popcounts(masks: Sequence[int]) -> list[int]:
+    return [mask.bit_count() for mask in masks]
 
 
 def cycle_packing(
@@ -396,11 +268,11 @@ def spectrum(
     pms = _perfect_matchings(g, limits)
     firsts = _orbits(g, pms)
     solved = _solved(pms, firsts)
-    values = _spread(_search_values(g, solved, True, limits), firsts)
+    values = _spread(_popcounts(_search_masks(g, solved, True, limits)), firsts)
     c_values = af_values = af_error = None
     if with_anti_forcing:
         try:
-            af_values = _spread(_search_values(g, solved, False, limits), firsts)
+            af_values = _spread(_popcounts(_search_masks(g, solved, False, limits)), firsts)
         except ResourceLimitError as exc:
             af_error = str(exc)
     if with_cycle_packing and af_error is None:
@@ -416,7 +288,7 @@ def anti_forcing_values(
     """af(G,M) per perfect matching, in enumeration order."""
     pms = _perfect_matchings(g, limits)
     firsts = _orbits(g, pms)
-    return _spread(_search_values(g, _solved(pms, firsts), False, limits), firsts)
+    return _spread(_popcounts(_search_masks(g, _solved(pms, firsts), False, limits)), firsts)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from typing import Iterator, Optional
 from . import __version__
 from .errors import GraphError
 from .graphs import (
+    GRAPH6_HEADER,
     Graph,
     _raw_graph,
     canonical_graph6,
@@ -299,11 +300,11 @@ def plan_shards(config: SweepConfig) -> Iterator[Shard]:
     return (shard for universe in universes for shard in _shards_for_masks(*universe))
 
 
-def _shard_graphs(shard: Shard) -> Iterator[Graph | tuple[str, VerdictRow]]:
-    """The graphs a shard verifies, in order: every line of a stream, where a
-    line that does not decode stands as the (graph_id, row) of its aborted
-    INPUT record, or every graph of a universe slice or every canonical
-    member of a class shard that has a perfect matching."""
+def _shard_graphs(shard: Shard) -> Iterator[tuple[str, Graph | VerdictRow]]:
+    """The (graph_id, graph) pairs a shard verifies, in order: every line of
+    a stream, where a line that does not decode stands with the row of its
+    aborted INPUT record, or every graph of a universe slice or every
+    canonical member of a class shard that has a perfect matching."""
     if shard.kind == "stream":
         for line in shard.lines:
             # the line with each byte that is not UTF-8 written as \xNN
@@ -311,10 +312,13 @@ def _shard_graphs(shard: Shard) -> Iterator[Graph | tuple[str, VerdictRow]]:
             try:
                 if text != line:
                     raise GraphError("line is not UTF-8")
-                item = graph6_decode(line)
+                g = graph6_decode(line)
             except GraphError as exc:
-                item = text, VerdictRow({}, (("INPUT", "", None, ABORTED, "n/a", str(exc)),))
-            yield item
+                yield text, VerdictRow({}, (("INPUT", "", None, ABORTED, "n/a", str(exc)),))
+                continue
+            # a line that decodes and is a bare graph6 body is the graph's encoding
+            bare = line == line.strip() and not line.startswith(GRAPH6_HEADER)
+            yield (line if bare else graph6_encode(g)), g
         return
     if shard.kind == "classes":
         graphs = (_raw_graph(shard.order, rows) for rows in shard.classes)
@@ -328,7 +332,7 @@ def _shard_graphs(shard: Shard) -> Iterator[Graph | tuple[str, VerdictRow]]:
             graphs = (bipartite_graph_from_mask(shard.order, mask) for mask in masks)
     for g in graphs:
         if has_perfect_matching(g):
-            yield g
+            yield graph6_encode(g), g
 
 
 def run_shard(shard: Shard, config: SweepConfig) -> tuple[list, dict, int]:
@@ -337,8 +341,9 @@ def run_shard(shard: Shard, config: SweepConfig) -> tuple[list, dict, int]:
     graph keeps its row's failing records, if it has any."""
     tally: Counter = Counter()
     kept = []
-    for item in _shard_graphs(shard):
-        graph_id, row = item if isinstance(item, tuple) else verdict_row(item, limits=config.limits)
+    for graph_id, row in _shard_graphs(shard):
+        if isinstance(row, Graph):
+            row = verdict_row(row, graph_id, limits=config.limits)
         tally[row] += 1
         if config.failures_only:
             row = row.failing()

@@ -529,22 +529,20 @@ def _lone_row(theorem_id: str, g: Graph, status: str, detail: str) -> VerdictRow
     return VerdictRow(inputs, ((theorem_id, "", None, status, EQ_NA, detail),))
 
 
-def verdict_row(g: Graph, *, limits: SolverLimits = DEFAULT_LIMITS) -> tuple[str, VerdictRow]:
-    """The graph's graph6 and its row: one verdict per statement of
-    THEOREMS, in table order; see the module docstring for the status
-    semantics.  Graphs with equal verdicts and inputs share one interned
-    row, except where a verdict holds the graph's own failure witness or a
+def verdict_row(g: Graph, graph_id: str, *, limits: SolverLimits = DEFAULT_LIMITS) -> VerdictRow:
+    """The graph's row: one verdict per statement of THEOREMS, in table
+    order; see the module docstring for the status semantics.  ``graph_id``
+    is the graph's graph6 (``graph6_encode(g)``), which a failure witness
+    quotes.  Graphs with equal verdicts and inputs share one interned row,
+    except where a verdict holds the graph's own failure witness or a
     freshly computed observed value that is not an int (True and 1 are
     equal keys, but encode apart)."""
-    graph_id = graph6_encode(g)
     if g.order % 2 or not has_perfect_matching(g):
-        return graph_id, _lone_row(
-            "NO_PERFECT_MATCHING", g, INAPPLICABLE, "graph has no perfect matching"
-        )
+        return _lone_row("NO_PERFECT_MATCHING", g, INAPPLICABLE, "graph has no perfect matching")
     try:
         c = _Facts(g, graph_id, limits)
     except ResourceLimitError as exc:
-        return graph_id, _lone_row("RESOURCE", g, ABORTED, str(exc))
+        return _lone_row("RESOURCE", g, ABORTED, str(exc))
     cached = _VERDICTS.setdefault(c.key, {})
     verdicts, shared = [], True
     for check in THEOREMS:
@@ -570,14 +568,14 @@ def verdict_row(g: Graph, *, limits: SolverLimits = DEFAULT_LIMITS) -> tuple[str
         row = VerdictRow(c.inputs, tuple(entries))
         if shared and witness is None:
             _ROWS[key] = row
-    return graph_id, row
+    return row
 
 
 def verify_graph(g: Graph, *, limits: SolverLimits = DEFAULT_LIMITS) -> list[VerdictRecord]:
     """One record per statement of THEOREMS: the graph's ``verdict_row``
     as records, in table order."""
-    graph_id, row = verdict_row(g, limits=limits)
-    return row.records(graph_id)
+    graph_id = graph6_encode(g)
+    return verdict_row(g, graph_id, limits=limits).records(graph_id)
 
 
 # ---------------------------------------------------------------------------

@@ -115,50 +115,52 @@ def test_pack_masks_parity(masks):
 @given(graphs)
 @settings(max_examples=150, deadline=None)
 def test_search_fastpath_matches_python_search(gh):
-    # the compiled whole-search values must agree with the witness-producing
-    # subset search (an independent code path)
+    # both backends' searches give the same minimum set of each matching, and
+    # each forcing set is the one the cycle-hitting solver finds over the
+    # full alternating-cycle list (an independent code path)
     from forcing_lab.graphs import build_graph
     from forcing_lab.matchings import enumerate_perfect_matchings
-    from forcing_lab.solver import anti_forcing_number, forcing_number
+    from forcing_lab.solver import forcing_number
 
     n, bits = gh
     rows = graph_rows(n, bits)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1]
     g = build_graph(n, edges)
     pms = enumerate_perfect_matchings(g)[:3]
-    h = compiled.make_handle(rows)
+    hp, hc = _kernels_py.make_handle(rows), compiled.make_handle(rows)
     edges = [m.edges for m in pms]
-    assert compiled.forcing_value(h, edges, 10**7) == [forcing_number(g, m).value for m in pms]
-    assert compiled.anti_forcing_value(h, edges, 10**7) == [
-        anti_forcing_number(g, m).value for m in pms
-    ]
+    masks = compiled.forcing_value(hc, edges, 10**7)
+    assert masks == _kernels_py.forcing_value(hp, edges, 10**7)
+    assert compiled.anti_forcing_value(hc, edges, 10**7) == _kernels_py.anti_forcing_value(
+        hp, edges, 10**7
+    )
+    for m, mask in zip(pms, masks):
+        witness = forcing_number(g, m, method="cycle_hitting").witness_set
+        assert witness == tuple(e for i, e in enumerate(m.edges) if mask >> i & 1)
 
 
 def test_search_ceiling_parity():
-    # both backends spend search nodes alike, so at every node limit the
-    # compiled value is -1 exactly where the Python search raises
-    from forcing_lab.errors import ResourceLimitError
+    # both backends spend search nodes alike, so at every node limit they
+    # give the same set, or -1 together
     from forcing_lab.matchings import enumerate_perfect_matchings
-    from forcing_lab.solver import SolverLimits, _min_hitting
 
-    searches = ((True, compiled.forcing_value), (False, compiled.anti_forcing_value))
+    searches = (
+        (compiled.forcing_value, _kernels_py.forcing_value),
+        (compiled.anti_forcing_value, _kernels_py.anti_forcing_value),
+    )
     rng = random.Random(0xCE11)
     results = ceilings = 0
     for _ in range(100):
         g = random_graph(rng.randint(4, 8), 0.3 + 0.2 * rng.random(), rng)
-        h = compiled.make_handle(g.adj)
+        hc, hp = compiled.make_handle(g.adj), _kernels_py.make_handle(g.adj)
         for m in enumerate_perfect_matchings(g):
-            for forcing, fn in searches:
+            for fn, twin in searches:
                 for node_limit in range(1, 51):
-                    (value,) = fn(h, [m.edges], node_limit)
+                    (value,) = fn(hc, [m.edges], node_limit)
                     if value == -2:
                         continue
-                    limits = SolverLimits(node_limit=node_limit)
-                    try:
-                        expected = _min_hitting(g, m, forcing, limits)[0]
-                    except ResourceLimitError:
-                        expected = -1
-                    assert value == expected, (g.edges, m.edges, forcing, node_limit)
+                    expected = twin(hp, [m.edges], node_limit)
+                    assert [value] == expected, (g.edges, m.edges, node_limit)
                     results += 1
                     ceilings += value == -1
     assert (results, ceilings) == (8400, 2292)
@@ -166,28 +168,28 @@ def test_search_ceiling_parity():
 
 def test_search_parity_past_one_word(monkeypatch):
     # a dense seeded order-12 graph whose af search learns 82 constraints, so
-    # the compiled search holds each set of them in two words: its value and
-    # the Python search's agree at the node ceiling, and both run out of
+    # the compiled search holds each set of them in two words: both backends
+    # give the same 24-edge set at the node ceiling, and both run out of
     # budget one node below it
-    from forcing_lab.errors import ResourceLimitError
     from forcing_lab.matchings import enumerate_perfect_matchings
-    from forcing_lab.solver import SolverLimits, _min_hitting
 
     g = random_graph(12, 0.85, random.Random(25))
     m = enumerate_perfect_matchings(g, limit=1)[0]
-    h = compiled.make_handle(g.adj)
+    hc, hp = compiled.make_handle(g.adj), _kernels_py.make_handle(g.adj)
     nodes = 83011
-    assert compiled.anti_forcing_value(h, [m.edges], nodes) == [24]
+    (mask,) = compiled.anti_forcing_value(hc, [m.edges], nodes)
+    assert mask.bit_count() == 24
     for node_limit in (nodes - 1, nodes // 2, 1000):
-        assert compiled.anti_forcing_value(h, [m.edges], node_limit) == [-1]
-    # each constraint the Python search learns costs it one pm_enumerate call
+        assert compiled.anti_forcing_value(hc, [m.edges], node_limit) == [-1]
+    # each constraint the twin's search learns costs it one pm_enumerate call
     learnt = []
-    enumerate_two = _backend.pm_enumerate
-    monkeypatch.setattr(_backend, "pm_enumerate", lambda *a: learnt.append(a) or enumerate_two(*a))
-    assert _min_hitting(g, m, False, SolverLimits(node_limit=nodes))[0] == 24
+    enumerate_two = _kernels_py.pm_enumerate
+    monkeypatch.setattr(
+        _kernels_py, "pm_enumerate", lambda *a: learnt.append(a) or enumerate_two(*a)
+    )
+    assert _kernels_py.anti_forcing_value(hp, [m.edges], nodes) == [mask]
     assert len(learnt) == 82
-    with pytest.raises(ResourceLimitError):
-        _min_hitting(g, m, False, SolverLimits(node_limit=nodes - 1))
+    assert _kernels_py.anti_forcing_value(hp, [m.edges], nodes - 1) == [-1]
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
@@ -225,11 +227,14 @@ def test_search_fastpath_budget_sentinel():
     g = generate("complete_bipartite", 4, 4)
     pms = [m.edges for m in enumerate_perfect_matchings(g)]
     h = compiled.make_handle(g.adj)
-    assert compiled.forcing_value(h, pms[:1], 2) == [-1]
-    # the list ends at the first matching whose budget runs out
-    assert compiled.forcing_value(h, pms, 2) == [-1]
-    assert compiled.forcing_value(h, pms, 10**7) == [3] * 24
-    assert compiled.forcing_value(h, [], 2) == []
+    hp = _kernels_py.make_handle(g.adj)
+    for search, handle in ((compiled.forcing_value, h), (_kernels_py.forcing_value, hp)):
+        assert search(handle, pms[:1], 2) == [-1]
+        # the list ends at the first matching whose budget runs out
+        assert search(handle, pms, 2) == [-1]
+        # the lowest three of the four matching edges
+        assert search(handle, pms, 10**7) == [0b0111] * 24
+        assert search(handle, [], 2) == []
 
 
 def wide_graph():
@@ -245,14 +250,19 @@ def wide_graph():
 
 
 def test_search_fastpath_large_universe_falls_back():
-    # the compiled af search answers -2 and the subset search runs
+    # the compiled af search answers -2 and the twin's search answers
     from forcing_lab.solver import anti_forcing_number, is_anti_forcing_set, spectrum
 
     g, pms = wide_graph()
     assert (g.edge_count, len(pms)) == (101, 2)
-    hc = compiled.make_handle(g.adj)
+    hc, hp = compiled.make_handle(g.adj), _kernels_py.make_handle(g.adj)
     assert all(g.edge_count - len(m) == 91 for m in pms)
-    assert compiled.anti_forcing_value(hc, [m.edges for m in pms], 10**7) == [-2, -2]
+    edges = [m.edges for m in pms]
+    assert compiled.anti_forcing_value(hc, edges, 10**7) == [-2, -2]
+    for m, mask in zip(pms, _kernels_py.anti_forcing_value(hp, edges, 10**7)):
+        off = [e for e in g.edges if e not in m.edges]
+        removed = [e for i, e in enumerate(off) if mask >> i & 1]
+        assert len(removed) == 1 and is_anti_forcing_set(g, m, removed)
     spec = spectrum(g, with_anti_forcing=True)
     assert spec.af_values == (1, 1)
     for m, af in zip(pms, spec.af_values):
@@ -293,8 +303,15 @@ def test_backend_env_override(tmp_path):
     assert "unknown FORCING_LAB_BACKEND value: 'c'" in out.stderr
 
 
-SHARED_KERNELS = {"make_handle", "pm_count", "pm_enumerate", "alt_cycles", "pack_masks"}
-SEARCH_KERNELS = {"forcing_value", "anti_forcing_value"}
+KERNELS = {
+    "make_handle",
+    "pm_count",
+    "pm_enumerate",
+    "alt_cycles",
+    "pack_masks",
+    "forcing_value",
+    "anti_forcing_value",
+}
 
 
 def public_names(module):
@@ -307,10 +324,9 @@ def public_names(module):
 
 
 def test_module_exports():
-    # each backend exports exactly the names _backend binds from it
-    assert public_names(compiled) == {"BACKEND_NAME"} | SHARED_KERNELS | SEARCH_KERNELS
-    assert public_names(_kernels_py) == {"BACKEND_NAME"} | SHARED_KERNELS
-    assert all(hasattr(_backend, kernel) for kernel in SHARED_KERNELS | SEARCH_KERNELS)
+    # both backends export the same names, exactly those _backend binds
+    assert public_names(compiled) == public_names(_kernels_py) == {"BACKEND_NAME"} | KERNELS
+    assert all(hasattr(_backend, kernel) for kernel in KERNELS)
     assert _backend.mis is None
 
 
@@ -398,7 +414,7 @@ def kernel_round(h, wide):
     assert compiled.alt_cycles(h, K4_MATES, 1) is None
     assert compiled.pack_masks([3, 12, 5, 6, 15]) == 2
     assert compiled.forcing_value(h, [K4_M, list(map(list, K4_M))], 100) == [1, 1]
-    assert compiled.anti_forcing_value(h, (K4_M,), 100) == [2]
+    assert compiled.anti_forcing_value(h, (K4_M,), 100) == [0b0011]  # (0, 2) and (0, 3)
     assert compiled.forcing_value(h, [K4_M, K4_M], 1) == [-1]
     assert compiled.anti_forcing_value(h, [K4_M], 1) == [-1]
     assert compiled.anti_forcing_value(*wide, 100) == [-2, -2]

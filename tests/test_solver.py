@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import itertools
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -16,14 +19,14 @@ from oracles import (
     oracle_matching_orbit_firsts,
     oracle_perfect_matchings,
 )
-from conftest import random_graph
+from conftest import ROOT, random_graph
 from forcing_lab.errors import (
     GraphError,
     MatchingError,
     NoPerfectMatchingError,
     ResourceLimitError,
 )
-from forcing_lab import cli, solver
+from forcing_lab import BACKEND_NAME, _kernels_py, cli, solver
 from forcing_lab.families import (
     instantiate_family,
     is_cograph,
@@ -511,6 +514,47 @@ class TestMatchingOrbits:
         with contextlib.redirect_stdout(out):
             assert cli.main(["compute", spec, "--json"]) == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == COMPUTE_JSON_SHA256[spec]
+
+    def test_compute_json_unchanged_on_the_python_backend(self):
+        # every pin but H:7,2 (half the time of all fifteen) in one process
+        # whose searches are the twin's
+        specs = sorted(set(COMPUTE_JSON_SHA256) - {"H:7,2"})
+        code = (
+            "import contextlib, hashlib, io, sys\n"
+            "from forcing_lab import BACKEND_NAME, cli\n"
+            "print(BACKEND_NAME)\n"
+            "for spec in sys.argv[1:]:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        assert cli.main(['compute', spec, '--json']) == 0\n"
+            "    print(spec, hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+        )
+        env = {
+            **os.environ,
+            "FORCING_LAB_BACKEND": "python",
+            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *sys.path]),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *specs], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        backend, *lines = proc.stdout.splitlines()
+        assert backend == "python"
+        assert dict(line.split() for line in lines) == {s: COMPUTE_JSON_SHA256[s] for s in specs}
+
+    @pytest.mark.skipif(BACKEND_NAME != "compiled", reason="needs the compiled kernels")
+    def test_compiled_compute_makes_no_twin_search(self, monkeypatch):
+        # Q:4's universes fit the compiled search, so its values and both
+        # witnesses come from there
+        calls = []
+        monkeypatch.setattr(
+            _kernels_py, "_lazy_minimum_hitting", lambda *args: calls.append(args)
+        )
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["compute", "Q:4", "--json"]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == COMPUTE_JSON_SHA256["Q:4"]
+        assert calls == []
 
 
 class TestAntiForcingCeiling:

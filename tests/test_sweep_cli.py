@@ -202,15 +202,19 @@ class TestStream:
 
 
     def test_non_utf8_line_is_an_input_record(self, tmp_path, capsys):
-        # the bytes \xff\xfe stand as written, so the CSV can hold the line
+        # the bytes \xff\xfe stand as written, so the CSV can hold the line;
+        # K2 written with a header or padded by blanks keeps its graph6 id
         stream, report, table = (tmp_path / name for name in ("in.g6", "out.json", "out.csv"))
-        stream.write_bytes(b"A_\r\n\xff\xfe\n\nzz\r\n")
+        stream.write_bytes(b"A_\r\n\xff\xfe\n\n>>graph6<<A_\r\n  A_ \t\r\nzz\r\n")
         argv = ["verify", str(stream), "--json", str(report), "--csv", str(table)]
         assert main(argv) == 0  # as for "zz", a line that is not graph6
         capsys.readouterr()
         payload = json.loads(report.read_text())
-        assert payload["summary"]["graphs_verified"] == 3
+        assert payload["summary"]["graphs_verified"] == 5
         records = payload["records"]
+        k2 = [r for r in records if r["graph_id"] == "A_"]
+        assert len(k2) == 3 * len(verify_graph(generate("complete", 2)))
+        assert {r["graph_id"] for r in records} == {"A_", "\\xff\\xfe", "zz"}
         aborted = [(r["graph_id"], r["detail"]) for r in records if r["status"] == "aborted"]
         assert aborted == [
             ("\\xff\\xfe", "line is not UTF-8"), ("zz", "graph6 order 59 outside 1..32")

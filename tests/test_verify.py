@@ -314,13 +314,14 @@ class TestVerdictCache:
     def test_graphs_with_equal_verdicts_share_one_row(self):
         c4 = generate("cycle", 4)
         relabelled = build_graph(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
-        (one, row), (two, same) = (verify.verdict_row(g) for g in (c4, relabelled))
+        one, two = (graph6_encode(g) for g in (c4, relabelled))
+        row, same = verify.verdict_row(c4, one), verify.verdict_row(relabelled, two)
         assert one != two and row is same
         assert row.records(one) == verify_graph(c4)
         assert [r.theorem_id for r in row.records(two)] == [r.theorem_id for r in row.records(one)]
         # a graph without a perfect matching has a row of its own
         lone = build_graph(2, [])
-        assert verify.verdict_row(lone)[1] is not verify.verdict_row(lone)[1]
+        assert verify.verdict_row(lone, "A?") is not verify.verdict_row(lone, "A?")
 
     def test_each_failing_graph_keeps_its_own_witness(self, monkeypatch):
         # two labellings of C_4: one inputs key, two witnesses.  The failing
