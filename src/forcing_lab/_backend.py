@@ -34,6 +34,7 @@ alt_cycles = _impl.alt_cycles
 pack_masks = _impl.pack_masks
 forcing_value = _impl.forcing_value
 anti_forcing_value = _impl.anti_forcing_value
+class_flags = _impl.class_flags
 
 # always None: neither backend has a maximum independent set, but the
 # benchmark's tracer names ``mis`` among the kernels it times

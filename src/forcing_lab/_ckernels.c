@@ -8,6 +8,11 @@
  * universe.  They run the twin's hitting-set search and spend search nodes
  * exactly as it does, but hold its constraints as bit sets over constraint
  * indices, so that a search node filters and prunes with word operations.
+ * class_flags(h) returns (flags, side_u) for the graph: flags has bit 0
+ * connected, 1 bipartite, 2 balanced (bipartite with equal sides), 3 split,
+ * 4 cograph, 5 the f = n-1 predictor, 6 G1 member and 7 G2 member, and
+ * side_u is the colour-0 side of the 2-colouring that puts each component's
+ * smallest vertex on it (0 where the graph has an odd cycle).
  *
  * A graph handle copies the adjacency rows of a simple graph on at most 64
  * vertices into a C array.  Arguments that come from Python are checked
@@ -873,6 +878,234 @@ static PyObject *anti_forcing_value(PyObject *self, PyObject *const *args, Py_ss
 }
 
 /* ------------------------------------------------------------------------
+ * class recognizers
+ *
+ * class_flags mirrors _kernels_py.class_flags, flag for flag: the component
+ * searches run on vertex masks, the cograph recursion on the graph's and its
+ * complement's rows, the split test on the degree counts, and the G2 test
+ * finds the allowed edges with count_rec. */
+
+enum {
+    CONNECTED = 1 << 0,
+    BIPARTITE = 1 << 1,
+    BALANCED = 1 << 2,
+    SPLIT = 1 << 3,
+    COGRAPH = 1 << 4,
+    F_N1 = 1 << 5,
+    G1_MEMBER = 1 << 6,
+    G2_MEMBER = 1 << 7,
+};
+
+/* The component of the lowest vertex of mask (not 0) in the subgraph that
+ * rows[] induce on mask. */
+static uint64_t first_component(const uint64_t *rows, uint64_t mask)
+{
+    uint64_t comp = mask & (~mask + 1), frontier = comp;
+    while (frontier) {
+        uint64_t next = 0;
+        for (; frontier; frontier &= frontier - 1)
+            next |= rows[lowest_bit(frontier)];
+        frontier = next & mask & ~comp;
+        comp |= frontier;
+    }
+    return comp;
+}
+
+/* The colour-0 side of the 2-colouring that puts the smallest vertex of each
+ * component on it, into *side_u; returns 0 if adj has an odd cycle. */
+static int two_colouring(const uint64_t *adj, int n, uint64_t *side_u)
+{
+    uint64_t full = all_vertices(n), seen = 0, side = 0;
+    while (seen != full) {
+        uint64_t unseen = full & ~seen, layer = unseen & (~unseen + 1);
+        for (int even = 1; layer; even = !even) {
+            seen |= layer;
+            if (even)
+                side |= layer;
+            uint64_t next = 0;
+            for (; layer; layer &= layer - 1)
+                next |= adj[lowest_bit(layer)];
+            layer = next & ~seen;
+        }
+    }
+    for (int v = 0; v < n; v++)
+        if (adj[v] & ((side >> v) & 1 ? side : full & ~side))
+            return 0;
+    *side_u = side;
+    return 1;
+}
+
+/* Hammer-Simeone: with the degrees d_1 >= ... >= d_p and m = max{i : d_i >=
+ * i-1}, split iff sum_{i<=m} d_i = m(m-1) + sum_{i>m} d_i.  As d_i - i falls
+ * strictly, the i with d_i >= i-1 are 1..m. */
+static int is_split(const uint64_t *adj, int n)
+{
+    int count[MAXV] = {0};
+    for (int v = 0; v < n; v++)
+        count[popcount(adj[v])]++;
+    long long i = 0, m = 0, head = 0, total = 0;
+    for (int d = n - 1; d >= 0; d--) {
+        for (int c = 0; c < count[d]; c++) {
+            total += d;
+            if (d >= i++) {
+                m = i;
+                head += d;
+            }
+        }
+    }
+    return head == m * (m - 1) + total - head;
+}
+
+/* P4-free: the subgraph induced on mask is one vertex, or is disconnected in
+ * the graph or in its complement co[] with every component a cograph.  Each
+ * level drops a vertex, so the recursion is at most MAXV deep. */
+static int is_cograph(const uint64_t *adj, const uint64_t *co, uint64_t mask)
+{
+    if (popcount(mask) <= 1)
+        return 1;
+    const uint64_t *rows = adj;
+    if (first_component(adj, mask) == mask) {
+        rows = co;
+        if (first_component(co, mask) == mask)
+            return 0;
+    }
+    for (uint64_t rest = mask, comp; rest; rest &= ~comp) {
+        comp = first_component(rows, rest);
+        if (!is_cograph(adj, co, comp))
+            return 0;
+    }
+    return 1;
+}
+
+/* The f = n-1 predictor on 2n vertices: complete multipartite with parts of
+ * at most n (the complement's components are cliques of at most n
+ * vertices), or K_{n,n} with extra edges inside one side (the n vertices off
+ * a degree-n vertex's row all have that row). */
+static int predicts_f_n1(const uint64_t *adj, const uint64_t *co, int order)
+{
+    if (order & 1)
+        return 0;
+    int n = order / 2, small = 1;
+    uint64_t full = all_vertices(order);
+    long long pairs = (long long)order * (order - 1) / 2, clique_pairs = 0;
+    for (int v = 0; v < order; v++)
+        pairs -= popcount(adj[v] & bits_above(v));
+    for (uint64_t rest = full, comp; rest; rest &= ~comp) {
+        comp = first_component(co, rest);
+        int k = popcount(comp);
+        small &= k <= n;
+        clique_pairs += (long long)k * (k - 1) / 2;
+    }
+    if (small && clique_pairs == pairs)
+        return 1;
+    for (int v = 0; v < order; v++) {
+        uint64_t row = adj[v], side_b = full & ~row;
+        if (popcount(row) != n || popcount(side_b) != n)
+            continue;
+        int same = 1;
+        for (uint64_t b = side_b; same && b; b &= b - 1)
+            same = adj[lowest_bit(b)] == row;
+        if (same)
+            return 1;
+    }
+    return 0;
+}
+
+/* Whether rows[] join, inside mask, every vertex of u_mask to every vertex
+ * outside it and no two vertices on the same side. */
+static int complete_bipartite(const uint64_t *rows, uint64_t mask, uint64_t u_mask)
+{
+    uint64_t cu = mask & u_mask, cv = mask & ~u_mask;
+    for (uint64_t rest = mask; rest; rest &= rest - 1) {
+        int x = lowest_bit(rest);
+        if ((rows[x] & mask) != ((cu >> x) & 1 ? cv : cu))
+            return 0;
+    }
+    return 1;
+}
+
+/* G1 on the balanced 2-colouring side_u of 2n vertices: the components of the
+ * bipartite complement that meet both sides are complete bipartite, at least
+ * one, each on at most n vertices. */
+static int g1_member(const uint64_t *adj, int order, uint64_t side_u)
+{
+    uint64_t full = all_vertices(order), side_v = full & ~side_u, rows[MAXV];
+    int parts = 0;
+    for (int v = 0; v < order; v++)
+        rows[v] = ((side_u >> v) & 1 ? side_v : side_u) & ~adj[v];
+    for (uint64_t rest = full, comp; rest; rest &= ~comp) {
+        comp = first_component(rows, rest);
+        if (!(comp & side_u) || !(comp & side_v))
+            continue;  /* an isolated vertex of the complement */
+        if (!complete_bipartite(rows, comp, side_u) || 2 * popcount(comp) > order)
+            return 0;
+        parts++;
+    }
+    return parts > 0;
+}
+
+/* G2 on the 2-colouring side_u: the allowed edges (those in some perfect
+ * matching) form two components, each with as many vertices on either side,
+ * on which adj induces a complete bipartite graph. */
+static int g2_member(const uint64_t *adj, int order, uint64_t side_u)
+{
+    uint64_t full = all_vertices(order), allowed[MAXV] = {0};
+    for (int u = 0; u < order; u++) {
+        for (uint64_t row = adj[u] & bits_above(u); row; row &= row - 1) {
+            int v = lowest_bit(row);
+            if (count_rec(adj, full & ~(BIT(u) | BIT(v)), 1) == 1) {
+                allowed[u] |= BIT(v);
+                allowed[v] |= BIT(u);
+            }
+        }
+    }
+    uint64_t first = first_component(allowed, full), second = full & ~first;
+    if (second == 0 || first_component(allowed, second) != second)
+        return 0;
+    for (int k = 0; k < 2; k++) {
+        uint64_t comp = k ? second : first;
+        int cu = popcount(comp & side_u);
+        if (cu == 0 || 2 * cu != popcount(comp) || !complete_bipartite(adj, comp, side_u))
+            return 0;
+    }
+    return 1;
+}
+
+/* (h) -> (flags, side_u): the bits above, and the colour-0 side of the
+ * 2-colouring (0 where the graph has an odd cycle). */
+static PyObject *class_flags(PyObject *self, PyObject *arg)
+{
+    GraphHandle *h = parse_handle("class_flags", &arg, 1, 1, 1);
+    if (h == NULL)
+        return NULL;
+    int n = h->n;
+    uint64_t full = all_vertices(n), side_u = 0, co[MAXV];
+    for (int v = 0; v < n; v++)
+        co[v] = full & ~h->adj[v] & ~BIT(v);
+    long flags = 0;
+    if (n > 0 && first_component(h->adj, full) == full)
+        flags |= CONNECTED;
+    if (two_colouring(h->adj, n, &side_u)) {
+        flags |= BIPARTITE;
+        if (2 * popcount(side_u) == n) {
+            flags |= BALANCED;
+            if (g1_member(h->adj, n, side_u))
+                flags |= G1_MEMBER;
+            if (g2_member(h->adj, n, side_u))
+                flags |= G2_MEMBER;
+        }
+    }
+    if (is_split(h->adj, n))
+        flags |= SPLIT;
+    if (is_cograph(h->adj, co, full))
+        flags |= COGRAPH;
+    if (predicts_f_n1(h->adj, co, n))
+        flags |= F_N1;
+    return Py_BuildValue("(lK)", flags, (unsigned long long)side_u);
+}
+
+
+/* ------------------------------------------------------------------------
  * module */
 
 #define FASTCALL(f) (PyCFunction)(void (*)(void))(f), METH_FASTCALL
@@ -898,6 +1131,9 @@ static PyMethodDef methods[] = {
     {"anti_forcing_value", FASTCALL(anti_forcing_value),
      "anti_forcing_value($module, h, matchings, node_limit, /)\n--\n\n"
      "Minimum anti-forcing set of each perfect matching as a mask; the list ends at the first -1."},
+    {"class_flags", class_flags, METH_O,
+     "class_flags($module, h, /)\n--\n\n"
+     "The graph's class flags and the colour-0 side of its 2-colouring."},
     {NULL, NULL, 0, NULL},
 };
 

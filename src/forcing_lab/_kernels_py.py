@@ -8,6 +8,15 @@ the backend can be swapped at import time (see ``forcing_lab._backend``).
 Conventions: a graph handle is the adjacency row tuple itself (row ``u``
 has bit ``v`` set iff ``uv`` is an edge); vertex sets are int bitmasks;
 matchings are tuples of ``(u, v)`` pairs with ``u < v``.
+
+``class_flags(handle)`` returns ``(flags, side_u)``, the class facts the
+theorem table reads: ``flags`` has bit 0 connected, 1 bipartite, 2
+balanced (bipartite with equal sides), 3 split, 4 cograph, 5 the f = n-1
+predictor, 6 G1 member and 7 G2 member (both judged on balanced bipartite
+graphs only), and ``side_u`` is the colour-0 side of the 2-colouring that
+puts each component's smallest vertex on it, or 0 where there is none.
+Its helpers (``_components``, ``_f0_free_parts``) also serve
+``graphs.mask_components`` and ``families.f0_free_deletions``.
 """
 
 from __future__ import annotations
@@ -281,3 +290,184 @@ def anti_forcing_value(handle, matchings, node_limit):
     """As ``forcing_value``, for anti-forcing sets: a mask over the edges
     off the matching, in sorted order."""
     return _search(handle, matchings, node_limit, False)
+
+
+# ---------------------------------------------------------------------------
+# class recognizers
+
+
+def _components(rows, mask):
+    """Connected-component vertex masks of the subgraph that the adjacency
+    ``rows`` induce on ``mask``, ordered by smallest contained vertex."""
+    out = []
+    rest = mask
+    while rest:
+        comp = rest & -rest
+        frontier = comp
+        while frontier:
+            nxt = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                nxt |= rows[bit.bit_length() - 1]
+            frontier = nxt & mask & ~comp
+            comp |= frontier
+        rest &= ~comp
+        out.append(comp)
+    return out
+
+
+def _side_u(adj):
+    """The colour-0 side of the 2-colouring that puts the smallest vertex of
+    each component on it (isolated vertices too), or None on an odd cycle."""
+    color = [-1] * len(adj)
+    for start in range(len(adj)):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        queue = [start]
+        while queue:
+            u = queue.pop()
+            row = adj[u]
+            while row:
+                bit = row & -row
+                row ^= bit
+                v = bit.bit_length() - 1
+                if color[v] == -1:
+                    color[v] = 1 - color[u]
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    return None
+    return sum(1 << v for v, c in enumerate(color) if c == 0)
+
+
+def _is_split(adj):
+    """Clique + independent set partition, decided by the degree sequence
+    (Hammer-Simeone): with d_1 >= ... >= d_p and m = max{i : d_i >= i-1},
+    split iff sum_{i<=m} d_i = m(m-1) + sum_{i>m} d_i."""
+    d = sorted((row.bit_count() for row in adj), reverse=True)
+    m = 0
+    for i in range(1, len(d) + 1):
+        if d[i - 1] >= i - 1:
+            m = i
+    return sum(d[:m]) == m * (m - 1) + sum(d[m:])
+
+
+def _is_cograph(adj, co, full):
+    """P4-free, via the complement-component recursion (over vertex masks)."""
+
+    def rec(mask):
+        if mask.bit_count() <= 1:
+            return True
+        parts = _components(adj, mask)
+        if len(parts) == 1:
+            parts = _components(co, mask)
+        return len(parts) > 1 and all(rec(p) for p in parts)
+
+    return rec(full)
+
+
+def _predicts_f_n1(adj, co, full):
+    """Complete multipartite with parts <= n, or K_{n,n} with extra edges
+    inside one side: some n-set B is independent with every B-to-rest pair
+    an edge.  The order is 2n."""
+    order = len(adj)
+    if order % 2:
+        return False
+    n = order // 2
+    # complete multipartite <=> the complement is a disjoint union of
+    # cliques <=> its components hold all of its edges as pairs
+    sizes = [mask.bit_count() for mask in _components(co, full)]
+    pairs = order * (order - 1) // 2 - sum(row.bit_count() for row in adj) // 2
+    if all(k <= n for k in sizes) and sum(k * (k - 1) // 2 for k in sizes) == pairs:
+        return True
+    # K_{n,n} plus edges inside one side: B = V minus N(v) for a degree-n
+    # vertex v, with every B vertex seeing exactly the other side
+    for row in adj:
+        if row.bit_count() != n:
+            continue
+        side_b = full & ~row
+        if side_b.bit_count() == n and all(
+            adj[v] == row for v in range(order) if side_b >> v & 1
+        ):
+            return True
+    return False
+
+
+def _complete_bipartite(rows, mask, u_mask):
+    """Whether ``rows`` join, inside ``mask``, every vertex of ``u_mask`` to
+    every vertex outside it and no two vertices on the same side."""
+    cu = mask & u_mask
+    cv = mask & ~u_mask
+    bits = mask
+    while bits:
+        bit = bits & -bits
+        bits ^= bit
+        if rows[bit.bit_length() - 1] & mask != (cv if bit & cu else cu):
+            return False
+    return True
+
+
+def _f0_free_parts(adj, u_mask, v_mask):
+    """The components of the bipartite complement (between ``u_mask`` and
+    ``v_mask``) that meet both sides, by smallest vertex, when each of them
+    is complete bipartite (the F0-free structure), else None."""
+    rows = [(v_mask if u_mask >> v & 1 else u_mask) & ~row for v, row in enumerate(adj)]
+    out = []
+    for mask in _components(rows, u_mask | v_mask):
+        if not mask & u_mask or not mask & v_mask:
+            continue  # isolated vertex of the complement
+        if not _complete_bipartite(rows, mask, u_mask):
+            return None
+        out.append(mask)
+    return out
+
+
+def _g2_member(adj, u_mask, full):
+    """The allowed edges (those in some perfect matching) form two balanced
+    components, each of which induces a complete bipartite graph."""
+    allowed = [0] * len(adj)
+    for u, row in enumerate(adj):
+        row &= -(1 << (u + 1))
+        while row:
+            vbit = row & -row
+            row ^= vbit
+            if pm_count(adj, full & ~(1 << u | vbit), 1) == 1:
+                allowed[u] |= vbit
+                allowed[vbit.bit_length() - 1] |= 1 << u
+    comps = _components(allowed, full)
+    return len(comps) == 2 and all(
+        0 < (mask & u_mask).bit_count() == (mask & ~u_mask).bit_count()
+        and _complete_bipartite(adj, mask, u_mask)
+        for mask in comps
+    )
+
+
+def class_flags(handle):
+    """The graph's class facts as ``(flags, side_u)``; the module docstring
+    gives the bits.  G1/G2 membership is judged against ``side_u``: G1 when
+    the bipartite complement's components that meet both sides are complete
+    bipartite, at least one, each on at most n of the 2n vertices; G2 as
+    ``_g2_member`` says."""
+    adj = handle
+    full = (1 << len(adj)) - 1
+    co = [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
+    side_u = _side_u(adj)
+    bipartite = side_u is not None
+    balanced = bipartite and 2 * side_u.bit_count() == len(adj)
+    g1 = g2 = False
+    if balanced:
+        parts = _f0_free_parts(adj, side_u, full & ~side_u)
+        g1 = bool(parts) and all(2 * mask.bit_count() <= len(adj) for mask in parts)
+        g2 = _g2_member(adj, side_u, full)
+    flags = (
+        (len(_components(adj, full)) == 1)
+        | bipartite << 1
+        | balanced << 2
+        | _is_split(adj) << 3
+        | _is_cograph(adj, co, full) << 4
+        | _predicts_f_n1(adj, co, full) << 5
+        | g1 << 6
+        | g2 << 7
+    )
+    return flags, side_u or 0

@@ -13,17 +13,23 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
+from . import _kernels_py
 from .errors import FamilyError
 from .graphs import (
+    BIPARTITE,
+    COGRAPH,
+    CONNECTED,
+    F_N1,
+    G1_MEMBER,
+    G2_MEMBER,
+    SPLIT,
     Bipartition,
     Graph,
     ORDER_CAP,
-    bipartition_of,
     build_graph,
     cartesian_product,
     generate,
     join,
-    mask_components,
 )
 from .matchings import allowed_edges
 
@@ -196,56 +202,30 @@ def make_G2_member(
 
 
 # ---------------------------------------------------------------------------
-# class recognizers
+# class recognizers: each reads the flags of the one class-kernel call a
+# graph makes (``Graph.class_flags``; the methods are in ``_kernels_py``)
 
 
 def is_split(g: Graph) -> bool:
-    """Clique + independent set partition, decided by the degree sequence
-    (Hammer-Simeone): with d_1 >= ... >= d_p and m = max{i : d_i >= i-1},
-    split iff sum_{i<=m} d_i = m(m-1) + sum_{i>m} d_i."""
-    d = sorted(g.degrees, reverse=True)
-    p = len(d)
-    m = 0
-    for i in range(1, p + 1):
-        if d[i - 1] >= i - 1:
-            m = i
-    lhs = sum(d[:m])
-    rhs = m * (m - 1) + sum(d[m:])
-    return lhs == rhs
-
-
-def _complement_rows(g: Graph) -> list[int]:
-    full = g.full_mask
-    return [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
+    """Clique + independent set partition (Hammer-Simeone degree test)."""
+    return bool(g.class_flags[0] & SPLIT)
 
 
 def is_cograph(g: Graph) -> bool:
-    """P4-free, via the complement-component recursion (over vertex masks)."""
-    adj, co = g.adj, _complement_rows(g)
-
-    def rec(mask: int) -> bool:
-        if mask.bit_count() <= 1:
-            return True
-        parts = mask_components(adj, mask)
-        if len(parts) == 1:
-            parts = mask_components(co, mask)
-        return len(parts) > 1 and all(rec(p) for p in parts)
-
-    return rec(g.full_mask)
+    """P4-free (complement-component recursion)."""
+    return bool(g.class_flags[0] & COGRAPH)
 
 
-def _complete_bipartite(rows: Sequence[int], mask: int, u_mask: int) -> bool:
-    """Whether ``rows`` join, inside ``mask``, every vertex of ``u_mask`` to
-    every vertex outside it and no two vertices on the same side."""
-    cu = mask & u_mask
-    cv = mask & ~u_mask
-    bits = mask
-    while bits:
-        bit = bits & -bits
-        bits ^= bit
-        if rows[bit.bit_length() - 1] & mask != (cv if bit & cu else cu):
-            return False
-    return True
+def recognize_f_n1(g: Graph) -> bool:
+    """Predictor for f(G) = n-1: complete multipartite with parts <= n, or
+    K_{n,n} with arbitrary extra edges inside one partite set.
+
+    Edges inside *both* sides collapse the minimum forcing number (adding
+    one edge per side of K_{3,3} already gives f = 1), so the second family
+    keeps one side independent: some n-set B is independent with every
+    B-to-rest pair an edge.
+    """
+    return bool(g.class_flags[0] & F_N1)
 
 
 def f0_free_deletions(
@@ -257,19 +237,11 @@ def f0_free_deletions(
     Components are listed by their smallest vertex; edgeless components are
     omitted (they delete nothing).
     """
-    u_mask = bip.u_mask
-    v_mask = bip.v_mask
-    rows = [(v_mask if (u_mask >> v) & 1 else u_mask) & ~row for v, row in enumerate(g.adj)]
-    out = []
-    for mask in mask_components(rows, g.full_mask):
-        cu = mask & u_mask
-        cv = mask & v_mask
-        if cu == 0 or cv == 0:
-            continue  # isolated vertex of the complement
-        if not _complete_bipartite(rows, mask, u_mask):
-            return None
-        out.append((cu.bit_count(), cv.bit_count()))
-    return tuple(out)
+    u_mask, v_mask = bip.u_mask, bip.v_mask
+    parts = _kernels_py._f0_free_parts(g.adj, u_mask, v_mask)
+    if parts is None:
+        return None
+    return tuple(((mask & u_mask).bit_count(), (mask & v_mask).bit_count()) for mask in parts)
 
 
 @dataclass(frozen=True)
@@ -282,72 +254,22 @@ class ClassReport:
     bipartite: bool
     g1_member: bool
     g2_member: bool
+    connected: bool
+    predicts_f_n1: bool  # recognize_f_n1
 
 
 def classify(g: Graph) -> ClassReport:
-    """Split, cograph, bipartite and G1/G2 membership in one report."""
-    split = is_split(g)
-    cograph = is_cograph(g)
-    bip = bipartition_of(g)
-    if bip is None or not bip.balanced:
-        return ClassReport(split, cograph, bip is not None, False, False)
-    n = g.order // 2
-    deletions = f0_free_deletions(g, bip)
-    g1 = bool(deletions) and all(a + b <= n for a, b in deletions)
-    # G2: the allowed edges form two balanced components, each of which
-    # induces a complete bipartite graph (no forbidden edge hides inside one)
-    rows = [0] * g.order
-    for u, v in allowed_edges(g):
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    u_mask = bip.u_mask
-    comps = mask_components(rows, g.full_mask)
-    g2 = len(comps) == 2 and all(
-        0 < (mask & u_mask).bit_count() == (mask & ~u_mask).bit_count()
-        and _complete_bipartite(g.adj, mask, u_mask)
-        for mask in comps
+    """Every class flag of the graph in one report, from one kernel call."""
+    flags = g.class_flags[0]
+    return ClassReport(
+        is_split=bool(flags & SPLIT),
+        is_cograph=bool(flags & COGRAPH),
+        bipartite=bool(flags & BIPARTITE),
+        g1_member=bool(flags & G1_MEMBER),
+        g2_member=bool(flags & G2_MEMBER),
+        connected=bool(flags & CONNECTED),
+        predicts_f_n1=bool(flags & F_N1),
     )
-    return ClassReport(split, cograph, True, g1, g2)
-
-
-def recognize_f_n1(g: Graph) -> bool:
-    """Predictor for f(G) = n-1: complete multipartite with parts <= n, or
-    K_{n,n} with arbitrary extra edges inside one partite set.
-
-    Edges inside *both* sides collapse the minimum forcing number (adding
-    one edge per side of K_{3,3} already gives f = 1), so the second family
-    keeps one side independent: some n-set B is independent with every
-    B-to-rest pair an edge.
-    """
-    if g.order % 2:
-        return False
-    n = g.order // 2
-    # complete multipartite <=> the complement is a disjoint union of
-    # cliques <=> its components hold all of its edges as pairs
-    sizes = [mask.bit_count() for mask in mask_components(_complement_rows(g), g.full_mask)]
-    pairs = g.order * (g.order - 1) // 2 - g.edge_count
-    if max(sizes) <= n and sum(k * (k - 1) // 2 for k in sizes) == pairs:
-        return True
-    # K_{n,n} plus edges inside one side: B = V minus N(v) for a degree-n
-    # vertex v, with every B vertex seeing exactly the other side
-    for v in range(g.order):
-        if g.degree(v) != n:
-            continue
-        side_a = g.adj[v]
-        side_b = g.full_mask & ~side_a
-        if side_b.bit_count() != n:
-            continue
-        bits = side_b
-        ok = True
-        while bits:
-            bit = bits & -bits
-            bits ^= bit
-            if g.adj[bit.bit_length() - 1] != side_a:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from . import _backend
+from . import _backend, _kernels_py
 from .errors import GraphError
 
 ORDER_CAP = 32
+
+# The bits of the class kernel's flags (``_backend.class_flags``).
+CONNECTED, BIPARTITE, BALANCED, SPLIT, COGRAPH, F_N1, G1_MEMBER, G2_MEMBER = (
+    1 << i for i in range(8)
+)
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -21,7 +26,7 @@ GRAPH6_HEADER = ">>graph6<<"
 class Graph:
     """Immutable simple graph: adjacency bit-rows plus a sorted edge list."""
 
-    __slots__ = ("order", "adj", "edges", "_handle", "_canon")
+    __slots__ = ("order", "adj", "edges", "_handle", "_canon", "_classes")
 
     def __init__(self, order: int, adj: Sequence[int]):
         if not 0 < order <= ORDER_CAP:
@@ -44,6 +49,7 @@ class Graph:
         object.__setattr__(self, "edges", _edges_from_rows(order, rows))
         object.__setattr__(self, "_handle", None)
         object.__setattr__(self, "_canon", None)
+        object.__setattr__(self, "_classes", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -61,6 +67,15 @@ class Graph:
         if self._handle is None:
             object.__setattr__(self, "_handle", _backend.make_handle(self.adj))
         return self._handle
+
+    @property
+    def class_flags(self) -> tuple[int, int]:
+        """The class kernel's ``(flags, side_u)``: the bits above, and the
+        colour-0 side of the 2-colouring (0 without one).  One kernel call
+        per graph, on first use."""
+        if self._classes is None:
+            object.__setattr__(self, "_classes", _backend.class_flags(self.handle))
+        return self._classes
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -122,6 +137,7 @@ def _raw_graph(order: int, rows, edges=None) -> Graph:
     )
     object.__setattr__(g, "_handle", None)
     object.__setattr__(g, "_canon", None)
+    object.__setattr__(g, "_classes", None)
     return g
 
 
@@ -238,22 +254,7 @@ def generate(kind: str, *params: int) -> Graph:
 def mask_components(rows: Sequence[int], mask: int) -> list[int]:
     """Connected-component vertex masks of the subgraph that the adjacency
     ``rows`` induce on ``mask``, ordered by smallest contained vertex."""
-    out = []
-    rest = mask
-    while rest:
-        comp = rest & -rest
-        frontier = comp
-        while frontier:
-            nxt = 0
-            while frontier:
-                bit = frontier & -frontier
-                frontier ^= bit
-                nxt |= rows[bit.bit_length() - 1]
-            frontier = nxt & mask & ~comp
-            comp |= frontier
-        rest &= ~comp
-        out.append(comp)
-    return out
+    return _kernels_py._components(rows, mask)
 
 
 def components(g: Graph) -> list[int]:
@@ -262,33 +263,18 @@ def components(g: Graph) -> list[int]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) == 1
+    return bool(g.class_flags[0] & CONNECTED)
 
 
 def bipartition_of(g: Graph) -> Optional[Bipartition]:
     """A 2-colouring per component (smallest vertex of each goes to side_u),
     or None if the graph has an odd cycle.  Isolated vertices land in side_u."""
-    color = [-1] * g.order
-    for start in range(g.order):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            row = g.adj[u]
-            while row:
-                bit = row & -row
-                row ^= bit
-                v = bit.bit_length() - 1
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
-    side_u = tuple(v for v in range(g.order) if color[v] == 0)
-    side_v = tuple(v for v in range(g.order) if color[v] == 1)
-    return Bipartition(side_u, side_v, len(side_u) == len(side_v))
+    flags, side_u = g.class_flags
+    if not flags & BIPARTITE:
+        return None
+    side_v = tuple(v for v in range(g.order) if not side_u >> v & 1)
+    side_u = tuple(v for v in range(g.order) if side_u >> v & 1)
+    return Bipartition(side_u, side_v, bool(flags & BALANCED))
 
 
 def cyclomatic_number(g: Graph) -> int:

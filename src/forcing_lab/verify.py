@@ -38,16 +38,8 @@ from .families import (
     make_H_hat_join,
     make_matching_join,
     parse_family_spec,
-    recognize_f_n1,
 )
-from .graphs import (
-    Graph,
-    are_isomorphic,
-    bipartition_of,
-    components,
-    graph6_encode,
-    is_connected,
-)
+from .graphs import Graph, are_isomorphic, bipartition_of, graph6_encode
 from .matchings import has_perfect_matching
 from .solver import (
     DEFAULT_LIMITS,
@@ -182,28 +174,29 @@ class VerdictRow:
 
 
 # ---------------------------------------------------------------------------
-# class recognizers by components and counts (the constructed extremal
-# graphs are decided by are_isomorphic)
+# class recognizers by degrees (the constructed extremal graphs are decided
+# by are_isomorphic)
 
 
 def is_nk2(g: Graph) -> bool:
-    return all(mask.bit_count() == 2 for mask in components(g)) and g.order % 2 == 0
+    """Disjoint single edges: every vertex has exactly one neighbour."""
+    return all(row.bit_count() == 1 for row in g.adj)
 
 
 def is_c4_k2_union(g: Graph, n_cycles: int) -> bool:
-    """Disjoint union of exactly ``n_cycles`` 4-cycles plus single edges: a
-    component on 2 vertices is an edge, and one on 4 vertices is a 4-cycle
-    when each of them has exactly 2 neighbours."""
-    cycles = 0
-    for mask in components(g):
-        size = mask.bit_count()
-        if size == 2:
+    """Disjoint union of exactly ``n_cycles`` 4-cycles plus single edges.
+    Every vertex has one or two neighbours; a degree-1 vertex's neighbour has
+    degree 1 (an edge), and a degree-2 vertex's two neighbours have the same
+    row (with it and their other common neighbour, a 4-cycle)."""
+    degrees, twos = g.degrees, 0
+    for row, degree in zip(g.adj, degrees):
+        high = row.bit_length() - 1
+        if degree == 1 and degrees[high] == 1:
             continue
-        if size == 4 and all(g.degree(v) == 2 for v in range(g.order) if mask >> v & 1):
-            cycles += 1
-            continue
-        return False
-    return cycles == n_cycles
+        if degree != 2 or g.adj[(row & -row).bit_length() - 1] != g.adj[high]:
+            return False
+        twos += 1
+    return twos == 4 * n_cycles
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +228,9 @@ class _Facts:
     def __init__(self, g: Graph, graph_id: str, limits: SolverLimits):
         self.g, self.graph_id = g, graph_id
         self.n, self.e, self.delta = g.order // 2, g.edge_count, g.min_degree
-        self.connected = is_connected(g)
-        self.report = classify(g)
-        self.bipartite = self.report.bipartite
-        self.split, self.cograph = self.report.is_split, self.report.is_cograph
+        self.report = report = classify(g)
+        self.connected, self.bipartite = report.connected, report.bipartite
+        self.split, self.cograph = report.is_split, report.is_cograph
         self.spec = spectrum(g, limits=limits, with_anti_forcing=True)
         self.f, self.F = self.spec.f_min, self.spec.f_max
         af = self.spec.af_values
@@ -324,7 +316,7 @@ class _Iff:
     deficit: int
     predicted: Callable[[_Facts], bool]
     applies: Callable[[_Facts], bool] = lambda c: True
-    reads_graph: bool = False  # ``predicted`` reads the graph, not c.inputs
+    reads_graph: bool = False  # ``predicted`` reads more of the graph than c.inputs
 
     def verdict(self, c: _Facts):
         if not self.applies(c):
@@ -466,7 +458,7 @@ THEOREMS = (
     ),
     _Iff(
         "THM_4_3", "f=n-1 iff complete multipartite or K_{n,n}+sides", 1,
-        lambda c: recognize_f_n1(c.g), reads_graph=True,
+        lambda c: c.report.predicts_f_n1, reads_graph=True,
     ),
     _Iff(
         "THM_4_5", "f=n-2 iff G1 or G2 member", 2,

@@ -67,6 +67,21 @@ def random_graph(order: int, p: float, rng: random.Random):
     return build_graph(order, edges)
 
 
+def order8_sample_lines() -> list[str]:
+    """graph6 lines of 2,000 labelled order-8 graphs with a perfect matching,
+    from seeded random edge masks."""
+    from forcing_lab import sweep
+    from forcing_lab.graphs import graph6_encode
+    from forcing_lab.matchings import has_perfect_matching
+
+    rng, pairs, lines = random.Random(8), sweep._all_pairs(8), []
+    while len(lines) < 2000:
+        g = sweep.graph_from_edge_mask(8, pairs, rng.getrandbits(28))
+        if has_perfect_matching(g):
+            lines.append(graph6_encode(g))
+    return lines
+
+
 def family_stream_lines() -> list[str]:
     """The lines `forcing-lab generate` prints for these specs: the extremal
     equality cases at orders 8-16 (H, Hhat, HhatJoin, MJoin, K_{n,n}), and

@@ -198,3 +198,56 @@ def oracle_is_f0_free(g: Graph, side_u, side_v) -> bool:
             if edges == 1:
                 return False
     return True
+
+
+def oracle_predicts_f_n1(g: Graph) -> bool:
+    """The f = n-1 families on 2n vertices: non-adjacency is an equivalence
+    relation whose classes have at most n vertices (complete multipartite
+    with parts <= n), or some independent n-set is joined to every other
+    vertex (K_{n,n} plus edges inside the other side)."""
+    if g.order % 2:
+        return False
+    n = g.order // 2
+    vertices = range(g.order)
+    apart = [[u == v or not g.has_edge(u, v) for v in vertices] for u in vertices]
+    transitive = all(
+        apart[u][w] for u in vertices for v in vertices for w in vertices
+        if apart[u][v] and apart[v][w]
+    )
+    if transitive and all(sum(row) <= n for row in apart):
+        return True
+    return any(
+        all(g.has_edge(b, v) != (v in side) for b in side for v in vertices if v != b)
+        for side in map(set, itertools.combinations(vertices, n))
+    )
+
+
+def oracle_is_g2_member(g: Graph) -> bool:
+    """Bipartite, and the vertices split into two sets that each induce a
+    balanced complete bipartite graph K_{a,a} (a >= 1), with no edge between
+    them in any perfect matching (from ``oracle_perfect_matchings``)."""
+    if not any(
+        all((s >> u & 1) != (s >> v & 1) for u, v in g.edges) for s in range(0, 1 << g.order, 2)
+    ):
+        return False  # no 2-colouring (vertex 0 on side 0)
+    allowed = {e for pm in oracle_perfect_matchings(g) for e in pm}
+
+    def balanced_complete_bipartite(part):
+        first = min(part)
+        near = {v for v in part if g.has_edge(first, v)}
+        far = set(part) - near
+        return len(near) == len(far) and all(
+            g.has_edge(u, v) == ((u in near) != (v in near)) for u in part for v in part if u != v
+        )
+
+    for size in range(1, g.order):
+        for part in itertools.combinations(range(1, g.order), size - 1):
+            first = {0, *part}
+            second = set(range(g.order)) - first
+            if (
+                balanced_complete_bipartite(first)
+                and balanced_complete_bipartite(second)
+                and not any((u in first) != (v in first) for u, v in allowed)
+            ):
+                return True
+    return False

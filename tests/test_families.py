@@ -1,6 +1,12 @@
 import pytest
 
-from oracles import oracle_is_cograph, oracle_is_f0_free, oracle_is_split
+from oracles import (
+    oracle_is_cograph,
+    oracle_is_f0_free,
+    oracle_is_g2_member,
+    oracle_is_split,
+    oracle_predicts_f_n1,
+)
 from conftest import random_graph
 from forcing_lab.errors import FamilyError
 from forcing_lab.families import (
@@ -203,6 +209,67 @@ class TestRecognizers:
                 hits.add(got)
                 assert got == oracle_is_cograph(g)
             assert hits == {True, False}, order
+
+    def test_class_flags_against_oracles(self):
+        # every labelled graph of orders 1-5, every fourth of order 6 (the
+        # kernel parity test takes all of them) and every side-major
+        # bipartite graph of side <= 3: each flag of the one kernel call, and
+        # the 2-colouring behind G1/G2, against brute force
+        from forcing_lab.sweep import bipartite_graph_from_mask
+
+        def universe():
+            for order in range(1, 7):
+                pairs = [(u, v) for u in range(order) for v in range(u + 1, order)]
+                for bits in range(0, 1 << len(pairs), 4 if order == 6 else 1):
+                    yield build_graph(order, [p for i, p in enumerate(pairs) if bits >> i & 1])
+            for side in (1, 2, 3):
+                for mask in range(1 << (side * side)):
+                    yield bipartite_graph_from_mask(side, mask)
+
+        hits = {}
+        for g in universe():
+            report, bip = classify(g), bipartition_of(g)
+            full, n = g.full_mask, g.order // 2
+            # crossing[s]: the edges with one end in the vertex set s
+            crossing = [
+                sum((row & ~s).bit_count() for u, row in enumerate(g.adj) if s >> u & 1)
+                for s in range(full + 1)
+            ]
+            # connected: every cut that keeps vertex 0 on one side is crossed
+            assert report.connected == all(crossing[s] for s in range(1, full, 2))
+            # bipartite: some 2-colouring has every edge crossing; the
+            # canonical one wins at the smallest vertex where it differs
+            # from any other (each component's smallest vertex is on side u)
+            colourings = [s for s, cut in enumerate(crossing) if cut == g.edge_count]
+            assert report.bipartite == bool(colourings) == (bip is not None)
+            if bip is not None:
+                assert bip.u_mask in colourings and bip.u_mask | bip.v_mask == full
+                assert all(d & -d & bip.u_mask for d in (bip.u_mask ^ s for s in colourings) if d)
+                assert bip.balanced == (2 * len(bip.side_u) == g.order)
+            assert report.is_split == oracle_is_split(g)
+            assert report.is_cograph == oracle_is_cograph(g)
+            assert report.predicts_f_n1 == oracle_predicts_f_n1(g)
+            assert report.g2_member == oracle_is_g2_member(g)
+            # G1: K_{n,n} less blocks of missing cross pairs, each a complete
+            # bipartite graph on at most n vertices; pairs sharing a vertex
+            # share a block
+            g1 = False
+            if bip is not None and bip.balanced:
+                missing = [(u, v) for u in bip.side_u for v in bip.side_v if not g.has_edge(u, v)]
+                blocks = []
+                for pair in missing:
+                    joined = [b for b in blocks if b & set(pair)]
+                    blocks = [b for b in blocks if not b & set(pair)]
+                    blocks.append(set(pair).union(*joined))
+                g1 = (
+                    bool(missing)
+                    and oracle_is_f0_free(g, bip.side_u, bip.side_v)
+                    and all(len(b) <= n for b in blocks)
+                )
+            assert report.g1_member == g1
+            for name, value in vars(report).items():
+                hits.setdefault(name, set()).add(value)
+        assert all(seen == {True, False} for seen in hits.values()), hits
 
     def test_hhat_split_example(self):
         assert classify(make_H_hat(5)).is_split

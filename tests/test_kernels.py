@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NO_KERNELS_REASON, ROOT, cc, random_graph
+from conftest import NO_KERNELS_REASON, ROOT, cc, order8_sample_lines, random_graph
 from forcing_lab import _backend, _kernels_py
 
 if NO_KERNELS_REASON:
@@ -271,6 +271,68 @@ def test_search_fastpath_large_universe_falls_back():
         assert is_anti_forcing_set(g, m, result.witness_set)
 
 
+def class_flag_rows():
+    """Adjacency rows of every labelled graph of orders 1-6, of every
+    bipartite mask with side <= 3, and of the seeded order-8 sample."""
+    from forcing_lab.graphs import graph6_decode
+    from forcing_lab.sweep import bipartite_graph_from_mask
+
+    for order in range(1, 7):
+        for bits in range(1 << (order * (order - 1) // 2)):
+            yield graph_rows(order, bits)
+    for side in (1, 2, 3):
+        for mask in range(1 << (side * side)):
+            yield bipartite_graph_from_mask(side, mask).adj
+    for line in order8_sample_lines():
+        yield graph6_decode(line).adj
+
+
+def test_class_flags_parity():
+    # equal flags and side masks; each flag is set somewhere and clear
+    # somewhere, so no bit is parity by default
+    seen_set = seen_clear = 0
+    count = 0
+    for rows in class_flag_rows():
+        flags, side_u = compiled.class_flags(compiled.make_handle(rows))
+        assert (flags, side_u) == _kernels_py.class_flags(rows), rows
+        seen_set |= flags
+        seen_clear |= ~flags
+        count += 1
+    assert count == 33_867 + 2 + 16 + 512 + 2000
+    assert seen_set & 0xFF == seen_clear & 0xFF == 0xFF
+
+
+def threshold_rows(order):
+    """Vertex v joined to every earlier vertex when v is odd: the cograph
+    recursion peels one vertex a level, in the graph and its complement by
+    turns, so it runs ``order`` levels deep."""
+    rows = [0] * order
+    for v in range(1, order, 2):
+        for u in range(v):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return tuple(rows)
+
+
+def test_class_flags_on_64_vertices():
+    from forcing_lab.graphs import BALANCED, BIPARTITE, COGRAPH, CONNECTED, SPLIT
+
+    matching = tuple(1 << (v ^ 1) for v in range(64))  # 32 disjoint edges
+    path = tuple((v and 1 << v - 1) | (v < 63 and 1 << v + 1) for v in range(64))
+    cases = {
+        threshold_rows(64): CONNECTED | SPLIT | COGRAPH,
+        matching: BIPARTITE | BALANCED | COGRAPH,
+        path: CONNECTED | BIPARTITE | BALANCED,
+        (): None,
+    }
+    for rows, flags in cases.items():
+        got = compiled.class_flags(compiled.make_handle(rows))
+        assert got == _kernels_py.class_flags(rows)
+        if flags is not None:
+            assert got[0] == flags, (bin(got[0]), rows)
+    assert compiled.class_flags(compiled.make_handle(path))[1] == 0x5555_5555_5555_5555
+
+
 def test_cycle_ceiling_sentinel():
     rows = graph_rows(6, (1 << 15) - 1)  # K6
     hp = _kernels_py.make_handle(rows)
@@ -311,6 +373,7 @@ KERNELS = {
     "pack_masks",
     "forcing_value",
     "anti_forcing_value",
+    "class_flags",
 }
 
 
@@ -351,6 +414,9 @@ def bad_calls(h):
         (TypeError, lambda: compiled.forcing_value(None, [K4_M], 10)),
         (TypeError, lambda: compiled.anti_forcing_value(None, [K4_M], 10)),
         (TypeError, lambda: compiled.pack_masks([1.0])),
+        (TypeError, lambda: compiled.class_flags(None)),
+        (TypeError, lambda: compiled.class_flags(h, h)),
+        (TypeError, lambda: compiled.class_flags(h=h)),  # positional only
         (TypeError, lambda: compiled.pm_count(h, 15, cap=2)),  # positional only
         (TypeError, lambda: compiled.alt_cycles(h, K4_MATES)),
         (OverflowError, lambda: compiled.make_handle([-1])),
@@ -418,6 +484,10 @@ def kernel_round(h, wide):
     assert compiled.forcing_value(h, [K4_M, K4_M], 1) == [-1]
     assert compiled.anti_forcing_value(h, [K4_M], 1) == [-1]
     assert compiled.anti_forcing_value(*wide, 100) == [-2, -2]
+    # K4: connected, split, cograph, f = n-1; C4: connected, bipartite with
+    # sides {0, 2} and {1, 3}, cograph, f = n-1
+    assert compiled.class_flags(h) == (0b00111001, 0)
+    assert compiled.class_flags(compiled.make_handle(C4)) == (0b00110111, 0b0101)
     for error, call in bad_calls(h):
         try:
             call()

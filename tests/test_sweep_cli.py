@@ -5,7 +5,6 @@ import hashlib
 import io
 import json
 import os
-import random
 import subprocess
 import sys
 import time
@@ -14,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import ROOT, family_stream_lines, report_json
+from conftest import ROOT, family_stream_lines, order8_sample_lines, report_json
 from forcing_lab.cli import main
 from forcing_lab.errors import GraphError, ResourceLimitError
 from forcing_lab.graphs import (
@@ -25,7 +24,7 @@ from forcing_lab.graphs import (
     graph6_encode,
 )
 from forcing_lab.matchings import has_perfect_matching
-from forcing_lab import sweep, verify
+from forcing_lab import _backend, graphs, sweep, verify
 from forcing_lab.sweep import SweepConfig, build_report, plan_shards, run_sweep
 from forcing_lab.verify import CSV_COLUMNS, VerdictRecord, record_csv_row, verify_graph
 
@@ -126,6 +125,30 @@ class TestDedup:
         assert json.loads(ck.read_text())["completed_shards"] == 1
         digest = hashlib.sha256(report_json(run_sweep(cfg)).encode()).hexdigest()
         assert digest == DEDUP_ORDER_6_REPORT_SHA256
+
+    def test_dedup_reports_unchanged_on_the_python_backend(self):
+        # the twin's class recognizers, end to end: both isomorph-free pins
+        # in one process whose kernels are all the twin's
+        code = (
+            "import hashlib, io\n"
+            "from forcing_lab import BACKEND_NAME\n"
+            "from forcing_lab.sweep import SweepConfig, run_sweep\n"
+            "print(BACKEND_NAME)\n"
+            "for mode, size in (('all_graphs', {'max_order': 6}), ('bipartite_balanced', {'side': 3})):\n"
+            "    out = io.StringIO()\n"
+            "    run_sweep(SweepConfig(mode=mode, workers=1, dedup=True, **size)).write_json(out)\n"
+            "    print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+        )
+        env = {
+            **os.environ,
+            "FORCING_LAB_BACKEND": "python",
+            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *sys.path]),
+        }
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [
+            "python", DEDUP_ORDER_6_REPORT_SHA256, DEDUP_SIDE_3_REPORT_SHA256
+        ]
 
     def test_dedup_verdict_multiset_spot_check_order6(self, order6_sweep):
         base, _ = order6_sweep
@@ -234,14 +257,9 @@ ORDER_8_SAMPLE_CSV_SHA256 = "cc994d4ea2f9a72496be14642d9fcbb003dbc9b79e943181a6e
 
 @pytest.fixture(scope="module")
 def order8_sample(tmp_path_factory):
-    """2,000 labelled order-8 graphs with a perfect matching, from seeded
-    random edge masks, and the JSON and CSV reports of `verify` by a pool of
-    two workers."""
-    rng, pairs, lines = random.Random(8), sweep._all_pairs(8), []
-    while len(lines) < 2000:
-        g = sweep.graph_from_edge_mask(8, pairs, rng.getrandbits(28))
-        if has_perfect_matching(g):
-            lines.append(graph6_encode(g))
+    """The seeded order-8 sample (``order8_sample_lines``) and the JSON and
+    CSV reports of `verify` by a pool of two workers."""
+    lines = order8_sample_lines()
     tmp_path = tmp_path_factory.mktemp("order8_sample")
     stream, report, table = (tmp_path / name for name in ("in.g6", "out.json", "out.csv"))
     stream.write_text("\n".join(lines) + "\n")
@@ -255,6 +273,26 @@ class TestOrder8Sample:
         _, report, table = order8_sample
         assert hashlib.sha256(report.read_bytes()).hexdigest() == ORDER_8_SAMPLE_JSON_SHA256
         assert hashlib.sha256(table.read_bytes()).hexdigest() == ORDER_8_SAMPLE_CSV_SHA256
+
+    def test_one_class_kernel_call_per_graph(self, order8_sample, monkeypatch):
+        # every sampled graph has a perfect matching, and all its class
+        # flags, THM_4_3's predictor among them, come from one kernel call;
+        # no check finds components of its own
+        lines, report, _ = order8_sample
+        calls = Counter()
+        for module, name in ((_backend, "class_flags"), (graphs, "mask_components")):
+            real = getattr(module, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        out = report.with_name("one_worker.json")
+        argv = ["verify", str(report.with_name("in.g6")), "--workers", "1"]
+        assert main(argv + ["--json", str(out)]) == 0
+        assert calls == Counter(class_flags=len(lines))
+        assert out.read_bytes() == report.read_bytes()
 
 
 # graphs of 2, 4, 6 and 8 vertices with a perfect matching, one per class:
