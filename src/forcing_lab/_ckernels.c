@@ -18,8 +18,8 @@
  * vertices into a C array.  Arguments that come from Python are checked
  * before any shift or array index uses them: masks and rows must fit in 64
  * unsigned bits (OverflowError otherwise), vertex indices must lie in
- * 0..n-1, mates must pair every vertex along an edge, and a matching must be
- * a sequence of (u, v) edges that covers every vertex once (ValueError).
+ * 0..n-1, and a matching must be a sequence of (u, v) edges of the handle
+ * that covers every vertex once (ValueError).
  *
  * Build: cc -O3 -shared -fPIC -I<python include> _ckernels.c -o
  * _ckernels<EXT_SUFFIX>, or `python3 setup.py build_ext --inplace`.
@@ -144,18 +144,14 @@ static PyObject *make_handle(PyObject *self, PyObject *rows)
     return (PyObject *)h;
 }
 
-/* The handle args[0] of a kernel called with min to max positional
- * arguments, or NULL with an exception set. */
+/* The handle args[0] of a kernel called with count positional arguments,
+ * or NULL with an exception set. */
 static GraphHandle *parse_handle(const char *name, PyObject *const *args, Py_ssize_t nargs,
-                                 Py_ssize_t min, Py_ssize_t max)
+                                 Py_ssize_t count)
 {
-    if (nargs < min || nargs > max) {
-        if (min == max)
-            PyErr_Format(PyExc_TypeError, "%s() takes exactly %zd positional arguments (%zd given)",
-                         name, min, nargs);
-        else
-            PyErr_Format(PyExc_TypeError, "%s() takes %zd to %zd positional arguments (%zd given)",
-                         name, min, max, nargs);
+    if (nargs != count) {
+        PyErr_Format(PyExc_TypeError, "%s() takes exactly %zd positional arguments (%zd given)",
+                     name, count, nargs);
         return NULL;
     }
     if (!PyObject_TypeCheck(args[0], &GraphHandleType)) {
@@ -166,73 +162,76 @@ static GraphHandle *parse_handle(const char *name, PyObject *const *args, Py_ssi
     return (GraphHandle *)args[0];
 }
 
-/* The arguments (h, active, cap or limit, removed=()) of pm_count and
- * pm_enumerate.  Copies the handle's rows minus each removed (u, v) pair into
- * rows[]; returns 1, or 0 when active has odd size, or -1 on error. */
+/* The arguments (h, active, cap or limit) of pm_count and pm_enumerate into
+ * *h, *active and *cap; returns 1, or 0 when active has odd size, or -1 on
+ * error. */
 static int parse_induced(const char *name, PyObject *const *args, Py_ssize_t nargs,
-                         uint64_t *rows, uint64_t *active, long long *cap)
+                         GraphHandle **h, uint64_t *active, long long *cap)
 {
-    GraphHandle *h = parse_handle(name, args, nargs, 3, 4);
-    if (h == NULL || !to_u64(args[1], active) || to_longlong(args[2], cap) < 0)
+    *h = parse_handle(name, args, nargs, 3);
+    if (*h == NULL || !to_u64(args[1], active) || to_longlong(args[2], cap) < 0)
         return -1;
-    PyObject *removed = nargs > 3 ? args[3] : NULL, *pair;
-    if (h->n < MAXV && *active >> h->n) {
-        PyErr_Format(PyExc_ValueError, "active mask has vertices past the handle's %d", h->n);
+    if ((*h)->n < MAXV && *active >> (*h)->n) {
+        PyErr_Format(PyExc_ValueError, "active mask has vertices past the handle's %d", (*h)->n);
         return -1;
     }
-    if (popcount(*active) & 1)
-        return 0;
-    memcpy(rows, h->adj, sizeof h->adj);
-    PyObject *it = removed == NULL ? NULL : PyObject_GetIter(removed);
-    if (it == NULL)
-        return removed == NULL ? 1 : -1;
-    while ((pair = PyIter_Next(it)) != NULL) {
-        int ends[2];
-        for (int k = 0; k < 2; k++) {
-            PyObject *end = PySequence_GetItem(pair, k);
-            int rc = end == NULL ? -1 : to_vertex(end, h->n, "removed edge end", &ends[k]);
-            Py_XDECREF(end);
-            if (rc < 0) {
-                Py_DECREF(pair);
-                Py_DECREF(it);
-                return -1;
-            }
-        }
-        Py_DECREF(pair);
-        rows[ends[0]] &= ~BIT(ends[1]);
-        rows[ends[1]] &= ~BIT(ends[0]);
-    }
-    Py_DECREF(it);
-    return PyErr_Occurred() ? -1 : 1;
+    return !(popcount(*active) & 1);
 }
 
-/* The arguments (h, mates, ceiling) of alt_cycles: the handle, or NULL with
- * an exception set.  mates[] gets a sequence that pairs every vertex of the
- * handle along one of its edges (a perfect matching). */
-static GraphHandle *parse_matching(const char *name, PyObject *const *args, Py_ssize_t nargs,
-                                   int *mates, long long *limit)
+/* The edge (u, v) of h that item holds into ends[]; -1 with an exception
+ * set otherwise. */
+static int parse_edge(const GraphHandle *h, PyObject *item, int *ends)
 {
-    GraphHandle *h = parse_handle(name, args, nargs, 3, 3);
-    if (h == NULL || to_longlong(args[2], limit) < 0)
-        return NULL;
-    PyObject *seq = PySequence_Tuple(args[1]);
-    if (seq == NULL)
-        return NULL;
+    PyObject *pair = PySequence_Fast(item, "an edge must be a sequence of two vertices");
+    if (pair == NULL)
+        return -1;
     int rc = 0;
-    if (PyTuple_GET_SIZE(seq) != h->n) {
-        PyErr_Format(PyExc_ValueError, "mates must have one entry per vertex (%d)", h->n);
+    if (PySequence_Fast_GET_SIZE(pair) != 2) {
+        PyErr_Format(PyExc_ValueError, "an edge must have two ends, not %zd",
+                     PySequence_Fast_GET_SIZE(pair));
         rc = -1;
     }
-    for (int i = 0; rc == 0 && i < h->n; i++)
-        rc = to_vertex(PyTuple_GET_ITEM(seq, i), h->n, "mate", &mates[i]);
-    Py_DECREF(seq);
-    for (int v = 0; rc == 0 && v < h->n; v++) {
-        if (mates[mates[v]] != v || !((h->adj[v] >> mates[v]) & 1)) {
-            PyErr_Format(PyExc_ValueError, "mates is not a perfect matching of the handle (vertex %d)", v);
+    for (int k = 0; rc == 0 && k < 2; k++)
+        rc = to_vertex(PySequence_Fast_GET_ITEM(pair, k), h->n, "edge end", &ends[k]);
+    Py_DECREF(pair);
+    if (rc == 0 && !((h->adj[ends[0]] >> ends[1]) & 1)) {
+        PyErr_Format(PyExc_ValueError, "(%d, %d) is not an edge of the handle", ends[0], ends[1]);
+        rc = -1;
+    }
+    return rc;
+}
+
+/* The mates of the perfect matching item of h, a sequence of edges, into
+ * mates[0..n); -1 with an exception set otherwise. */
+static int parse_matching_edges(const GraphHandle *h, PyObject *item, unsigned char *mates)
+{
+    PyObject *edges = PySequence_Fast(item, "a matching must be a sequence of edges");
+    if (edges == NULL)
+        return -1;
+    Py_ssize_t size = PySequence_Fast_GET_SIZE(edges);
+    uint64_t covered = 0;
+    int rc = 0;
+    for (Py_ssize_t i = 0; rc == 0 && i < size; i++) {
+        int ends[2];
+        rc = parse_edge(h, PySequence_Fast_GET_ITEM(edges, i), ends);
+        if (rc == 0 && covered & (BIT(ends[0]) | BIT(ends[1]))) {
+            PyErr_Format(PyExc_ValueError, "the matching covers a vertex of (%d, %d) twice",
+                         ends[0], ends[1]);
             rc = -1;
         }
+        if (rc == 0) {
+            covered |= BIT(ends[0]) | BIT(ends[1]);
+            mates[ends[0]] = (unsigned char)ends[1];
+            mates[ends[1]] = (unsigned char)ends[0];
+        }
     }
-    return rc < 0 ? NULL : h;
+    Py_DECREF(edges);
+    if (rc == 0 && covered != all_vertices(h->n)) {
+        PyErr_Format(PyExc_ValueError, "the matching is not perfect on the handle's %d vertices",
+                     h->n);
+        rc = -1;
+    }
+    return rc;
 }
 
 /* ------------------------------------------------------------------------
@@ -258,12 +257,13 @@ static int64_t count_rec(const uint64_t *adj, uint64_t rem, int64_t budget)
 
 static PyObject *pm_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    uint64_t rows[MAXV], active;
+    GraphHandle *h;
+    uint64_t active;
     long long cap;
-    int rc = parse_induced("pm_count", args, nargs, rows, &active, &cap);
+    int rc = parse_induced("pm_count", args, nargs, &h, &active, &cap);
     if (rc <= 0)
         return rc < 0 ? NULL : PyLong_FromLong(0);
-    return PyLong_FromLongLong(count_rec(rows, active, cap));
+    return PyLong_FromLongLong(count_rec(h->adj, active, cap));
 }
 
 typedef struct {
@@ -310,12 +310,13 @@ static int enum_rec(Enumeration *e, uint64_t rem)
 
 static PyObject *pm_enumerate(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    uint64_t rows[MAXV], active;
+    GraphHandle *h;
+    uint64_t active;
     long long limit;
-    int rc = parse_induced("pm_enumerate", args, nargs, rows, &active, &limit);
+    int rc = parse_induced("pm_enumerate", args, nargs, &h, &active, &limit);
     if (rc < 0)
         return NULL;
-    Enumeration e = {.adj = rows, .limit = limit, .out = PyList_New(0), .depth = 0};
+    Enumeration e = {.adj = h->adj, .limit = limit, .out = PyList_New(0), .depth = 0};
     if (e.out != NULL && rc > 0 && limit != 0 && enum_rec(&e, active) < 0)
         Py_CLEAR(e.out);
     return e.out;
@@ -326,7 +327,7 @@ static PyObject *pm_enumerate(PyObject *self, PyObject *const *args, Py_ssize_t 
 
 typedef struct {
     const uint64_t *adj;
-    const int *mates;
+    const unsigned char *mates;
     int v0;
     int path[MAXV + 2];
     PyObject *out;               /* list of cycles found so far */
@@ -386,9 +387,10 @@ static int cycles_rec(CycleSearch *s, int x, uint64_t used, int depth)
 static PyObject *alt_cycles(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     long long ceiling;
-    int mates[MAXV];
-    GraphHandle *h = parse_matching("alt_cycles", args, nargs, mates, &ceiling);
-    if (h == NULL)
+    unsigned char mates[MAXV];
+    GraphHandle *h = parse_handle("alt_cycles", args, nargs, 3);
+    if (h == NULL || to_longlong(args[2], &ceiling) < 0
+        || parse_matching_edges(h, args[1], mates) < 0)
         return NULL;
     CycleSearch s = {.adj = h->adj, .mates = mates, .out = PyList_New(0), .ceiling = ceiling};
     if (s.out == NULL)
@@ -772,69 +774,13 @@ static int search_value(HitSearch *hs, const GraphHandle *h, const int *mates, i
     return lazy_search(hs, h->adj, h->n, mates, forcing, uni_u, uni_v, edge_index);
 }
 
-/* The edge (u, v) of h that item holds into ends[]; -1 with an exception
- * set otherwise. */
-static int parse_edge(const GraphHandle *h, PyObject *item, int *ends)
-{
-    PyObject *pair = PySequence_Fast(item, "an edge must be a sequence of two vertices");
-    if (pair == NULL)
-        return -1;
-    int rc = 0;
-    if (PySequence_Fast_GET_SIZE(pair) != 2) {
-        PyErr_Format(PyExc_ValueError, "an edge must have two ends, not %zd",
-                     PySequence_Fast_GET_SIZE(pair));
-        rc = -1;
-    }
-    for (int k = 0; rc == 0 && k < 2; k++)
-        rc = to_vertex(PySequence_Fast_GET_ITEM(pair, k), h->n, "edge end", &ends[k]);
-    Py_DECREF(pair);
-    if (rc == 0 && !((h->adj[ends[0]] >> ends[1]) & 1)) {
-        PyErr_Format(PyExc_ValueError, "(%d, %d) is not an edge of the handle", ends[0], ends[1]);
-        rc = -1;
-    }
-    return rc;
-}
-
-/* The mates of the perfect matching item of h, a sequence of edges, into
- * mates[0..n); -1 with an exception set otherwise. */
-static int parse_matching_edges(const GraphHandle *h, PyObject *item, unsigned char *mates)
-{
-    PyObject *edges = PySequence_Fast(item, "a matching must be a sequence of edges");
-    if (edges == NULL)
-        return -1;
-    Py_ssize_t size = PySequence_Fast_GET_SIZE(edges);
-    uint64_t covered = 0;
-    int rc = 0;
-    for (Py_ssize_t i = 0; rc == 0 && i < size; i++) {
-        int ends[2];
-        rc = parse_edge(h, PySequence_Fast_GET_ITEM(edges, i), ends);
-        if (rc == 0 && covered & (BIT(ends[0]) | BIT(ends[1]))) {
-            PyErr_Format(PyExc_ValueError, "the matching covers a vertex of (%d, %d) twice",
-                         ends[0], ends[1]);
-            rc = -1;
-        }
-        if (rc == 0) {
-            covered |= BIT(ends[0]) | BIT(ends[1]);
-            mates[ends[0]] = (unsigned char)ends[1];
-            mates[ends[1]] = (unsigned char)ends[0];
-        }
-    }
-    Py_DECREF(edges);
-    if (rc == 0 && covered != all_vertices(h->n)) {
-        PyErr_Format(PyExc_ValueError, "the matching is not perfect on the handle's %d vertices",
-                     h->n);
-        rc = -1;
-    }
-    return rc;
-}
-
 /* The two searches: (h, matchings, node_limit) -> a list of set masks, one
  * per matching, that ends at the first -1. */
 static PyObject *search_values(const char *name, int forcing, PyObject *const *args,
                                Py_ssize_t nargs)
 {
     long long node_limit;
-    GraphHandle *h = parse_handle(name, args, nargs, 3, 3);
+    GraphHandle *h = parse_handle(name, args, nargs, 3);
     if (h == NULL || to_longlong(args[2], &node_limit) < 0)
         return NULL;
     PyObject *seq = PySequence_Fast(args[1], "matchings must be a sequence");
@@ -1075,7 +1021,7 @@ static int g2_member(const uint64_t *adj, int order, uint64_t side_u)
  * 2-colouring (0 where the graph has an odd cycle). */
 static PyObject *class_flags(PyObject *self, PyObject *arg)
 {
-    GraphHandle *h = parse_handle("class_flags", &arg, 1, 1, 1);
+    GraphHandle *h = parse_handle("class_flags", &arg, 1, 1);
     if (h == NULL)
         return NULL;
     int n = h->n;
@@ -1114,13 +1060,13 @@ static PyMethodDef methods[] = {
     {"make_handle", make_handle, METH_O,
      "make_handle($module, adj, /)\n--\n\nCopy adjacency rows into a C-array-backed handle."},
     {"pm_count", FASTCALL(pm_count),
-     "pm_count($module, h, active, cap, removed=(), /)\n--\n\n"
+     "pm_count($module, h, active, cap, /)\n--\n\n"
      "Count perfect matchings of the subgraph induced by ``active``, up to ``cap``."},
     {"pm_enumerate", FASTCALL(pm_enumerate),
-     "pm_enumerate($module, h, active, limit, removed=(), /)\n--\n\n"
+     "pm_enumerate($module, h, active, limit, /)\n--\n\n"
      "All perfect matchings of the induced subgraph, lexicographic order."},
     {"alt_cycles", FASTCALL(alt_cycles),
-     "alt_cycles($module, h, mates, ceiling, /)\n--\n\n"
+     "alt_cycles($module, h, matching, ceiling, /)\n--\n\n"
      "Enumerate all M-alternating cycles in canonical form; None past ceiling."},
     {"pack_masks", pack_masks, METH_O,
      "pack_masks($module, masks, /)\n--\n\n"

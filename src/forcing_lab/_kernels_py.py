@@ -15,8 +15,6 @@ balanced (bipartite with equal sides), 3 split, 4 cograph, 5 the f = n-1
 predictor, 6 G1 member and 7 G2 member (both judged on balanced bipartite
 graphs only), and ``side_u`` is the colour-0 side of the 2-colouring that
 puts each component's smallest vertex on it, or 0 where there is none.
-Its helpers (``_components``, ``_f0_free_parts``) also serve
-``graphs.mask_components`` and ``families.f0_free_deletions``.
 """
 
 from __future__ import annotations
@@ -39,11 +37,11 @@ def _rows_without(adj, removed):
     return rows
 
 
-def pm_count(handle, active, cap, removed=()):
+def pm_count(handle, active, cap):
     """Count perfect matchings of the subgraph induced by ``active``, up to ``cap``."""
     if active.bit_count() & 1:
         return 0
-    adj = _rows_without(handle, removed)
+    adj = handle
 
     def rec(rem, budget):
         if rem == 0:
@@ -62,7 +60,7 @@ def pm_count(handle, active, cap, removed=()):
     return rec(active, cap)
 
 
-def pm_enumerate(handle, active, limit, removed=()):
+def pm_enumerate(handle, active, limit):
     """All perfect matchings of the induced subgraph, lexicographic order.
 
     Branches on the lowest-index uncovered vertex and tries its neighbours
@@ -71,7 +69,7 @@ def pm_enumerate(handle, active, limit, removed=()):
     """
     if active.bit_count() & 1:
         return []
-    adj = _rows_without(handle, removed)
+    adj = handle
     out = []
     edges = []
 
@@ -95,16 +93,25 @@ def pm_enumerate(handle, active, limit, removed=()):
     return out
 
 
-def alt_cycles(handle, mates, ceiling):
+def _mates(n, edges):
+    """The partner array of the perfect matching ``edges`` on ``n`` vertices."""
+    mates = [-1] * n
+    for u, v in edges:
+        mates[u], mates[v] = v, u
+    return mates
+
+
+def alt_cycles(handle, matching, ceiling):
     """Enumerate all M-alternating cycles, canonical form, each exactly once.
 
-    ``mates[v]`` is v's partner under the perfect matching (``-1`` if none).
-    A cycle is reported as its vertex tuple rotated so the smallest vertex
-    comes first and oriented toward that vertex's smaller cycle-neighbour.
+    ``matching`` is the perfect matching M as its ``(u, v)`` edges.  A cycle
+    is reported as its vertex tuple rotated so the smallest vertex comes
+    first and oriented toward that vertex's smaller cycle-neighbour.
     Returns ``None`` if more than ``ceiling`` cycles exist.
     """
     adj = handle
     n = len(adj)
+    mates = _mates(n, matching)
     out = []
     path = []
 
@@ -235,9 +242,7 @@ def _minimum_set(adj, edges, node_limit, forcing):
     the first cycle of its symmetric difference with what remains of the
     matching, walked from its lowest vertex, restricted to the universe."""
     n = len(adj)
-    mates = [-1] * n
-    for u, v in edges:
-        mates[u], mates[v] = v, u
+    mates = _mates(n, edges)
     m_edges = [(u, v) for u, v in enumerate(mates) if u < v]
     universe = m_edges if forcing else [
         (u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1 and mates[u] != v
@@ -246,12 +251,14 @@ def _minimum_set(adj, edges, node_limit, forcing):
 
     def check(cand):
         chosen = tuple(e for i, e in enumerate(universe) if cand >> i & 1)
-        active, removed = (1 << n) - 1, chosen
+        # a forcing set's edges leave with their ends, an anti-forcing set's
+        # edges alone
+        rows, active = _rows_without(adj, chosen), (1 << n) - 1
         if forcing:
-            active, removed = active & ~sum(1 << u | 1 << v for u, v in chosen), ()
-        if pm_count(adj, active, 2, removed) == 1:
+            active &= ~sum(1 << u | 1 << v for u, v in chosen)
+        if pm_count(rows, active, 2) == 1:
             return None
-        pms = pm_enumerate(adj, active, 2, removed)
+        pms = pm_enumerate(rows, active, 2)
         residual = tuple(e for e in m_edges if active >> e[0] & 1)
         other = pms[0] if pms[0] != residual else pms[1]
         omates = dict(other)

@@ -24,7 +24,7 @@ from .solver import (
     forcing_number,
     spectrum,
 )
-from .sweep import STATUSES, Report, SweepConfig, plan_shards, run_sweep
+from .sweep import STATUSES, Report, SweepConfig, check_sweep, run_sweep
 
 EXIT_OK = 0
 EXIT_FAIL_RECORDS = 1
@@ -191,7 +191,7 @@ def cmd_sweep(args) -> int:
     start = time.monotonic()
     with contextlib.ExitStack() as outputs:
         try:
-            plan_shards(config)  # a refused universe leaves earlier reports as they were
+            check_sweep(config)  # a refused sweep leaves earlier reports as they were
             json_fh = args.json_path and outputs.enter_context(open(args.json_path, "w"))
             csv_fh = args.csv_path and outputs.enter_context(
                 open(args.csv_path, "w", newline="")

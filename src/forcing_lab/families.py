@@ -11,9 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
-from . import _kernels_py
 from .errors import FamilyError
 from .graphs import (
     BIPARTITE,
@@ -23,7 +22,6 @@ from .graphs import (
     G1_MEMBER,
     G2_MEMBER,
     SPLIT,
-    Bipartition,
     Graph,
     ORDER_CAP,
     build_graph,
@@ -203,7 +201,8 @@ def make_G2_member(
 
 # ---------------------------------------------------------------------------
 # class recognizers: each reads the flags of the one class-kernel call a
-# graph makes (``Graph.class_flags``; the methods are in ``_kernels_py``)
+# graph makes (``Graph.class_flags``; the pure-Python twin of the kernels
+# spells out the methods)
 
 
 def is_split(g: Graph) -> bool:
@@ -226,22 +225,6 @@ def recognize_f_n1(g: Graph) -> bool:
     B-to-rest pair an edge.
     """
     return bool(g.class_flags[0] & F_N1)
-
-
-def f0_free_deletions(
-    g: Graph, bip: Bipartition
-) -> Optional[tuple[tuple[int, int], ...]]:
-    """Part sizes of the bipartite-complement components when every such
-    component is complete bipartite (the F0-free structure), else None.
-
-    Components are listed by their smallest vertex; edgeless components are
-    omitted (they delete nothing).
-    """
-    u_mask, v_mask = bip.u_mask, bip.v_mask
-    parts = _kernels_py._f0_free_parts(g.adj, u_mask, v_mask)
-    if parts is None:
-        return None
-    return tuple(((mask & u_mask).bit_count(), (mask & v_mask).bit_count()) for mask in parts)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from . import _backend, _kernels_py
+from . import _backend
 from .errors import GraphError
 
 ORDER_CAP = 32
@@ -249,17 +249,6 @@ def generate(kind: str, *params: int) -> Graph:
         (n,) = params
         return build_graph(n, [])
     raise GraphError(f"unknown generator kind: {kind!r}")
-
-
-def mask_components(rows: Sequence[int], mask: int) -> list[int]:
-    """Connected-component vertex masks of the subgraph that the adjacency
-    ``rows`` induce on ``mask``, ordered by smallest contained vertex."""
-    return _kernels_py._components(rows, mask)
-
-
-def components(g: Graph) -> list[int]:
-    """Connected-component vertex masks, ordered by smallest contained vertex."""
-    return mask_components(g.adj, g.full_mask)
 
 
 def is_connected(g: Graph) -> bool:

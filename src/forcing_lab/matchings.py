@@ -22,14 +22,6 @@ class Matching:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def mates(self, order: int) -> tuple[int, ...]:
-        """Partner array: mates[v] is v's partner, -1 when uncovered."""
-        out = [-1] * order
-        for u, v in self.edges:
-            out[u] = v
-            out[v] = u
-        return tuple(out)
-
 
 def matching_from_edges(edges: Sequence[tuple[int, int]]) -> Matching:
     norm = sorted((u, v) if u < v else (v, u) for u, v in edges)
@@ -71,14 +63,14 @@ class AlternatingCycle:
         return len(self.vertices)
 
 
-def _cycle_from_vertices(vertices: tuple[int, ...], mates: Sequence[int]) -> AlternatingCycle:
+def _cycle_from_vertices(vertices: tuple[int, ...], m_set: set) -> AlternatingCycle:
     k = len(vertices)
     m_edges = []
     non_m = []
     for i in range(k):
         u, v = vertices[i], vertices[(i + 1) % k]
         e = (u, v) if u < v else (v, u)
-        if mates[u] == v:
+        if e in m_set:
             m_edges.append(e)
         else:
             non_m.append(e)
@@ -114,13 +106,13 @@ def alternating_cycles(
     ResourceLimitError past ``cycle_limit`` cycles.
     """
     check_perfect_matching(g, m)
-    mates = m.mates(g.order)
-    raw = _backend.alt_cycles(g.handle, mates, cycle_limit)
+    raw = _backend.alt_cycles(g.handle, m.edges, cycle_limit)
     if raw is None:
         raise ResourceLimitError(
             f"more than {cycle_limit} alternating cycles; raise the cycle limit"
         )
-    return [_cycle_from_vertices(vs, mates) for vs in raw]
+    m_set = set(m.edges)
+    return [_cycle_from_vertices(vs, m_set) for vs in raw]
 
 
 def allowed_edges(g: Graph) -> tuple[tuple[int, int], ...]:

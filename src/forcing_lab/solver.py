@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from . import _backend, _kernels_py
 from .errors import GraphError, MatchingError, NoPerfectMatchingError, ResourceLimitError
-from .graphs import Graph, automorphism_generators
+from .graphs import Graph, automorphism_generators, build_graph
 from .matchings import (
     Matching,
     alternating_cycles,
@@ -96,7 +96,8 @@ def is_anti_forcing_set(g: Graph, m: Matching, x: Sequence[tuple[int, int]]) -> 
             raise MatchingError(f"anti-forcing candidate uses non-edge {e}")
         if e in m_set:
             raise MatchingError("anti-forcing set must avoid the matching")
-    return _backend.pm_count(g.handle, g.full_mask, 2, tuple(x_norm)) == 1
+    g_minus_x = build_graph(g.order, edge_set.difference(x_norm))
+    return _backend.pm_count(g_minus_x.handle, g.full_mask, 2) == 1
 
 
 def forcing_number(

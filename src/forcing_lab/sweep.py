@@ -380,14 +380,22 @@ def _checkpoint_paths(config: SweepConfig) -> tuple[str, str]:
     return config.checkpoint, config.checkpoint + ".records.jsonl"
 
 
+def _checkpoint_cursor(config: SweepConfig) -> dict:
+    """The checkpoint's cursor, or a fresh one where there is none; a cursor
+    of another sweep config raises GraphError."""
+    cursor_path, _ = _checkpoint_paths(config)
+    if not os.path.exists(cursor_path):
+        return {"completed_shards": 0, "records_offset": 0}
+    with open(cursor_path) as fh:
+        state = json.load(fh)
+    if state.get("fingerprint") != config.fingerprint():
+        raise GraphError("checkpoint belongs to a different sweep config")
+    return state
+
+
 def _load_checkpoint(config: SweepConfig) -> tuple[int, list, dict, int]:
-    cursor_path, records_path = _checkpoint_paths(config)
-    state = {"completed_shards": 0, "records_offset": 0}
-    if os.path.exists(cursor_path):
-        with open(cursor_path) as fh:
-            state = json.load(fh)
-        if state.get("fingerprint") != config.fingerprint():
-            raise GraphError("checkpoint belongs to a different sweep config")
+    state = _checkpoint_cursor(config)
+    _, records_path = _checkpoint_paths(config)
     counts: dict = {}
     graphs = 0
     if not os.path.exists(records_path):
@@ -456,6 +464,17 @@ def _share_rows(pairs: list, table: dict) -> list:
             shared = seen[id(row)] = table.setdefault(key, row)
         out.append((graph_id, shared))
     return out
+
+
+def check_sweep(config: SweepConfig) -> None:
+    """Raise now what ``run_sweep`` refuses before its first shard: a
+    universe ``plan_shards`` refuses, a stream that cannot be opened
+    (OSError) or a checkpoint of another sweep config (GraphError)."""
+    plan_shards(config)
+    if config.mode == "stream":
+        open(config.stream_path, "rb").close()
+    if config.checkpoint:
+        _checkpoint_cursor(config)
 
 
 def run_sweep(config: SweepConfig) -> Report:

@@ -662,11 +662,11 @@ def verify_crossover_remark(
     """Numeric crossover claims: the sqrt bound beats (e-n)/2 once
     3e > 7n-2, and beats r(G) once e > 2n-1 + sqrt(2n^2-2n)/2."""
     records = []
+    e_list = None if e_values is None else list(e_values)  # read once, for every n
     for n in n_range:
         if n < 2:
             continue
-        es = list(e_values) if e_values is not None else list(range(n, 2 * n * n - n + 1))
-        for e in es:
+        for e in range(n, 2 * n * n - n + 1) if e_list is None else e_list:
             cor35 = _cor_3_5_bound(n, e)
             checks = []
             if 3 * e > 7 * n - 2:

@@ -8,11 +8,11 @@ from oracles import (
     oracle_predicts_f_n1,
 )
 from conftest import random_graph
+from forcing_lab._kernels_py import _f0_free_parts
 from forcing_lab.errors import FamilyError
 from forcing_lab.families import (
     classify,
     enumerate_G1_deletions,
-    f0_free_deletions,
     family_instances,
     format_family_spec,
     instantiate_family,
@@ -276,31 +276,28 @@ class TestRecognizers:
 
     def test_f0_itself_not_f0_free(self):
         g = build_graph(4, [(0, 2)])  # sides {0,1} and {2,3}, one edge
-        bip = bipartition_of(g)
-        report = f0_free_deletions(g, bip)
-        # bipartition_of puts isolated vertices on side u: force the 2+2 split
-        from forcing_lab.graphs import Bipartition
-
-        bip = Bipartition((0, 1), (2, 3), True)
-        assert f0_free_deletions(g, bip) is None
+        assert _f0_free_parts(g.adj, 0b0011, 0b1100) is None
 
     def test_f0_free_matches_naive_scan(self):
         # Lemma 4.1 equivalence, exhaustive over sides <= 4 with fixed sides
         from forcing_lab.sweep import bipartite_graph_from_mask
-        from forcing_lab.graphs import Bipartition
 
         for side in (2, 3, 4):
-            bip = Bipartition(tuple(range(side)), tuple(range(side, 2 * side)), True)
+            side_u, side_v = tuple(range(side)), tuple(range(side, 2 * side))
+            u_mask = (1 << side) - 1
             for mask in range(1 << (side * side)):
                 g = bipartite_graph_from_mask(side, mask)
-                ours = f0_free_deletions(g, bip) is not None
-                naive = oracle_is_f0_free(g, bip.side_u, bip.side_v)
+                ours = _f0_free_parts(g.adj, u_mask, u_mask << side) is not None
+                naive = oracle_is_f0_free(g, side_u, side_v)
                 assert ours == naive
 
     def test_g1_classification(self):
         g = make_G1_member(3, [(1, 1), (1, 2)])
         assert classify(g).g1_member
-        assert f0_free_deletions(g, bipartition_of(g)) == ((1, 1), (1, 2))
+        bip = bipartition_of(g)
+        parts = _f0_free_parts(g.adj, bip.u_mask, bip.v_mask)
+        sizes = [((p & bip.u_mask).bit_count(), (p & bip.v_mask).bit_count()) for p in parts]
+        assert sizes == [(1, 1), (1, 2)]
 
     def test_g2_classification(self):
         g = make_G2_member((2, 1), [(0, 5)])

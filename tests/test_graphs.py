@@ -17,7 +17,6 @@ from forcing_lab.graphs import (
     build_graph,
     canonical_graph6,
     cartesian_product,
-    components,
     cyclomatic_number,
     disjoint_union,
     generate,
@@ -186,8 +185,10 @@ class TestCyclomatic:
 
 class TestComponents:
     def test_counts(self):
+        from forcing_lab._kernels_py import _components
+
         g = disjoint_union(generate("cycle", 3), generate("path", 2))
-        assert len(components(g)) == 2
+        assert _components(g.adj, g.full_mask) == [0b00111, 0b11000]
         assert not is_connected(g)
         assert is_connected(generate("path", 5))
 

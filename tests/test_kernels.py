@@ -72,34 +72,19 @@ def test_alt_cycles_parity(gh):
     hc = compiled.make_handle(rows)
     pms = _kernels_py.pm_enumerate(hp, full, 1)
     if pms:
-        mates = [-1] * n
-        for u, v in pms[0]:
-            mates[u] = v
-            mates[v] = u
-        mates = tuple(mates)
-        assert _kernels_py.alt_cycles(hp, mates, 10**6) == compiled.alt_cycles(
-            hc, mates, 10**6
+        assert _kernels_py.alt_cycles(hp, pms[0], 10**6) == compiled.alt_cycles(
+            hc, pms[0], 10**6
         )
 
 
-@given(graphs, st.integers(min_value=0, max_value=3))
-@settings(max_examples=120, deadline=None)
-def test_removed_edges_parity(gh, drop):
-    n, bits = gh
-    rows = graph_rows(n, bits)
-    full = (1 << n) - 1
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1
-    ]
-    removed = tuple(edges[:drop])
-    hp = _kernels_py.make_handle(rows)
-    hc = compiled.make_handle(rows)
-    assert _kernels_py.pm_count(hp, full, 10, removed) == compiled.pm_count(
-        hc, full, 10, removed
-    )
-    assert _kernels_py.pm_enumerate(hp, full, -1, removed) == compiled.pm_enumerate(
-        hc, full, -1, removed
-    )
+def test_pm_kernels_take_three_arguments():
+    # neither backend's matching count or enumeration takes edges to remove
+    for backend in (compiled, _kernels_py):
+        h = backend.make_handle(K4)
+        assert backend.pm_count(h, 15, 10) == len(backend.pm_enumerate(h, 15, -1)) == 3
+        for kernel in (backend.pm_count, backend.pm_enumerate):
+            with pytest.raises(TypeError):
+                kernel(h, 15, 10, ((0, 1),))
 
 
 @given(
@@ -337,14 +322,9 @@ def test_cycle_ceiling_sentinel():
     rows = graph_rows(6, (1 << 15) - 1)  # K6
     hp = _kernels_py.make_handle(rows)
     hc = compiled.make_handle(rows)
-    pms = _kernels_py.pm_enumerate(hp, 63, 1)
-    mates = [-1] * 6
-    for u, v in pms[0]:
-        mates[u] = v
-        mates[v] = u
-    mates = tuple(mates)
-    assert _kernels_py.alt_cycles(hp, mates, 1) is None
-    assert compiled.alt_cycles(hc, mates, 1) is None
+    (m,) = _kernels_py.pm_enumerate(hp, 63, 1)
+    assert _kernels_py.alt_cycles(hp, m, 1) is None
+    assert compiled.alt_cycles(hc, m, 1) is None
 
 
 def test_backend_env_override(tmp_path):
@@ -399,18 +379,44 @@ def test_tracked_c_compiles_without_warnings():
 
 
 K4 = (0b1110, 0b1101, 0b1011, 0b0111)
-K4_MATES = (1, 0, 3, 2)
 K4_M = ((0, 1), (2, 3))
 C4 = (0b1010, 0b0101, 0b1010, 0b0101)  # the cycle 0-1-2-3-0
+
+# (exception, matching of K4) that every kernel reading a matching refuses:
+# it must be a sequence of (u, v) edges covering every vertex once
+BAD_K4_MATCHINGS = (
+    (TypeError, 5),  # not a sequence
+    (TypeError, None),
+    (TypeError, ((0, 1), 2)),
+    (TypeError, ((0, 1), (2.0, 3))),
+    (ValueError, ((0, 1, 2), (2, 3))),  # a pair of the wrong length
+    (ValueError, ((0,), (2, 3))),
+    (ValueError, ((0, 1), (2, 4))),  # a vertex outside 0..3
+    (ValueError, ((0, 1), (2, -1))),
+    (ValueError, ((0, 1), (2, 64))),
+    (ValueError, ((0, 1), (2, 2))),  # a loop is no edge
+    (ValueError, ((0, 1), (1, 2))),  # repeats vertex 1
+    (ValueError, ((0, 1), (2, 3), (0, 1))),
+    (ValueError, ((0, 1),)),  # misses vertices 2 and 3
+    (ValueError, ()),
+    (TypeError, (1, 0, 3, 2)),  # a partner array, not edges
+)
 
 
 def bad_calls(h):
     """(exception, call) for arguments the kernels must refuse, not crash on."""
     c4 = compiled.make_handle(C4)
+    # the kernels that read a matching: alt_cycles, and the searches with the
+    # matching after a good one in their list
+    reads_matching = (
+        lambda h, m: compiled.alt_cycles(h, m, 10),
+        lambda h, m: compiled.forcing_value(h, [K4_M, m], 10),
+        lambda h, m: compiled.anti_forcing_value(h, [K4_M, m], 10),
+    )
     return [
         (TypeError, lambda: compiled.pm_count(None, 3, 2)),
         (TypeError, lambda: compiled.pm_enumerate(K4, 15, -1)),
-        (TypeError, lambda: compiled.alt_cycles(None, K4_MATES, 10)),
+        (TypeError, lambda: compiled.alt_cycles(None, K4_M, 10)),
         (TypeError, lambda: compiled.forcing_value(None, [K4_M], 10)),
         (TypeError, lambda: compiled.anti_forcing_value(None, [K4_M], 10)),
         (TypeError, lambda: compiled.pack_masks([1.0])),
@@ -418,7 +424,9 @@ def bad_calls(h):
         (TypeError, lambda: compiled.class_flags(h, h)),
         (TypeError, lambda: compiled.class_flags(h=h)),  # positional only
         (TypeError, lambda: compiled.pm_count(h, 15, cap=2)),  # positional only
-        (TypeError, lambda: compiled.alt_cycles(h, K4_MATES)),
+        (TypeError, lambda: compiled.pm_count(h, 15, 2, ())),
+        (TypeError, lambda: compiled.pm_enumerate(h, 15, -1, ())),
+        (TypeError, lambda: compiled.alt_cycles(h, K4_M)),
         (OverflowError, lambda: compiled.make_handle([-1])),
         (OverflowError, lambda: compiled.make_handle([2**64])),
         (OverflowError, lambda: compiled.pm_count(h, -1, 2)),
@@ -429,39 +437,19 @@ def bad_calls(h):
         (ValueError, lambda: compiled.make_handle([0b10, 0b00])),  # asymmetric
         (ValueError, lambda: compiled.make_handle([0b1])),  # loop
         (ValueError, lambda: compiled.pm_count(h, 0b110000, 2)),  # vertices 4 and 5
-        (ValueError, lambda: compiled.pm_count(h, 15, 2, ((0, 64),))),
-        (ValueError, lambda: compiled.pm_count(h, 15, 2, ((-1, 0),))),
-        (ValueError, lambda: compiled.pm_enumerate(h, 15, -1, ((0, 4),))),
-        (ValueError, lambda: compiled.alt_cycles(h, (1, 0, 3, 64), 10)),
-        (ValueError, lambda: compiled.alt_cycles(h, (1, 0, 3, -1), 10)),
-        (ValueError, lambda: compiled.alt_cycles(h, (1, 0, 3), 10)),
     ] + [
-        # a graph's matchings, each a sequence of (u, v) edges covering every
-        # vertex once, for both searches
-        (error, lambda search=search, matchings=matchings: search(h, matchings, 10))
+        (error, lambda call=call, matching=matching: call(h, matching))
+        for call in reads_matching
+        for error, matching in BAD_K4_MATCHINGS
+    ] + [
+        # a list of matchings that is no sequence
+        (TypeError, lambda search=search, matchings=matchings: search(h, matchings, 10))
         for search in (compiled.forcing_value, compiled.anti_forcing_value)
-        for error, matchings in (
-            (TypeError, 5),  # not a sequence
-            (TypeError, None),
-            (TypeError, [K4_M, 5]),
-            (TypeError, [((0, 1), 2)]),
-            (TypeError, [((0, 1), (2.0, 3))]),
-            (ValueError, [((0, 1, 2), (2, 3))]),  # a pair of the wrong length
-            (ValueError, [((0,), (2, 3))]),
-            (ValueError, [K4_M, ((0, 1), (2, 4))]),  # a vertex outside 0..3
-            (ValueError, [((0, 1), (2, -1))]),
-            (ValueError, [((0, 1), (2, 64))]),
-            (ValueError, [((0, 1), (2, 2))]),  # a loop is no edge
-            (ValueError, [((0, 1), (1, 2))]),  # repeats vertex 1
-            (ValueError, [((0, 1), (2, 3), (0, 1))]),
-            (ValueError, [((0, 1),)]),  # misses vertices 2 and 3
-            (ValueError, [()]),
-            (TypeError, [(1, 0, 3, 2)]),  # mates, not edges
-        )
+        for matchings in (5, None)
     ] + [
         # (0, 2) and (1, 3) are no edges of the 4-cycle
-        (ValueError, lambda search=search: search(c4, [((0, 2), (1, 3))], 10))
-        for search in (compiled.forcing_value, compiled.anti_forcing_value)
+        (ValueError, lambda call=call: call(c4, ((0, 2), (1, 3))))
+        for call in reads_matching
     ]
 
 
@@ -474,10 +462,10 @@ def test_bad_arguments_raise():
 
 def kernel_round(h, wide):
     compiled.make_handle(K4)
-    assert compiled.pm_count(h, 15, 10, ((0, 1),)) == 2
-    assert len(compiled.pm_enumerate(h, 15, -1, [(2, 3)])) == 2
-    assert len(compiled.alt_cycles(h, K4_MATES, 10)) == 2
-    assert compiled.alt_cycles(h, K4_MATES, 1) is None
+    assert compiled.pm_count(h, 15, 10) == 3
+    assert len(compiled.pm_enumerate(h, 15, -1)) == 3
+    assert len(compiled.alt_cycles(h, K4_M, 10)) == 2
+    assert compiled.alt_cycles(h, list(map(list, K4_M)), 1) is None
     assert compiled.pack_masks([3, 12, 5, 6, 15]) == 2
     assert compiled.forcing_value(h, [K4_M, list(map(list, K4_M))], 100) == [1, 1]
     assert compiled.anti_forcing_value(h, (K4_M,), 100) == [0b0011]  # (0, 2) and (0, 3)

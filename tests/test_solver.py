@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -555,6 +556,28 @@ class TestMatchingOrbits:
             assert cli.main(["compute", "Q:4", "--json"]) == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == COMPUTE_JSON_SHA256["Q:4"]
         assert calls == []
+
+
+def test_only_backend_and_solver_reach_the_twin():
+    # the library calls the pure-Python kernels through backend selection,
+    # and directly only where the twin is the reference: solver's fallback
+    # for a search the compiled kernels decline, and its cycle_hitting check
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield getattr(node, "module", None) or ""
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+
+    reach = {
+        path.stem
+        for path in (ROOT / "src" / "forcing_lab").glob("*.py")
+        if any(name.split(".")[-1] == "_kernels_py" for name in names(ast.parse(path.read_text())))
+    }
+    assert reach == {"_backend", "solver"}
 
 
 class TestAntiForcingCeiling:

@@ -24,7 +24,7 @@ from forcing_lab.graphs import (
     graph6_encode,
 )
 from forcing_lab.matchings import has_perfect_matching
-from forcing_lab import _backend, graphs, sweep, verify
+from forcing_lab import _backend, sweep, verify
 from forcing_lab.sweep import SweepConfig, build_report, plan_shards, run_sweep
 from forcing_lab.verify import CSV_COLUMNS, VerdictRecord, record_csv_row, verify_graph
 
@@ -276,18 +276,16 @@ class TestOrder8Sample:
 
     def test_one_class_kernel_call_per_graph(self, order8_sample, monkeypatch):
         # every sampled graph has a perfect matching, and all its class
-        # flags, THM_4_3's predictor among them, come from one kernel call;
-        # no check finds components of its own
+        # flags, THM_4_3's predictor among them, come from one kernel call
         lines, report, _ = order8_sample
         calls = Counter()
-        for module, name in ((_backend, "class_flags"), (graphs, "mask_components")):
-            real = getattr(module, name)
+        real = _backend.class_flags
 
-            def counted(*args, real=real, name=name):
-                calls[name] += 1
-                return real(*args)
+        def counted(*args):
+            calls["class_flags"] += 1
+            return real(*args)
 
-            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(_backend, "class_flags", counted)
         out = report.with_name("one_worker.json")
         argv = ["verify", str(report.with_name("in.g6")), "--workers", "1"]
         assert main(argv + ["--json", str(out)]) == 0
@@ -1035,6 +1033,27 @@ class TestCli:
         out.write_text("earlier\n")
         assert main(["sweep", "--max-order", "10", "--json", str(out)]) == 2
         assert out.read_text() == "earlier\n"
+
+    def earlier_reports(self, tmp_path):
+        """--json and --csv arguments naming two files that already hold text."""
+        paths = tmp_path / "r.json", tmp_path / "r.csv"
+        for path in paths:
+            path.write_text("earlier\n")
+        return paths, ["--json", str(paths[0]), "--csv", str(paths[1])]
+
+    def test_missing_stream_keeps_an_earlier_report(self, tmp_path, capsys):
+        paths, outputs = self.earlier_reports(tmp_path)
+        assert main(["verify", str(tmp_path / "missing.g6")] + outputs) == 2
+        assert capsys.readouterr().err.startswith("parse error: ")
+        assert [path.read_text() for path in paths] == ["earlier\n"] * 2
+
+    def test_foreign_checkpoint_keeps_an_earlier_report(self, tmp_path, capsys):
+        ck = str(tmp_path / "ck")
+        assert main(["sweep", "--max-order", "4", "--checkpoint", ck]) == 0
+        paths, outputs = self.earlier_reports(tmp_path)
+        assert main(["sweep", "--max-order", "6", "--checkpoint", ck] + outputs) == 2
+        assert "different sweep config" in capsys.readouterr().err
+        assert [path.read_text() for path in paths] == ["earlier\n"] * 2
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     def test_unusable_checkpoint_exit2(self, command, tmp_path, capsys):

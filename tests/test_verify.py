@@ -387,7 +387,8 @@ class TestRemark49:
         # every disconnected G1/G2 member over sides <= 4 splits into exactly
         # two balanced complete bipartite components
         from forcing_lab.families import classify
-        from forcing_lab.graphs import bipartition_of, build_graph, components, is_connected
+        from forcing_lab._kernels_py import _components
+        from forcing_lab.graphs import bipartition_of, build_graph, is_connected
         from forcing_lab.matchings import has_perfect_matching
         from forcing_lab.sweep import bipartite_graph_from_mask
 
@@ -401,7 +402,7 @@ class TestRemark49:
                 if not (report.g1_member or report.g2_member):
                     continue
                 hits += 1
-                comps = components(g)
+                comps = _components(g.adj, g.full_mask)
                 assert len(comps) == 2
                 for comp in comps:
                     members = [v for v in range(g.order) if comp >> v & 1]
@@ -428,6 +429,11 @@ class TestCrossover:
     def test_small_e_inapplicable(self):
         recs = verify_crossover_remark([4], [5])
         assert recs[0].status == "inapplicable"
+
+    def test_one_shot_e_values_serve_every_order(self):
+        recs = verify_crossover_remark([4, 6], iter([14, 21]))
+        pairs = [(r.inputs["n"], r.inputs["e"]) for r in recs]
+        assert pairs == [(4, 14), (4, 21), (6, 14), (6, 21)]
 
     def test_full_ranges_pass(self):
         for rec in verify_crossover_remark(range(2, 9)):
