@@ -3,7 +3,7 @@
 The compiled extension is preferred when present; the pure-Python twin is
 the fallback.  ``FORCING_LAB_BACKEND=python`` (or ``compiled``) forces a
 choice, which the benchmark and the parity tests rely on; unset or empty
-means automatic.  Both backends export the same kernels, the two subset
+means automatic.  Both backends export the same kernels, the four subset
 searches included, with the same results.
 """
 
@@ -34,6 +34,8 @@ alt_cycles = _impl.alt_cycles
 pack_masks = _impl.pack_masks
 forcing_value = _impl.forcing_value
 anti_forcing_value = _impl.anti_forcing_value
+forcing_set = _impl.forcing_set
+anti_forcing_set = _impl.anti_forcing_set
 class_flags = _impl.class_flags
 
 # always None: neither backend has a maximum independent set, but the

@@ -2,12 +2,14 @@
  *
  * Twin of forcing_lab._kernels_py; see that module for the contract.  Every
  * function here has a pure-Python counterpart with identical results, and
- * tests/test_kernels.py holds the two bit for bit equal.  The two searches,
- * forcing_value and anti_forcing_value, take a graph's list of perfect
- * matchings and return one minimum set per matching as a bit mask over its
- * universe.  They run the twin's hitting-set search and spend search nodes
- * exactly as it does, but hold its constraints as bit sets over constraint
- * indices, so that a search node filters and prunes with word operations.
+ * tests/test_kernels.py holds the two bit for bit equal.  The four searches
+ * take a graph's list of perfect matchings: forcing_value and
+ * anti_forcing_value return one value per matching, forcing_set and
+ * anti_forcing_set its lexicographically first minimum set as a bit mask
+ * over its universe.  They run the twin's branching hitting-set search and
+ * spend search nodes exactly as it does, but hold the cycles it learns as
+ * bit sets over cycle indices, so that a search node finds the cycles its
+ * set leaves unhit with word operations.
  * class_flags(h) returns (flags, side_u) for the graph: flags has bit 0
  * connected, 1 bipartite, 2 balanced (bipartite with equal sides), 3 split,
  * 4 cograph, 5 the f = n-1 predictor, 6 G1 member and 7 G2 member, and
@@ -499,15 +501,18 @@ static PyObject *pack_masks(PyObject *self, PyObject *masks)
 /* ------------------------------------------------------------------------
  * whole searches: minimum forcing / anti-forcing sets
  *
- * These mirror _kernels_py._lazy_minimum_hitting, the lazy hitting-set
- * search (iterative deepening in lexicographic order, pruned by discovered
- * alternating cycles and their greedy disjoint packing), and spend search
- * nodes as it does.  One call solves a list of perfect matchings of a graph.
- * Per matching: the lexicographically first minimum set as a mask over the
- * universe, -1 node budget exhausted, -2 the caller must ask the twin
- * (universe or constraint store too large). */
+ * These mirror _kernels_py._hitting_search, a bounded search tree over the
+ * alternating cycles learnt so far, seeded with the matching's alternating
+ * 4-cycles, and spend search nodes exactly as it does.  One call solves a list of perfect matchings of a graph.  Per
+ * matching: the value (forcing_value, anti_forcing_value) or the
+ * lexicographically first minimum set as a mask over the universe
+ * (forcing_set, anti_forcing_set), -1 node budget exhausted, -2 the caller
+ * must ask the twin (universe or cycle store too large). */
 
-#define CONWORDS (MAXCON / 64)  /* words of a set of constraints */
+#define CONWORDS (MAXCON / 64)  /* words of a set of cycles */
+
+/* The slot of the edge uv in an anti-forcing search's edge index. */
+static inline int edge_slot(int u, int v) { return u < v ? MAXV * u + v : MAXV * v + u; }
 
 /* The lexicographically first perfect matching of adj on rem that differs
  * from mates (same: the branch so far agrees with it) into other[]; returns
@@ -535,7 +540,7 @@ static int other_matching(const uint64_t *adj, uint64_t rem, const int *mates, i
  *
  * edge_index maps a vertex (forcing: either endpoint of its matching edge)
  * or an edge slot (anti-forcing: 64*u+v with u < v) to the universe
- * position; see search_value for the two encodings. */
+ * position; see search_matching for the two encodings. */
 static uint64_t difference_constraint(const int *rmates, const int *omates, int n,
                                       int mark_m_side, const int *edge_index)
 {
@@ -557,7 +562,7 @@ static uint64_t difference_constraint(const int *rmates, const int *omates, int 
         } else {
             nxt = omates[v];
             if (!mark_m_side)
-                mask |= BIT(edge_index[v < nxt ? MAXV * v + nxt : MAXV * nxt + v]);
+                mask |= BIT(edge_index[edge_slot(v, nxt)]);
         }
         v = nxt;
         use_r = !use_r;
@@ -565,194 +570,237 @@ static uint64_t difference_constraint(const int *rmates, const int *omates, int 
     return mask;
 }
 
-/* The constraints learnt so far, as bit sets over constraint indices; only
- * the first nwords words of a set are in use. */
+/* One matching's search: its universe, the cycles learnt so far, and the
+ * cycles each node of the current branch leaves unhit, as bit sets over
+ * cycle indices of which only the first nwords words are in use. */
 typedef struct {
-    int n_universe;
-    int ncon;
-    int nwords;
+    const uint64_t *adj;
+    int n, forcing, n_universe;
+    const int *mates, *edge_index;
+    int uni_u[MAXUNI], uni_v[MAXUNI];
+    int ncon, nwords;
     int64_t budget;
-    uint64_t found;                        /* the last candidate, the accepted one at the end */
-    uint64_t every[CONWORDS];              /* all constraints */
-    uint64_t hits[MAXUNI][CONWORDS];       /* constraints each element hits */
-    uint64_t reach[MAXUNI + 1][CONWORDS];  /* constraints hit from each position on */
-    uint64_t meets[MAXCON][CONWORDS];      /* constraints sharing an element with each */
+    uint64_t found;                         /* the witness */
+    uint64_t con[MAXCON];                   /* each cycle's universe mask */
+    uint64_t every[CONWORDS];               /* all cycles */
+    uint64_t hits[MAXUNI][CONWORDS];        /* cycles each element hits */
+    uint64_t unhit[MAXUNI + 1][CONWORDS];   /* cycles unhit at each depth */
 } HitSearch;
 
-static void add_constraint(HitSearch *hs, uint64_t mask)
+/* Learn the cycle mask, found at a node of the given depth: its set is
+ * disjoint from that node's, so every node of the branch leaves it unhit. */
+static void add_constraint(HitSearch *hs, uint64_t mask, int depth)
 {
     int j = hs->ncon++, w = j / 64;
     if (j % 64 == 0) {
         for (int i = 0; i < hs->n_universe; i++)
             hs->hits[i][w] = 0;
-        for (int i = 0; i <= hs->n_universe; i++)
-            hs->reach[i][w] = 0;
-        for (int i = 0; i < j; i++)
-            hs->meets[i][w] = 0;
+        for (int d = 0; d <= depth; d++)
+            hs->unhit[d][w] = 0;
         hs->every[w] = 0;
         hs->nwords = w + 1;
     }
     uint64_t bit = BIT(j % 64);
+    hs->con[j] = mask;
     hs->every[w] |= bit;
     for (uint64_t rest = mask; rest; rest &= rest - 1)
         hs->hits[lowest_bit(rest)][w] |= bit;
-    for (int i = mask ? 63 - __builtin_clzll(mask) : -1; i >= 0; i--)
-        hs->reach[i][w] |= bit;
-    uint64_t *met = hs->meets[j];
-    memset(met, 0, hs->nwords * sizeof *met);
-    for (uint64_t rest = mask; rest; rest &= rest - 1) {
-        for (int x = 0; x < hs->nwords; x++)
-            met[x] |= hs->hits[lowest_bit(rest)][x];
-    }
-    for (int x = 0; x < hs->nwords; x++) {
-        for (uint64_t rest = met[x]; rest; rest &= rest - 1)
-            hs->meets[64 * x + lowest_bit(rest)][w] |= bit;
-    }
+    for (int d = 0; d <= depth; d++)
+        hs->unhit[d][w] |= bit;
 }
 
-/* The constraints of set taken greedily in index order, each when it shares
- * no element with one taken before: their number, or limit + 1 once that is
- * passed. */
-static int greedy_count(const HitSearch *hs, const uint64_t *set, int limit)
+/* Whether removing the set chosen (its edges' ends for a forcing set, its
+ * edges for an anti-forcing set) leaves the matching unique: 1 if so, else
+ * 0 with the cycle that tells learnt, or -2 when the store is full. */
+static int check_set(HitSearch *hs, uint64_t chosen, int depth)
 {
-    uint64_t rest[CONWORDS];
-    int count = 0;
-    memcpy(rest, set, hs->nwords * sizeof *rest);
+    uint64_t rows[MAXV], active = all_vertices(hs->n);
+    int rmates[MAXV], omates[MAXV];
+    memcpy(rows, hs->adj, hs->n * sizeof *rows);
+    for (uint64_t rest = chosen; rest; rest &= rest - 1) {
+        int i = lowest_bit(rest);
+        if (hs->forcing) {
+            active &= ~(BIT(hs->uni_u[i]) | BIT(hs->uni_v[i]));
+        } else {
+            rows[hs->uni_u[i]] &= ~BIT(hs->uni_v[i]);
+            rows[hs->uni_v[i]] &= ~BIT(hs->uni_u[i]);
+        }
+    }
+    for (int i = 0; i < hs->n; i++)
+        rmates[i] = (active >> i) & 1 ? hs->mates[i] : -1;
+    if (!other_matching(rows, active, rmates, 1, omates))
+        return 1;
+    if (hs->ncon >= MAXCON)
+        return -2;
+    add_constraint(hs, difference_constraint(rmates, omates, hs->n, hs->forcing, hs->edge_index),
+                   depth);
+    return 0;
+}
+
+/* One search node: a completion of chosen by at most slots elements outside
+ * excluded that the check accepts, given the cycles unhit[depth] that chosen
+ * leaves unhit.  A node where every cycle is hit runs the check, and a
+ * cycle it learns is branched on from the same node.  Otherwise the node
+ * branches on the unhit cycle with the fewest allowed elements, taking each
+ * in turn and excluding it once tried; it prunes on a cycle with no allowed
+ * element left, and on a greedy packing of the allowed remainders that
+ * needs more sets than there are slots.  1 = an accepted set, 0 = none,
+ * -1 = budget out, -2 = store full. */
+static int branch(HitSearch *hs, int depth, uint64_t chosen, uint64_t excluded, int slots)
+{
+    if (--hs->budget < 0)
+        return -1;
+    uint64_t *unhit = hs->unhit[depth];
+    uint64_t any = 0;
+    for (int w = 0; w < hs->nwords; w++)
+        any |= unhit[w];
+    if (!any) {
+        int rc = check_set(hs, chosen, depth);
+        if (rc != 0)
+            return rc;
+    }
+    if (slots == 0)
+        return 0;
+    uint64_t used = 0, pick = 0;
+    int count = 0, fewest = MAXUNI + 1;
     for (int w = 0; w < hs->nwords; w++) {
-        while (rest[w]) {
-            if (++count > limit)
-                return count;
-            /* drop the constraint taken and every one that meets it */
-            const uint64_t *met = hs->meets[64 * w + lowest_bit(rest[w])];
-            rest[w] &= rest[w] - 1;
-            for (int x = w; x < hs->nwords; x++)
-                rest[x] &= ~met[x];
+        for (uint64_t rest = unhit[w]; rest; rest &= rest - 1) {
+            uint64_t allowed = hs->con[64 * w + lowest_bit(rest)] & ~excluded;
+            if (allowed == 0)
+                return 0;
+            if (!(allowed & used)) {
+                used |= allowed;
+                if (++count > slots)
+                    return 0;
+            }
+            int size = popcount(allowed);
+            if (size < fewest) {
+                fewest = size;
+                pick = allowed;
+            }
+        }
+    }
+    uint64_t *next = hs->unhit[depth + 1];
+    for (; pick; pick &= pick - 1) {
+        int e = lowest_bit(pick);
+        for (int w = 0; w < hs->nwords; w++)
+            next[w] = unhit[w] & ~hs->hits[e][w];
+        int rc = branch(hs, depth + 1, chosen | BIT(e), excluded, slots - 1);
+        if (rc != 0)
+            return rc;
+        excluded |= BIT(e);
+    }
+    return 0;
+}
+
+/* Seed the store with the matching's alternating 4-cycles: matching edges
+ * ab before cd (by lower end), joined by bx and ya for (x, y) = (c, d) or
+ * (d, c), and for a forcing set each pair of matching edges once.  0, or -2
+ * when the store is full. */
+static int seed_four_cycles(HitSearch *hs)
+{
+    const int *mates = hs->mates, *index = hs->edge_index;
+    for (int a = 0; a < hs->n; a++) {
+        int b = mates[a];
+        for (int c = a + 1; b > a && c < hs->n; c++) {
+            int d = mates[c];
+            for (int o = 0; d > c && o < 2; o++) {
+                int x = o ? d : c, y = o ? c : d;
+                if (!((hs->adj[b] >> x) & 1) || !((hs->adj[y] >> a) & 1))
+                    continue;
+                if (hs->ncon >= MAXCON)
+                    return -2;
+                add_constraint(hs, hs->forcing ? BIT(index[a]) | BIT(index[c])
+                                               : BIT(index[edge_slot(b, x)])
+                                                     | BIT(index[edge_slot(y, a)]), 0);
+                if (hs->forcing)
+                    break;  /* the other orientation meets the same two edges */
+            }
+        }
+    }
+    return 0;
+}
+
+/* A search tree rooted at chosen. */
+static int root(HitSearch *hs, uint64_t chosen, uint64_t excluded, int slots)
+{
+    for (int w = 0; w < hs->nwords; w++) {
+        uint64_t word = hs->every[w];
+        for (uint64_t rest = chosen; rest; rest &= rest - 1)
+            word &= ~hs->hits[lowest_bit(rest)][w];
+        hs->unhit[0][w] = word;
+    }
+    return branch(hs, 0, chosen, excluded, slots);
+}
+
+/* The learnt cycles taken greedily in index order, each when it shares no
+ * element with one taken before: a lower bound on the value. */
+static int greedy_count(const HitSearch *hs)
+{
+    uint64_t used = 0;
+    int count = 0;
+    for (int j = 0; j < hs->ncon; j++) {
+        if (!(hs->con[j] & used)) {
+            used |= hs->con[j];
+            count++;
         }
     }
     return count;
 }
 
-/* Lexicographically first completion of chosen by slots elements from start
- * on that hits every constraint of unhit.  Spends one node per call, plus
- * one per slot of a free completion.  1 = candidate in *result, 0 = none,
- * -1 = budget out. */
-static int hit_rec(HitSearch *hs, int start, int slots, const uint64_t *unhit, uint64_t chosen,
-                   uint64_t *result)
+/* The value: the least k whose search tree holds an accepted set, k deepened
+ * from the greedy bound; -1 or -2 as branch. */
+static int min_size(HitSearch *hs)
 {
-    if (--hs->budget < 0)
-        return -1;
-    uint64_t stranded = 0;
-    int nunhit = 0;
-    for (int w = 0; w < hs->nwords; w++) {
-        nunhit += popcount(unhit[w]);
-        stranded |= unhit[w] & ~hs->reach[start][w];
-    }
-    if (nunhit == 0) {
-        /* free completion: lexicographically first = the lowest indices */
-        if (start + slots > hs->n_universe)
-            return 0;
-        hs->budget -= slots;
-        if (hs->budget < 0)
-            return -1;
-        *result = slots ? chosen | ~(uint64_t)0 >> (64 - slots) << start : chosen;
-        return 1;
-    }
-    /* no slot left, a constraint no element from start on hits, or more
-       disjoint constraints than slots */
-    if (slots == 0 || stranded || (nunhit > slots && greedy_count(hs, unhit, slots) > slots))
-        return 0;
-    uint64_t next[CONWORDS];
-    int last = hs->n_universe - slots;
-    for (int i = start; i <= last; i++) {
-        uint64_t left = 0, lost = 0;
-        for (int w = 0; w < hs->nwords; w++) {
-            next[w] = unhit[w] & ~hs->hits[i][w];
-            left |= next[w];
-            lost |= unhit[w] & ~hs->reach[i][w];
-        }
-        /* Children that return 0 at once are not called, but spend their
-           node here: all from i on once a constraint has no element from i
-           on, and a last slot's that leave a constraint unhit. */
-        if (lost) {
-            if (hs->budget < last - i + 1) {
-                hs->budget = -1;
-                return -1;
-            }
-            hs->budget -= last - i + 1;
-            return 0;
-        }
-        if (slots == 1 && left) {
-            if (--hs->budget < 0)
-                return -1;
-            continue;
-        }
-        int rc = hit_rec(hs, i + 1, slots - 1, next, chosen | BIT(i), result);
+    for (int k = greedy_count(hs); k <= hs->n_universe;) {
+        int rc = root(hs, 0, 0, k);
         if (rc != 0)
-            return rc;
+            return rc == 1 ? k : rc;
+        int lb = greedy_count(hs);
+        k = lb > k + 1 ? lb : k + 1;
     }
+    return -2;  /* unreachable: the whole universe is accepted */
+}
+
+/* The lexicographically first accepted set of size k, the value, into
+ * hs->found, built one element at a time: the next element is the smallest
+ * one whose search tree, with the smaller ones excluded, still holds an
+ * accepted set.  0, or -1 or -2 as branch. */
+static int lex_first(HitSearch *hs, int k)
+{
+    uint64_t chosen = 0;
+    int e = 0;
+    for (int p = 0; p < k; p++) {
+        for (;; e++) {
+            if (e >= hs->n_universe)
+                return -2;  /* unreachable: a set of size k exists */
+            int rc = root(hs, chosen | BIT(e), (BIT(e) - 1) & ~chosen, k - p - 1);
+            if (rc < 0)
+                return rc;
+            if (rc == 1)
+                break;
+        }
+        chosen |= BIT(e++);
+    }
+    hs->found = chosen;
     return 0;
 }
 
-static int lazy_search(HitSearch *hs, const uint64_t *adj, int n, const int *mates, int forcing,
-                       const int *uni_u, const int *uni_v, const int *edge_index)
-{
-    uint64_t rows[MAXV];
-    int rmates[MAXV], omates[MAXV];
-    int k = 0;
-    while (k <= hs->n_universe) {
-        int rc = hit_rec(hs, 0, k, hs->every, 0, &hs->found);
-        if (rc == -1)
-            return -1;
-        if (rc == 0) {
-            k++;
-            continue;
-        }
-        /* candidate found: run the uniqueness check */
-        uint64_t cand = hs->found, active = all_vertices(n);
-        memcpy(rows, adj, n * sizeof *rows);
-        if (forcing) {
-            for (int i = 0; i < hs->n_universe; i++) {
-                if (cand & BIT(i))
-                    active &= ~(BIT(uni_u[i]) | BIT(uni_v[i]));
-            }
-            for (int i = 0; i < n; i++)
-                rmates[i] = (active >> i) & 1 ? mates[i] : -1;
-        } else {
-            for (int i = 0; i < n; i++)
-                rmates[i] = mates[i];
-            for (int i = 0; i < hs->n_universe; i++) {
-                if (cand & BIT(i)) {
-                    rows[uni_u[i]] &= ~BIT(uni_v[i]);
-                    rows[uni_v[i]] &= ~BIT(uni_u[i]);
-                }
-            }
-        }
-        if (!other_matching(rows, active, rmates, 1, omates))
-            return k;
-        if (hs->ncon >= MAXCON)
-            return -2;
-        add_constraint(hs, difference_constraint(rmates, omates, n, forcing, edge_index));
-        int lb = greedy_count(hs, hs->every, MAXCON);
-        if (lb > k)
-            k = lb;
-    }
-    return -2;  /* unreachable for well-formed inputs */
-}
-
 /* f(G,M) (forcing: the universe is M's edges) or af(G,M) (the edges off M)
- * of the perfect matching mates of h, with node_limit search nodes; a
- * minimum set is then in hs->found. */
-static int search_value(HitSearch *hs, const GraphHandle *h, const int *mates, int forcing,
-                        int64_t node_limit)
+ * of the perfect matching mates of h, with node_limit search nodes; with
+ * witness, the lexicographically first minimum set too, in hs->found, from
+ * the same budget. */
+static int search_matching(HitSearch *hs, const GraphHandle *h, const int *mates, int forcing,
+                           int witness, int64_t node_limit)
 {
     /* only the slots set below are read, so one zeroed array serves every call */
     static int edge_index[MAXV * MAXV];
-    int uni_u[MAXUNI], uni_v[MAXUNI], size = 0;
+    int size = 0;
     for (int i = 0; i < h->n; i++) {
         if (forcing) {
             if (mates[i] > i) {
-                uni_u[size] = i;
-                uni_v[size] = mates[i];
+                hs->uni_u[size] = i;
+                hs->uni_v[size] = mates[i];
                 edge_index[i] = edge_index[mates[i]] = size++;
             }
             continue;
@@ -763,21 +811,32 @@ static int search_value(HitSearch *hs, const GraphHandle *h, const int *mates, i
                 continue;
             if (size >= MAXUNI)
                 return -2;
-            uni_u[size] = i;
-            uni_v[size] = v;
+            hs->uni_u[size] = i;
+            hs->uni_v[size] = v;
             edge_index[MAXV * i + v] = size++;
         }
     }
+    hs->adj = h->adj;
+    hs->n = h->n;
+    hs->forcing = forcing;
     hs->n_universe = size;
+    hs->mates = mates;
+    hs->edge_index = edge_index;
     hs->ncon = hs->nwords = 0;
     hs->budget = node_limit;
-    return lazy_search(hs, h->adj, h->n, mates, forcing, uni_u, uni_v, edge_index);
+    int value = seed_four_cycles(hs);
+    if (value == 0)
+        value = min_size(hs);
+    if (value < 0 || !witness)
+        return value;
+    int rc = lex_first(hs, value);
+    return rc < 0 ? rc : value;
 }
 
-/* The two searches: (h, matchings, node_limit) -> a list of set masks, one
- * per matching, that ends at the first -1. */
-static PyObject *search_values(const char *name, int forcing, PyObject *const *args,
-                               Py_ssize_t nargs)
+/* The four searches: (h, matchings, node_limit) -> a list of values or set
+ * masks, one per matching, that ends at the first -1. */
+static PyObject *search_all(const char *name, int forcing, int witness, PyObject *const *args,
+                            Py_ssize_t nargs)
 {
     long long node_limit;
     GraphHandle *h = parse_handle(name, args, nargs, 3);
@@ -799,9 +858,9 @@ static PyObject *search_values(const char *name, int forcing, PyObject *const *a
     for (Py_ssize_t i = 0; out != NULL && i < count; i++) {
         for (int v = 0; v < h->n; v++)
             mates[v] = all_mates[i * h->n + v];
-        int value = search_value(&hs, h, mates, forcing, node_limit);
-        PyObject *item = value < 0 ? PyLong_FromLong(value)
-                                   : PyLong_FromUnsignedLongLong(hs.found);
+        int value = search_matching(&hs, h, mates, forcing, witness, node_limit);
+        PyObject *item = value < 0 || !witness ? PyLong_FromLong(value)
+                                               : PyLong_FromUnsignedLongLong(hs.found);
         /* a signal (Ctrl-C) ends the call between two matchings */
         if (item == NULL || PyList_Append(out, item) < 0 || PyErr_CheckSignals() < 0)
             Py_CLEAR(out);
@@ -815,12 +874,22 @@ static PyObject *search_values(const char *name, int forcing, PyObject *const *a
 
 static PyObject *forcing_value(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    return search_values("forcing_value", 1, args, nargs);
+    return search_all("forcing_value", 1, 0, args, nargs);
 }
 
 static PyObject *anti_forcing_value(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    return search_values("anti_forcing_value", 0, args, nargs);
+    return search_all("anti_forcing_value", 0, 0, args, nargs);
+}
+
+static PyObject *forcing_set(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    return search_all("forcing_set", 1, 1, args, nargs);
+}
+
+static PyObject *anti_forcing_set(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    return search_all("anti_forcing_set", 0, 1, args, nargs);
 }
 
 /* ------------------------------------------------------------------------
@@ -1073,10 +1142,18 @@ static PyMethodDef methods[] = {
      "Maximum number of pairwise-disjoint masks (exact branch and bound)."},
     {"forcing_value", FASTCALL(forcing_value),
      "forcing_value($module, h, matchings, node_limit, /)\n--\n\n"
-     "Minimum forcing set of each perfect matching as a mask; the list ends at the first -1."},
+     "f(G,M) of each perfect matching; the list ends at the first -1."},
     {"anti_forcing_value", FASTCALL(anti_forcing_value),
      "anti_forcing_value($module, h, matchings, node_limit, /)\n--\n\n"
-     "Minimum anti-forcing set of each perfect matching as a mask; the list ends at the first -1."},
+     "af(G,M) of each perfect matching; the list ends at the first -1."},
+    {"forcing_set", FASTCALL(forcing_set),
+     "forcing_set($module, h, matchings, node_limit, /)\n--\n\n"
+     "Lexicographically first minimum forcing set of each perfect matching as a mask; "
+     "the list ends at the first -1."},
+    {"anti_forcing_set", FASTCALL(anti_forcing_set),
+     "anti_forcing_set($module, h, matchings, node_limit, /)\n--\n\n"
+     "Lexicographically first minimum anti-forcing set of each perfect matching as a mask; "
+     "the list ends at the first -1."},
     {"class_flags", class_flags, METH_O,
      "class_flags($module, h, /)\n--\n\n"
      "The graph's class flags and the colour-0 side of its 2-colouring."},

@@ -2,8 +2,17 @@
 
 Fallback twin of the compiled extension ``forcing_lab._ckernels``, and the
 reference its parity tests hold it to: every function here has a compiled
-counterpart with identical results, the two subset searches included, so
+counterpart with identical results, the four subset searches included, so
 the backend can be swapped at import time (see ``forcing_lab._backend``).
+
+The subset searches find minimum forcing sets (``forcing_value``,
+``forcing_set``) and anti-forcing sets (``anti_forcing_value``,
+``anti_forcing_set``) of each of a graph's perfect matchings with one
+engine, ``_hitting_search``: a bounded search tree for hitting set over the
+alternating cycles it learns, seeded with the matching's alternating
+4-cycles.  The value kernels return the minimum size, the set kernels the
+lexicographically first minimum set as a bit mask; both backends spend
+search nodes alike, so they hit a node limit together.
 
 Conventions: a graph handle is the adjacency row tuple itself (row ``u``
 has bit ``v`` set iff ``uv`` is an edge); vertex sets are int bitmasks;
@@ -190,57 +199,111 @@ def _greedy_disjoint_count(masks):
     return count
 
 
-def _lazy_minimum_hitting(n_universe, check, node_limit, seed_constraints=()):
-    """Smallest, then lexicographically first, subset of ``range(n_universe)``
-    accepted by ``check``, as a bit mask; -1 once ``node_limit`` search nodes
-    are spent: one per call of ``first``, plus one per slot of a free
-    completion.  ``check`` returns None to accept a candidate, or a new
-    constraint mask (disjoint from it) that later candidates must hit."""
+def _hitting_search(n_universe, check, node_limit, seed_constraints=(), witness=False):
+    """The size of a smallest subset of ``range(n_universe)`` accepted by
+    ``check`` (``witness``: the lexicographically first such subset, as a bit
+    mask), or -1 once ``node_limit`` search nodes are spent.  ``check``
+    returns None to accept a set, or a new constraint mask (disjoint from
+    it) that every accepted set hits; accepted sets must be closed under
+    supersets, and the whole universe accepted.  ``seed_constraints`` are
+    constraints known from the start, in the order they are kept.
+
+    A bounded search tree over the constraints learnt so far.  A search node
+    is one call of ``branch``: a set ``chosen``, the elements ``excluded``
+    from it, and at most ``slots`` more elements to take.  Where ``chosen``
+    hits every constraint, the node runs ``check`` on it and branches on a
+    constraint it learns from there.  Otherwise it branches on the unhit
+    constraint with the fewest allowed elements, taking each in turn and
+    excluding it once tried, and prunes on a constraint with no allowed
+    element left and on a greedy packing of the allowed remainders that
+    needs more sets than there are slots.  The value is the least k, from
+    the greedy packing bound up, whose tree holds an accepted set.  The
+    witness is then built one element at a time: the next element is the
+    smallest whose tree, with the smaller elements excluded, still holds an
+    accepted set of size k.  Every tree spends from the one budget."""
     constraints = list(dict.fromkeys(seed_constraints))
     budget = node_limit
+    # the constraints unhit at each depth of the current branch, in the
+    # order they were learnt
+    levels = [None] * (n_universe + 1)
 
-    def first(start, slots, unhit, chosen):
-        """Lexicographically first hitting completion of ``chosen`` by
-        ``slots`` indices from ``start`` on, None if there is none, or -1."""
+    def branch(depth, chosen, excluded, slots):
         nonlocal budget
-        free = not unhit and start + slots <= n_universe
-        budget -= 1 + slots if free else 1
+        budget -= 1
         if budget < 0:
             return -1
-        if free:
-            return chosen | ((1 << slots) - 1) << start
+        unhit = levels[depth]
+        if not unhit:
+            constraint = check(chosen)
+            if constraint is None:
+                return 1
+            # disjoint from chosen, so unhit on every node of the branch
+            constraints.append(constraint)
+            for level in levels[: depth + 1]:
+                level.append(constraint)
         if slots == 0:
-            return None
+            return 0
+        used = count = 0
+        pick, fewest = 0, n_universe + 1
         for c in unhit:
-            if c >> start == 0:
-                return None  # some cycle can no longer be hit
-        if _greedy_disjoint_count(unhit) > slots:
-            return None  # disjoint unhit cycles exceed the remaining slots
-        for i in range(start, n_universe - slots + 1):
-            bit = 1 << i
-            found = first(i + 1, slots - 1, [c for c in unhit if not c & bit], chosen | bit)
-            if found is not None:
-                return found
-        return None
+            allowed = c & ~excluded
+            if not allowed:
+                return 0  # a constraint can no longer be hit
+            if not allowed & used:
+                used |= allowed
+                count += 1
+                if count > slots:
+                    return 0  # disjoint remainders exceed the slots
+            size = allowed.bit_count()
+            if size < fewest:
+                pick, fewest = allowed, size
+        while pick:
+            bit = pick & -pick
+            pick ^= bit
+            levels[depth + 1] = [c for c in unhit if not c & bit]
+            rc = branch(depth + 1, chosen | bit, excluded, slots - 1)
+            if rc:
+                return rc
+            excluded |= bit
+        return 0
+
+    def root(chosen, excluded, slots):
+        levels[0] = [c for c in constraints if not c & chosen]
+        return branch(0, chosen, excluded, slots)
 
     k = _greedy_disjoint_count(constraints)
-    while k <= n_universe:
-        cand = first(0, k, constraints, 0)
-        if cand is None:
-            k += 1
-            continue
-        if cand == -1 or (constraint := check(cand)) is None:
-            return cand
-        constraints.append(constraint)
-        k = max(k, _greedy_disjoint_count(constraints))
-    raise AssertionError("hitting search exhausted its universe")
+    while (rc := root(0, 0, k)) == 0:
+        k = max(k + 1, _greedy_disjoint_count(constraints))
+        if k > n_universe:
+            raise AssertionError("hitting search exhausted its universe")
+    if rc == -1:
+        return -1
+    if not witness:
+        return k
+    chosen = e = 0
+    for slots in range(k - 1, -1, -1):
+        while (rc := root(chosen | 1 << e, (1 << e) - 1 & ~chosen, slots)) == 0:
+            e += 1
+            if e >= n_universe:
+                raise AssertionError("hitting search lost its witness")
+        if rc == -1:
+            return -1
+        chosen |= 1 << e
+        e += 1
+    return chosen
 
 
-def _minimum_set(adj, edges, node_limit, forcing):
-    """One matching's search of ``forcing_value`` or ``anti_forcing_value``.
-    A rejected candidate leaves a second perfect matching; the constraint is
-    the first cycle of its symmetric difference with what remains of the
-    matching, walked from its lowest vertex, restricted to the universe."""
+def _edge(u, v):
+    return (u, v) if u < v else (v, u)
+
+
+def _minimum_set(adj, edges, node_limit, forcing, witness):
+    """One matching's search of ``forcing_value`` or ``anti_forcing_value``
+    (``witness``: of ``forcing_set`` or ``anti_forcing_set``).  The search
+    starts from the matching's alternating 4-cycles.  A rejected candidate
+    leaves a second perfect matching; the constraint is the first cycle of
+    its symmetric difference with what remains of the matching, walked from
+    its lowest vertex, restricted to the universe."""
     n = len(adj)
     mates = _mates(n, edges)
     m_edges = [(u, v) for u, v in enumerate(mates) if u < v]
@@ -248,6 +311,15 @@ def _minimum_set(adj, edges, node_limit, forcing):
         (u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1 and mates[u] != v
     ]
     position = {e: i for i, e in enumerate(universe)}
+    # matching edges ab before cd, joined by bx and ya for (x, y) = (c, d) or
+    # (d, c); a forcing set's two orientations meet the same two edges
+    seeds = [
+        1 << i | 1 << j if forcing else 1 << position[_edge(b, x)] | 1 << position[_edge(y, a)]
+        for i, (a, b) in enumerate(m_edges)
+        for j, (c, d) in enumerate(m_edges[i + 1 :], i + 1)
+        for x, y in ((c, d), (d, c))
+        if adj[b] >> x & 1 and adj[y] >> a & 1
+    ]
 
     def check(cand):
         chosen = tuple(e for i, e in enumerate(universe) if cand >> i & 1)
@@ -269,34 +341,46 @@ def _minimum_set(adj, edges, node_limit, forcing):
             u = mates[v]
             w = omates[u]
             e = (v, u) if forcing else (u, w)
-            mask |= 1 << position[e if e[0] < e[1] else (e[1], e[0])]
+            mask |= 1 << position[_edge(*e)]
             v = w
             if v == start:
                 return mask
 
-    return _lazy_minimum_hitting(len(universe), check, node_limit)
+    return _hitting_search(len(universe), check, node_limit, seeds, witness)
 
 
-def _search(handle, matchings, node_limit, forcing):
+def _search(handle, matchings, node_limit, forcing, witness):
     out = []
     for edges in matchings:
-        out.append(_minimum_set(handle, edges, node_limit, forcing))
+        out.append(_minimum_set(handle, edges, node_limit, forcing, witness))
         if out[-1] == -1:
             break
     return out
 
 
 def forcing_value(handle, matchings, node_limit):
-    """Lexicographically first minimum forcing set of each perfect matching,
-    as a mask over its edges in sorted order; the list ends at the first -1
-    (``node_limit`` search nodes spent)."""
-    return _search(handle, matchings, node_limit, True)
+    """f(G,M) of each perfect matching M; the list ends at the first -1
+    (``node_limit`` search nodes spent on that matching)."""
+    return _search(handle, matchings, node_limit, True, False)
 
 
 def anti_forcing_value(handle, matchings, node_limit):
-    """As ``forcing_value``, for anti-forcing sets: a mask over the edges
-    off the matching, in sorted order."""
-    return _search(handle, matchings, node_limit, False)
+    """af(G,M) of each perfect matching M, as ``forcing_value``."""
+    return _search(handle, matchings, node_limit, False, False)
+
+
+def forcing_set(handle, matchings, node_limit):
+    """The lexicographically first minimum forcing set of each perfect
+    matching, as a mask over its edges in sorted order.  Its value and its
+    witness spend from one budget of ``node_limit`` nodes per matching; the
+    list ends at the first -1."""
+    return _search(handle, matchings, node_limit, True, True)
+
+
+def anti_forcing_set(handle, matchings, node_limit):
+    """As ``forcing_set``, for anti-forcing sets: a mask over the edges off
+    the matching, in sorted order."""
+    return _search(handle, matchings, node_limit, False, True)
 
 
 # ---------------------------------------------------------------------------

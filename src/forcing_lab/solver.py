@@ -4,11 +4,15 @@ closed-form bound evaluators.
 A set S of matching edges forces M exactly when it meets every
 M-alternating cycle, so a minimum forcing set is a minimum hitting set of
 those cycles over the matching's edges, and a minimum anti-forcing set one
-over the other edges.  Both backends run that lazy hitting-set search as
-the kernels ``forcing_value`` and ``anti_forcing_value`` (see
-``forcing_lab._kernels_py``), which return the lexicographically first
-minimum set of each matching as a bit mask (``_search_masks``): a value is
-its popcount and a witness its edges.
+over the other edges.  Both backends run that hitting-set search, a
+bounded search tree over the cycles it learns (see
+``forcing_lab._kernels_py._hitting_search``), as four kernels (``_search``):
+``forcing_value`` and ``anti_forcing_value`` give each matching's value,
+which is all ``spectrum`` needs, and ``forcing_set`` and
+``anti_forcing_set`` the lexicographically first minimum set as a bit mask,
+which ``forcing_number`` and ``anti_forcing_number`` return as the witness.
+A witness costs more search nodes than its value, and spends them from the
+same per-matching budget.
 
 f(G,M), af(G,M) and C(G,M) depend only on the isomorphism type of the
 pair (G, M), so on graphs with many perfect matchings ``spectrum`` solves
@@ -118,11 +122,13 @@ def forcing_number(
         bit = {e: 1 << i for i, e in enumerate(m.edges)}
         cycles = alternating_cycles(g, m, limits.cycle_limit)
         seeds = [sum(map(bit.__getitem__, cyc.m_edges)) for cyc in cycles]
-        mask = _kernels_py._lazy_minimum_hitting(len(bit), lambda _: None, limits.node_limit, seeds)
+        mask = _kernels_py._hitting_search(
+            len(bit), lambda _: None, limits.node_limit, seeds, witness=True
+        )
         if mask == -1:
             raise ResourceLimitError("subset-search node limit exceeded")
     elif method == "subset_search":
-        (mask,) = _search_masks(g, [m], True, limits)
+        (mask,) = _search(g, [m], True, True, limits)
     else:
         raise ValueError(f"unknown forcing method {method!r}")
     return ForcingResult(mask.bit_count(), m, _members(m.edges, mask), method)
@@ -133,7 +139,7 @@ def anti_forcing_number(
 ) -> ForcingResult:
     """Minimum set of non-matching edges whose removal leaves ``m`` unique."""
     check_perfect_matching(g, m)
-    (mask,) = _search_masks(g, [m], False, limits)
+    (mask,) = _search(g, [m], False, True, limits)
     universe = [e for e in g.edges if e not in m.edges]
     return ForcingResult(mask.bit_count(), m, _members(universe, mask), "subset_search")
 
@@ -142,28 +148,25 @@ def _members(universe: Sequence[tuple[int, int]], mask: int) -> tuple[tuple[int,
     return tuple(e for i, e in enumerate(universe) if mask >> i & 1)
 
 
-def _search_masks(
-    g: Graph, pms: Sequence[Matching], forcing: bool, limits: SolverLimits
+def _search(
+    g: Graph, pms: Sequence[Matching], forcing: bool, witness: bool, limits: SolverLimits
 ) -> list[int]:
-    """The minimum forcing set (``forcing``) or anti-forcing set of each
-    matching of ``pms``, as the backend's search gives it.  A -1 (the node
-    ceiling) raises ``ResourceLimitError``; for a -2 (the compiled search
-    declines the universe or constraint store) the twin answers."""
-    name = "forcing_value" if forcing else "anti_forcing_value"
-    masks = getattr(_backend, name)(g.handle, [m.edges for m in pms], limits.node_limit)
-    if -2 in masks:
+    """f(G,M) (``forcing``) or af(G,M) of each matching of ``pms``, or with
+    ``witness`` its lexicographically first minimum set as a bit mask, as
+    the backend's search gives it.  A -1 (the node ceiling) raises
+    ``ResourceLimitError``; for a -2 (the compiled search declines the
+    universe or cycle store) the twin answers."""
+    name = ("forcing" if forcing else "anti_forcing") + ("_set" if witness else "_value")
+    results = getattr(_backend, name)(g.handle, [m.edges for m in pms], limits.node_limit)
+    if -2 in results:
         twin = getattr(_kernels_py, name)
-        masks = [
-            twin(g.adj, [m.edges], limits.node_limit)[0] if mask == -2 else mask
-            for m, mask in zip(pms, masks)
+        results = [
+            twin(g.adj, [m.edges], limits.node_limit)[0] if result == -2 else result
+            for m, result in zip(pms, results)
         ]
-    if -1 in masks:
+    if -1 in results:
         raise ResourceLimitError("subset-search node limit exceeded")
-    return masks
-
-
-def _popcounts(masks: Sequence[int]) -> list[int]:
-    return [mask.bit_count() for mask in masks]
+    return results
 
 
 def cycle_packing(
@@ -180,17 +183,17 @@ def cycle_packing(
 
 
 # Below this many perfect matchings every matching is solved directly; from
-# it on, once per orbit.  At order 8 the automorphism search costs more than
-# it saves for 8-15 matchings and pays from 16 on (K6 has 15, so sweeps of
-# order <= 6 never take the orbit path).  Re-measured with the one-call
-# bit-set searches, as the median of nine in-process runs of
-# spectrum(with_anti_forcing=True): on the 1,811 graphs of the seed-1
-# order-8 sample with at least 16 matchings, 0.59 s at 16, 0.53 s at 24,
-# 0.57 s at 32, 0.65 s at 48 and 0.68 s with no orbit search; on the 13
-# compute-families specs (with C(G,M) too), 0.063 s at 16 and at 24, 0.068 s
-# at 32 and 0.091 s with none.  An earlier set read 0.85 s at 12 and 0.82 s
-# at 16, which do the same work on those graphs, so the gap between 16 and
-# 24 is within the run-to-run spread, and 16 stays.
+# it on, once per orbit.  K6 has 15, so sweeps of order <= 6 never take the
+# orbit path.  Re-measured with the branching searches, as the median of
+# in-process runs of spectrum(with_anti_forcing=True), on a 2-vCPU host
+# whose speed drifted by half between measurements, so compare within a row:
+# on the 1,811 graphs of the seed-1 order-8 sample with at least 16
+# matchings (seven runs), 0.63 s at 12, 0.66 s at 16, 0.37 s at 24, 0.30 s
+# at 32, 0.25 s at 48 and 0.24 s with no orbit search; on the 13
+# compute-families specs (with C(G,M) too; 31 runs, alternating order),
+# 0.116 s at 16 and 24, 0.118 s at 32, 0.122 s at 48, 0.143 s at 64 and
+# 2.03 s with none.  On the sample the automorphism search now costs more
+# than it saves, but no other value wins on the families, so 16 stays.
 _ORBIT_MIN_MATCHINGS = 16
 
 
@@ -269,11 +272,11 @@ def spectrum(
     pms = _perfect_matchings(g, limits)
     firsts = _orbits(g, pms)
     solved = _solved(pms, firsts)
-    values = _spread(_popcounts(_search_masks(g, solved, True, limits)), firsts)
+    values = _spread(_search(g, solved, True, False, limits), firsts)
     c_values = af_values = af_error = None
     if with_anti_forcing:
         try:
-            af_values = _spread(_popcounts(_search_masks(g, solved, False, limits)), firsts)
+            af_values = _spread(_search(g, solved, False, False, limits), firsts)
         except ResourceLimitError as exc:
             af_error = str(exc)
     if with_cycle_packing and af_error is None:
@@ -289,7 +292,7 @@ def anti_forcing_values(
     """af(G,M) per perfect matching, in enumeration order."""
     pms = _perfect_matchings(g, limits)
     firsts = _orbits(g, pms)
-    return _spread(_popcounts(_search_masks(g, _solved(pms, firsts), False, limits)), firsts)
+    return _spread(_search(g, _solved(pms, firsts), False, False, limits), firsts)
 
 
 # ---------------------------------------------------------------------------

@@ -382,12 +382,18 @@ def _checkpoint_paths(config: SweepConfig) -> tuple[str, str]:
 
 def _checkpoint_cursor(config: SweepConfig) -> dict:
     """The checkpoint's cursor, or a fresh one where there is none; a cursor
-    of another sweep config raises GraphError."""
+    that is not a JSON object, or is one of another sweep config, raises
+    GraphError."""
     cursor_path, _ = _checkpoint_paths(config)
     if not os.path.exists(cursor_path):
         return {"completed_shards": 0, "records_offset": 0}
     with open(cursor_path) as fh:
-        state = json.load(fh)
+        try:
+            state = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise GraphError(f"checkpoint cursor is not JSON: {exc}") from None
+    if not isinstance(state, dict):
+        raise GraphError("checkpoint cursor is not a JSON object")
     if state.get("fingerprint") != config.fingerprint():
         raise GraphError("checkpoint belongs to a different sweep config")
     return state

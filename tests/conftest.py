@@ -85,7 +85,7 @@ def order8_sample_lines() -> list[str]:
 def family_stream_lines() -> list[str]:
     """The lines `forcing-lab generate` prints for these specs: the extremal
     equality cases at orders 8-16 (H, Hhat, HhatJoin, MJoin, K_{n,n}), and
-    HhatJoin:6,2, on which the af search hits its node ceiling."""
+    HhatJoin:6,2, the densest, with 1,875 perfect matchings."""
     from forcing_lab.families import family_instances, parse_family_spec
     from forcing_lab.graphs import graph6_encode
 

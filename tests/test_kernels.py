@@ -3,6 +3,7 @@ bit for bit on every exposed operation.  ``conftest`` builds the compiled
 kernels; this module is skipped only where no C compiler exists."""
 
 import __future__
+import gc
 import random
 import signal
 import time
@@ -97,12 +98,22 @@ def test_pack_masks_parity(masks):
     assert _kernels_py.pack_masks(tuple(masks)) == compiled.pack_masks(tuple(masks))
 
 
+# (value kernel, set kernel) of each backend, for f and for af
+SEARCHES = (
+    ((compiled.forcing_value, compiled.forcing_set),
+     (_kernels_py.forcing_value, _kernels_py.forcing_set)),
+    ((compiled.anti_forcing_value, compiled.anti_forcing_set),
+     (_kernels_py.anti_forcing_value, _kernels_py.anti_forcing_set)),
+)
+
+
 @given(graphs)
 @settings(max_examples=150, deadline=None)
 def test_search_fastpath_matches_python_search(gh):
-    # both backends' searches give the same minimum set of each matching, and
-    # each forcing set is the one the cycle-hitting solver finds over the
-    # full alternating-cycle list (an independent code path)
+    # both backends' searches give the same value and the same minimum set
+    # of each matching, the value is the set's size, and each forcing set is
+    # the one the cycle-hitting solver finds over the full alternating-cycle
+    # list (an independent code path)
     from forcing_lab.graphs import build_graph
     from forcing_lab.matchings import enumerate_perfect_matchings
     from forcing_lab.solver import forcing_number
@@ -114,11 +125,12 @@ def test_search_fastpath_matches_python_search(gh):
     pms = enumerate_perfect_matchings(g)[:3]
     hp, hc = _kernels_py.make_handle(rows), compiled.make_handle(rows)
     edges = [m.edges for m in pms]
-    masks = compiled.forcing_value(hc, edges, 10**7)
-    assert masks == _kernels_py.forcing_value(hp, edges, 10**7)
-    assert compiled.anti_forcing_value(hc, edges, 10**7) == _kernels_py.anti_forcing_value(
-        hp, edges, 10**7
-    )
+    for (value, witness), (twin_value, twin_witness) in SEARCHES:
+        values, masks = value(hc, edges, 10**7), witness(hc, edges, 10**7)
+        assert values == twin_value(hp, edges, 10**7)
+        assert masks == twin_witness(hp, edges, 10**7)
+        assert values == [mask.bit_count() for mask in masks]
+    masks = compiled.forcing_set(hc, edges, 10**7)
     for m, mask in zip(pms, masks):
         witness = forcing_number(g, m, method="cycle_hitting").witness_set
         assert witness == tuple(e for i, e in enumerate(m.edges) if mask >> i & 1)
@@ -126,79 +138,98 @@ def test_search_fastpath_matches_python_search(gh):
 
 def test_search_ceiling_parity():
     # both backends spend search nodes alike, so at every node limit they
-    # give the same set, or -1 together
+    # give the same value or set, or -1 together
     from forcing_lab.matchings import enumerate_perfect_matchings
 
-    searches = (
-        (compiled.forcing_value, _kernels_py.forcing_value),
-        (compiled.anti_forcing_value, _kernels_py.anti_forcing_value),
-    )
     rng = random.Random(0xCE11)
     results = ceilings = 0
     for _ in range(100):
         g = random_graph(rng.randint(4, 8), 0.3 + 0.2 * rng.random(), rng)
         hc, hp = compiled.make_handle(g.adj), _kernels_py.make_handle(g.adj)
         for m in enumerate_perfect_matchings(g):
-            for fn, twin in searches:
-                for node_limit in range(1, 51):
-                    (value,) = fn(hc, [m.edges], node_limit)
-                    if value == -2:
-                        continue
-                    expected = twin(hp, [m.edges], node_limit)
-                    assert [value] == expected, (g.edges, m.edges, node_limit)
-                    results += 1
-                    ceilings += value == -1
-    assert (results, ceilings) == (8400, 2292)
+            for pair in SEARCHES:
+                for fn, twin in zip(*pair):
+                    for node_limit in range(1, 51):
+                        (value,) = fn(hc, [m.edges], node_limit)
+                        if value == -2:
+                            continue
+                        expected = twin(hp, [m.edges], node_limit)
+                        assert [value] == expected, (g.edges, m.edges, node_limit)
+                        results += 1
+                        ceilings += value == -1
+    assert (results, ceilings) == (16800, 1900)
 
 
-def test_search_parity_past_one_word(monkeypatch):
-    # a dense seeded order-12 graph whose af search learns 82 constraints, so
-    # the compiled search holds each set of them in two words: both backends
-    # give the same 24-edge set at the node ceiling, and both run out of
-    # budget one node below it
-    from forcing_lab.matchings import enumerate_perfect_matchings
+def tournament_rows(n: int, seed: int):
+    """A bipartite graph on 2n vertices with the perfect matching
+    (i, n + i): vertex n + i is joined to j < n, or n + j to i, as a seeded
+    tournament orients the pair {i, j}.  Its alternating cycles are the
+    tournament's directed cycles, of length 3 or more, so no alternating
+    4-cycle seeds the search, and the forcing search learns hundreds."""
+    rng = random.Random(seed)
+    rows = [0] * (2 * n)
+    for u, v in [(i, n + i) for i in range(n)] + [
+        (n + i, j) if rng.random() < 0.5 else (n + j, i)
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return tuple(rows), tuple((i, n + i) for i in range(n))
 
-    g = random_graph(12, 0.85, random.Random(25))
-    m = enumerate_perfect_matchings(g, limit=1)[0]
-    hc, hp = compiled.make_handle(g.adj), _kernels_py.make_handle(g.adj)
-    nodes = 83011
-    (mask,) = compiled.anti_forcing_value(hc, [m.edges], nodes)
-    assert mask.bit_count() == 24
-    for node_limit in (nodes - 1, nodes // 2, 1000):
-        assert compiled.anti_forcing_value(hc, [m.edges], node_limit) == [-1]
-    # each constraint the twin's search learns costs it one pm_enumerate call
-    learnt = []
+
+def test_search_parity_with_a_large_store(monkeypatch):
+    # on 2n = 52 vertices the f search learns 400 cycles, so the compiled
+    # search holds each set of them in seven words: both backends give the
+    # same value, and the same set (which learns no more cycles), where the
+    # node budget just suffices, and -1 one node below it.  On 2n = 56 it
+    # learns 538: the compiled search declines at its 512-cycle store (-2)
+    # and the twin answers.
+    learnt = []  # each cycle the twin's search learns costs it one pm_enumerate call
     enumerate_two = _kernels_py.pm_enumerate
     monkeypatch.setattr(
         _kernels_py, "pm_enumerate", lambda *a: learnt.append(a) or enumerate_two(*a)
     )
-    assert _kernels_py.anti_forcing_value(hp, [m.edges], nodes) == [mask]
-    assert len(learnt) == 82
-    assert _kernels_py.anti_forcing_value(hp, [m.edges], nodes - 1) == [-1]
+    rows, m = tournament_rows(26, 26)
+    hc = compiled.make_handle(rows)
+    witness = 0x2E6_73B7  # 17 of the 26 matching edges
+    for fn, twin, nodes, expected in (
+        (compiled.forcing_value, _kernels_py.forcing_value, 17237, 17),
+        (compiled.forcing_set, _kernels_py.forcing_set, 23017, witness),
+    ):
+        assert fn(hc, [m], nodes) == [expected]
+        learnt.clear()
+        assert twin(rows, [m], nodes) == [expected]
+        assert len(learnt) == 400
+        for node_limit in (nodes - 1, nodes // 2, 1):
+            assert fn(hc, [m], node_limit) == twin(rows, [m], node_limit) == [-1]
+    assert witness.bit_count() == 17
+    rows, m = tournament_rows(28, 28)
+    assert compiled.forcing_value(compiled.make_handle(rows), [m], 10**7) == [-2]
+    learnt.clear()
+    assert _kernels_py.forcing_value(rows, [m], 10**7) == [19]
+    assert len(learnt) == 538
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
 def test_search_batch_stops_at_a_signal():
     # one call searches many matchings, but a signal handler still runs
     # between two of them, as it did between separate calls: 10,000 copies
-    # of a 2 ms search stop within a second of a 50 ms alarm
-    from forcing_lab.matchings import enumerate_perfect_matchings
-
+    # of a 4 ms search stop within a second of a 50 ms alarm
     class Alarm(Exception):
         pass
 
     def ring(signum, frame):
         raise Alarm
 
-    g = random_graph(12, 0.85, random.Random(25))
-    m = enumerate_perfect_matchings(g, limit=1)[0]
-    h = compiled.make_handle(g.adj)
+    rows, m = tournament_rows(26, 26)
+    h = compiled.make_handle(rows)
     previous = signal.signal(signal.SIGALRM, ring)
     start = time.monotonic()
     try:
         signal.setitimer(signal.ITIMER_REAL, 0.05)
         with pytest.raises(Alarm):
-            compiled.anti_forcing_value(h, [m.edges] * 10_000, 10**7)
+            compiled.forcing_value(h, [m] * 10_000, 10**7)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -213,13 +244,15 @@ def test_search_fastpath_budget_sentinel():
     pms = [m.edges for m in enumerate_perfect_matchings(g)]
     h = compiled.make_handle(g.adj)
     hp = _kernels_py.make_handle(g.adj)
-    for search, handle in ((compiled.forcing_value, h), (_kernels_py.forcing_value, hp)):
-        assert search(handle, pms[:1], 2) == [-1]
-        # the list ends at the first matching whose budget runs out
-        assert search(handle, pms, 2) == [-1]
+    for backend, handle in ((compiled, h), (_kernels_py, hp)):
+        for search in (backend.forcing_value, backend.forcing_set):
+            assert search(handle, pms[:1], 2) == [-1]
+            # the list ends at the first matching whose budget runs out
+            assert search(handle, pms, 2) == [-1]
+            assert search(handle, [], 2) == []
+        assert backend.forcing_value(handle, pms, 10**7) == [3] * 24
         # the lowest three of the four matching edges
-        assert search(handle, pms, 10**7) == [0b0111] * 24
-        assert search(handle, [], 2) == []
+        assert backend.forcing_set(handle, pms, 10**7) == [0b0111] * 24
 
 
 def wide_graph():
@@ -235,7 +268,7 @@ def wide_graph():
 
 
 def test_search_fastpath_large_universe_falls_back():
-    # the compiled af search answers -2 and the twin's search answers
+    # the compiled af searches answer -2 and the twin's searches answer
     from forcing_lab.solver import anti_forcing_number, is_anti_forcing_set, spectrum
 
     g, pms = wide_graph()
@@ -244,7 +277,9 @@ def test_search_fastpath_large_universe_falls_back():
     assert all(g.edge_count - len(m) == 91 for m in pms)
     edges = [m.edges for m in pms]
     assert compiled.anti_forcing_value(hc, edges, 10**7) == [-2, -2]
-    for m, mask in zip(pms, _kernels_py.anti_forcing_value(hp, edges, 10**7)):
+    assert compiled.anti_forcing_set(hc, edges, 10**7) == [-2, -2]
+    assert _kernels_py.anti_forcing_value(hp, edges, 10**7) == [1, 1]
+    for m, mask in zip(pms, _kernels_py.anti_forcing_set(hp, edges, 10**7)):
         off = [e for e in g.edges if e not in m.edges]
         removed = [e for i, e in enumerate(off) if mask >> i & 1]
         assert len(removed) == 1 and is_anti_forcing_set(g, m, removed)
@@ -353,6 +388,8 @@ KERNELS = {
     "pack_masks",
     "forcing_value",
     "anti_forcing_value",
+    "forcing_set",
+    "anti_forcing_set",
     "class_flags",
 }
 
@@ -403,22 +440,26 @@ BAD_K4_MATCHINGS = (
 )
 
 
+SEARCH_KERNELS = (
+    compiled.forcing_value,
+    compiled.anti_forcing_value,
+    compiled.forcing_set,
+    compiled.anti_forcing_set,
+)
+
+
 def bad_calls(h):
     """(exception, call) for arguments the kernels must refuse, not crash on."""
     c4 = compiled.make_handle(C4)
     # the kernels that read a matching: alt_cycles, and the searches with the
     # matching after a good one in their list
-    reads_matching = (
-        lambda h, m: compiled.alt_cycles(h, m, 10),
-        lambda h, m: compiled.forcing_value(h, [K4_M, m], 10),
-        lambda h, m: compiled.anti_forcing_value(h, [K4_M, m], 10),
+    reads_matching = (lambda h, m: compiled.alt_cycles(h, m, 10),) + tuple(
+        lambda h, m, search=search: search(h, [K4_M, m], 10) for search in SEARCH_KERNELS
     )
     return [
         (TypeError, lambda: compiled.pm_count(None, 3, 2)),
         (TypeError, lambda: compiled.pm_enumerate(K4, 15, -1)),
         (TypeError, lambda: compiled.alt_cycles(None, K4_M, 10)),
-        (TypeError, lambda: compiled.forcing_value(None, [K4_M], 10)),
-        (TypeError, lambda: compiled.anti_forcing_value(None, [K4_M], 10)),
         (TypeError, lambda: compiled.pack_masks([1.0])),
         (TypeError, lambda: compiled.class_flags(None)),
         (TypeError, lambda: compiled.class_flags(h, h)),
@@ -442,10 +483,17 @@ def bad_calls(h):
         for call in reads_matching
         for error, matching in BAD_K4_MATCHINGS
     ] + [
-        # a list of matchings that is no sequence
-        (TypeError, lambda search=search, matchings=matchings: search(h, matchings, 10))
-        for search in (compiled.forcing_value, compiled.anti_forcing_value)
-        for matchings in (5, None)
+        (error, lambda search=search, args=args: search(*args))
+        for search in SEARCH_KERNELS
+        for error, args in (
+            (TypeError, (None, [K4_M], 10)),  # not a handle
+            (TypeError, (h, [K4_M])),
+            (TypeError, (h, [K4_M], 10, 10)),
+            (TypeError, (h, 5, 10)),  # a list of matchings that is no sequence
+            (TypeError, (h, None, 10)),
+            (TypeError, (h, [K4_M], 1.5)),
+            (OverflowError, (h, [K4_M], 2**63)),
+        )
     ] + [
         # (0, 2) and (1, 3) are no edges of the 4-cycle
         (ValueError, lambda call=call: call(c4, ((0, 2), (1, 3))))
@@ -460,7 +508,7 @@ def test_bad_arguments_raise():
             call()
 
 
-def kernel_round(h, wide):
+def kernel_round(h, wide, calls):
     compiled.make_handle(K4)
     assert compiled.pm_count(h, 15, 10) == 3
     assert len(compiled.pm_enumerate(h, 15, -1)) == 3
@@ -468,15 +516,25 @@ def kernel_round(h, wide):
     assert compiled.alt_cycles(h, list(map(list, K4_M)), 1) is None
     assert compiled.pack_masks([3, 12, 5, 6, 15]) == 2
     assert compiled.forcing_value(h, [K4_M, list(map(list, K4_M))], 100) == [1, 1]
-    assert compiled.anti_forcing_value(h, (K4_M,), 100) == [0b0011]  # (0, 2) and (0, 3)
+    assert compiled.anti_forcing_value(h, (K4_M,), 100) == [2]
+    assert compiled.forcing_set(h, [K4_M, list(map(list, K4_M))], 100) == [0b01, 0b01]
+    assert compiled.anti_forcing_set(h, (K4_M,), 100) == [0b0011]  # (0, 2) and (0, 3)
     assert compiled.forcing_value(h, [K4_M, K4_M], 1) == [-1]
-    assert compiled.anti_forcing_value(h, [K4_M], 1) == [-1]
+    assert compiled.anti_forcing_set(h, [K4_M], 1) == [-1]
     assert compiled.anti_forcing_value(*wide, 100) == [-2, -2]
+    assert compiled.anti_forcing_set(*wide, 100) == [-2, -2]
     # K4: connected, split, cograph, f = n-1; C4: connected, bipartite with
     # sides {0, 2} and {1, 3}, cograph, f = n-1
     assert compiled.class_flags(h) == (0b00111001, 0)
     assert compiled.class_flags(compiled.make_handle(C4)) == (0b00110111, 0b0101)
-    for error, call in bad_calls(h):
+    refuse(calls)
+
+
+def refuse(calls):
+    """Make each bad call, expecting its error.  A small function of its own:
+    tracemalloc looks up the line of every allocation, and that lookup runs
+    through the whole line table of kernel_round's rewritten asserts."""
+    for error, call in calls:
         try:
             call()
         except error:
@@ -485,17 +543,23 @@ def kernel_round(h, wide):
 
 def test_no_reference_leaks():
     # a reference a kernel fails to drop keeps its object alive, so traced
-    # memory grows with the number of calls
+    # memory grows with the number of calls.  Garbage in reference cycles is
+    # collected before each reading; a leaked object is never collected.
+    # 2,500 rounds make a leak of one int a round (32 bytes, the smallest
+    # object a kernel allocates) exceed the bound.
     h = compiled.make_handle(K4)
     g, pms = wide_graph()
     wide = compiled.make_handle(g.adj), [m.edges for m in pms]
+    calls = bad_calls(h)
     for _ in range(200):
-        kernel_round(h, wide)
+        kernel_round(h, wide, calls)
+    gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for _ in range(5000):
-            kernel_round(h, wide)
+        for _ in range(2500):
+            kernel_round(h, wide, calls)
+        gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

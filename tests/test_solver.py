@@ -549,7 +549,7 @@ class TestMatchingOrbits:
         # witnesses come from there
         calls = []
         monkeypatch.setattr(
-            _kernels_py, "_lazy_minimum_hitting", lambda *args: calls.append(args)
+            _kernels_py, "_hitting_search", lambda *args, **kwargs: calls.append(args)
         )
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -581,7 +581,7 @@ def test_only_backend_and_solver_reach_the_twin():
 
 
 class TestAntiForcingCeiling:
-    @pytest.mark.parametrize("spec,node_limit", [("Q:3", 50), ("Knn:5", 200)])
+    @pytest.mark.parametrize("spec,node_limit", [("Q:3", 8), ("grid:4x4", 20)])
     def test_af_ceiling_keeps_the_f_values(self, spec, node_limit):
         g = instantiate_family(parse_family_spec(spec))
         limits = SolverLimits(node_limit=node_limit)
@@ -591,3 +591,99 @@ class TestAntiForcingCeiling:
         assert sp.per_matching == spectrum(g).per_matching
         with pytest.raises(ResourceLimitError):
             anti_forcing_values(g, limits=limits)
+
+
+def witness_problems(g, m, chosen, value, forcing):
+    """Re-verify a forcing set (``forcing``) or anti-forcing set of ``m``:
+    its size is the value, it leaves ``m`` unique, and no single edge can
+    go (as ``perfbench/workload.py`` checks ``compute``'s witnesses)."""
+    unique = is_forcing_set if forcing else is_anti_forcing_set
+    problems = []
+    if len(chosen) != value:
+        problems.append(f"{len(chosen)} edges, value {value}")
+    if not unique(g, m, chosen):
+        problems.append("does not leave the matching unique")
+    if any(unique(g, m, chosen[:i] + chosen[i + 1 :]) for i in range(len(chosen))):
+        problems.append("not minimal")
+    return problems
+
+
+class TestDenseGraphs:
+    def test_order10_graph_that_hit_the_ceiling(self):
+        # a seeded order-10, p = 0.7 graph whose af search hit the default
+        # 10M-node ceiling under the lexicographic search, so its Af
+        # statements read aborted; the branching search finishes, with the
+        # twin's values, and re-verifiable witnesses
+        from forcing_lab.graphs import graph6_encode
+        from forcing_lab.verify import verdict_row
+
+        g = random_graph(10, 0.7, random.Random(7))
+        row = verdict_row(g, graph6_encode(g))
+        assert row.inputs["Af"] == 16
+        assert all(status != "aborted" for _, _, _, status, *_ in row.verdicts)
+        sp = spectrum(g, with_anti_forcing=True)
+        pms = [m for m, _ in sp.per_matching]
+        assert len(pms) == 429
+        firsts = matching_orbit_firsts(g, pms)
+        solved = [m for i, m in enumerate(pms) if firsts[i] == i]
+        edges = [m.edges for m in solved]
+        limit = solver.DEFAULT_LIMITS.node_limit
+        f_values = [sp.per_matching[i][1] for i, first in enumerate(firsts) if first == i]
+        af_values = [sp.af_values[i] for i, first in enumerate(firsts) if first == i]
+        assert _kernels_py.forcing_value(g.adj, edges, limit) == f_values
+        assert _kernels_py.anti_forcing_value(g.adj, edges, limit) == af_values
+        for m, f, af in zip(solved, f_values, af_values):
+            fs, afs = forcing_number(g, m), anti_forcing_number(g, m)
+            assert witness_problems(g, m, fs.witness_set, f, True) == []
+            assert witness_problems(g, m, afs.witness_set, af, False) == []
+
+
+def least_node_limit(search, handle, edges):
+    """The fewest search nodes with which ``search`` finishes on ``edges``."""
+    lo, hi = 1, 1
+    while search(handle, [edges], hi) == [-1]:
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if search(handle, [edges], mid) == [-1]:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.skipif(BACKEND_NAME != "compiled", reason="needs the compiled kernels")
+def test_searches_against_cycle_hitting_at_and_below_the_ceiling(rng):
+    # at the fewest nodes with which a search finishes, its value and its
+    # witness are those of the hitting set over the full alternating-cycle
+    # list (forcing_number's cycle_hitting route for f, the same over the
+    # cycles' non-matching edges for af), on both backends; one node fewer,
+    # both backends give -1
+    from forcing_lab import _ckernels
+    from forcing_lab.matchings import alternating_cycles
+
+    checked = 0
+    while checked < 240:  # four searches a matching, at most two matchings a graph
+        g = random_graph(rng.choice((6, 8)), 0.35 + 0.4 * rng.random(), rng)
+        pms = enumerate_perfect_matchings(g)[:2]
+        hc = _ckernels.make_handle(g.adj)
+        for m in pms:
+            off = [e for e in g.edges if e not in m.edges]
+            bit = {e: 1 << i for i, e in enumerate(off)}
+            cycles = alternating_cycles(g, m, 10**6)
+            af_seeds = [sum(map(bit.__getitem__, cyc.non_m_edges)) for cyc in cycles]
+            af_witness = _kernels_py._hitting_search(
+                len(off), lambda _: None, 10**7, af_seeds, witness=True
+            )
+            f_witness = forcing_number(g, m, method="cycle_hitting").witness_set
+            f_mask = sum(1 << m.edges.index(e) for e in f_witness)
+            for forcing, mask in ((True, f_mask), (False, af_witness)):
+                name = "forcing" if forcing else "anti_forcing"
+                for kind, expected in (("_value", mask.bit_count()), ("_set", mask)):
+                    fn = getattr(_ckernels, name + kind)
+                    twin = getattr(_kernels_py, name + kind)
+                    nodes = least_node_limit(fn, hc, m.edges)
+                    for backend, h in ((fn, hc), (twin, g.adj)):
+                        assert backend(h, [m.edges], nodes) == [expected], (g.edges, m)
+                        assert backend(h, [m.edges], nodes - 1) == [-1]
+                    checked += 1

@@ -171,8 +171,8 @@ class TestDedup:
 
 # sha256 of the `verify --workers 1 --json --csv` reports of the 39-graph
 # family stream in TestStream.test_family_stream_report_bytes
-FAMILY_STREAM_JSON_SHA256 = "dad8d9eed135a161257dd4e6d54ddbe92e66097253ee71eab15e1b6b321365ae"
-FAMILY_STREAM_CSV_SHA256 = "30db2c0f3f1117d39cad70b4bc142d0340ed392205fecfbeece6b90518d4bfd0"
+FAMILY_STREAM_JSON_SHA256 = "8b0871eb2a23c57fe2d6dad6ba3d3c9295ef622fe1f12ed48269b3d707451d4f"
+FAMILY_STREAM_CSV_SHA256 = "cb6dea10ec820ed89913df6d98278dc7b33bbc7c88ced356c19473b87493a6ac"
 
 
 class TestStream:
@@ -210,7 +210,8 @@ class TestStream:
         assert report_json(run_sweep(cfg)) == report_json(full)
 
     def test_family_stream_report_bytes(self, tmp_path, capsys):
-        # three records of HhatJoin:6,2 abort at the af search's node ceiling
+        # no record aborts: HhatJoin:6,2's af search finishes within the
+        # default node ceiling, with Af = 18
         lines = family_stream_lines()
         assert len(lines) == 39
         stream, report, table = (tmp_path / name for name in ("in.g6", "out.json", "out.csv"))
@@ -219,7 +220,11 @@ class TestStream:
         assert main(argv + ["--csv", str(table)]) == 0
         capsys.readouterr()
         records = json.loads(report.read_text())["records"]
-        assert Counter(r["status"] for r in records)["aborted"] == 3
+        assert Counter(r["status"] for r in records)["aborted"] == 0
+        from forcing_lab.cli import _parse_input_graph
+
+        hhat_join = graph6_encode(_parse_input_graph("HhatJoin:6,2"))
+        assert {r["inputs"]["Af"] for r in records if r["graph_id"] == hhat_join} == {18}
         assert hashlib.sha256(report.read_bytes()).hexdigest() == FAMILY_STREAM_JSON_SHA256
         assert hashlib.sha256(table.read_bytes()).hexdigest() == FAMILY_STREAM_CSV_SHA256
 
@@ -878,19 +883,22 @@ class TestCli:
     def test_compute_resource_exit3(self, capsys):
         assert main(["compute", "Knn:4", "--pm-limit", "3"]) == 3
 
-    def test_compute_node_limit_follows_the_compiled_values(self, capsys):
-        # the witness searches spend nodes as the value searches do, so
-        # compute hits a node ceiling exactly where spectrum does
+    def test_compute_node_limit_covers_values_and_witnesses(self, capsys):
+        # a witness search spends from its matching's node budget, on top of
+        # what the value search spends, so compute exits 3 exactly where
+        # spectrum or one of its two witness searches hits the ceiling
         from forcing_lab.cli import _parse_input_graph
         from forcing_lab.matchings import matching_from_edges
         from forcing_lab.solver import (
             SolverLimits,
+            anti_forcing_number,
+            forcing_number,
             is_anti_forcing_set,
             is_forcing_set,
             spectrum,
         )
 
-        assert main(["compute", "cycle:6", "--json", "--no-cycles", "--node-limit", "3"]) == 0
+        assert main(["compute", "cycle:6", "--json", "--no-cycles", "--node-limit", "9"]) == 0
         payload = json.loads(capsys.readouterr().out)
         g = _parse_input_graph("cycle:6")
         fw, aw = payload["forcing_witness"], payload["anti_forcing_witness"]
@@ -898,19 +906,29 @@ class TestCli:
         assert is_anti_forcing_set(
             g, matching_from_edges(aw["matching"]), aw["removed_edges"]
         )
+        values_only = 0  # limits where the values finish but a witness does not
         for text in ("cycle:6", "MJoin:3,1"):
             g = _parse_input_graph(text)
             for node_limit in range(1, 41):
+                limits = SolverLimits(node_limit=node_limit)
+                values = finishes = False
                 try:
-                    spec = spectrum(
-                        g, limits=SolverLimits(node_limit=node_limit), with_anti_forcing=True
-                    )
-                    finishes = spec.af_error is None
+                    spec = spectrum(g, limits=limits, with_anti_forcing=True)
+                    values = spec.af_error is None
+                    if values:
+                        f = [v for _, v in spec.per_matching]
+                        pms = [m for m, _ in spec.per_matching]
+                        forcing_number(g, pms[f.index(min(f))], limits=limits)
+                        af_max = max(spec.af_values)
+                        anti_forcing_number(g, pms[spec.af_values.index(af_max)], limits=limits)
+                        finishes = True
                 except ResourceLimitError:
-                    finishes = False
+                    pass
+                values_only += values and not finishes
                 argv = ["compute", text, "--json", "--no-cycles", "--node-limit", str(node_limit)]
                 assert main(argv) == (0 if finishes else 3), (text, node_limit)
                 capsys.readouterr()
+        assert values_only > 0
 
     def test_generate_h50(self, capsys):
         assert main(["generate", "H:5,0"]) == 0
@@ -1062,6 +1080,24 @@ class TestCli:
         argv = ["verify", str(stream)] if command == "verify" else ["sweep", "--max-order", "4"]
         assert main(argv + ["--checkpoint", str(tmp_path / "missing" / "ck")]) == 2
         assert capsys.readouterr().err.startswith("parse error: ")
+
+    @pytest.mark.parametrize(
+        "cursor, message",
+        [
+            (b"not json", "is not JSON"),
+            (b"\xff\xfe", "is not JSON"),  # not UTF-8
+            (b"[1, 2]", "not a JSON object"),
+            (b'"fingerprint"', "not a JSON object"),
+        ],
+    )
+    def test_unreadable_checkpoint_cursor_exit2(self, cursor, message, tmp_path, capsys):
+        stream, ck = tmp_path / "in.g6", tmp_path / "ck"
+        stream.write_text(graph6_encode(generate("cycle", 4)) + "\n")
+        ck.write_bytes(cursor)
+        assert main(["verify", str(stream), "--checkpoint", str(ck)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and message in err
+        assert ck.read_bytes() == cursor
 
     def test_python_dash_m_runs_the_cli(self):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *sys.path])}

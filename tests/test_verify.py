@@ -217,7 +217,7 @@ class TestAntiForcingCeiling:
     def test_only_the_af_statements_abort(self):
         q3 = generate("hypercube", 3)
         full = verify_graph(q3)
-        capped = verify_graph(q3, limits=SolverLimits(node_limit=50))
+        capped = verify_graph(q3, limits=SolverLimits(node_limit=8))
         assert [r.theorem_id for r in capped] == [r.theorem_id for r in full]
         for before, after in zip(full, capped):
             assert after.inputs == {**before.inputs, "Af": None}
@@ -230,7 +230,7 @@ class TestAntiForcingCeiling:
                 )
 
     def test_f_ceiling_still_aborts_the_graph(self):
-        capped = verify_graph(generate("hypercube", 3), limits=SolverLimits(node_limit=5))
+        capped = verify_graph(generate("hypercube", 3), limits=SolverLimits(node_limit=3))
         assert [(r.theorem_id, r.status) for r in capped] == [("RESOURCE", "aborted")]
 
 
@@ -341,7 +341,7 @@ class TestVerdictCache:
 
     def test_no_verdict_that_read_the_graph_is_kept(self):
         records = [r for g in cache_graphs() for r in verify_graph(g)]
-        records += verify_graph(generate("hypercube", 3), limits=SolverLimits(node_limit=50))
+        records += verify_graph(generate("hypercube", 3), limits=SolverLimits(node_limit=8))
         seen = {(r.theorem_id, r.status, r.equality_case) for r in records}
         assert ("F_LE_AF", "aborted", "n/a") in seen
         for theorem_id in ("THM_2_3", "THM_4_5"):
