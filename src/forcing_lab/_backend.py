@@ -37,6 +37,7 @@ anti_forcing_value = _impl.anti_forcing_value
 forcing_set = _impl.forcing_set
 anti_forcing_set = _impl.anti_forcing_set
 class_flags = _impl.class_flags
+canon = _impl.canon
 
 # always None: neither backend has a maximum independent set, but the
 # benchmark's tracer names ``mis`` among the kernels it times

@@ -15,6 +15,10 @@
  * 4 cograph, 5 the f = n-1 predictor, 6 G1 member and 7 G2 member, and
  * side_u is the colour-0 side of the 2-colouring that puts each component's
  * smallest vertex on it (0 where the graph has an odd cycle).
+ * canon(h) returns (rows, generators): the canonical adjacency rows and
+ * generators of Aut(G), from the twin's refinement and individualization
+ * search run step for step, so both backends give equal rows and equal
+ * generator lists.
  *
  * A graph handle copies the adjacency rows of a simple graph on at most 64
  * vertices into a C array.  Arguments that come from Python are checked
@@ -1121,6 +1125,329 @@ static PyObject *class_flags(PyObject *self, PyObject *arg)
 
 
 /* ------------------------------------------------------------------------
+ * canonical labelling
+ *
+ * canon mirrors _kernels_py._individualize step for step: the same
+ * refinement, the same individualization tree walked in the same order and
+ * pruned by the same orbits and twins, so it returns the twin's canonical
+ * rows and its generators in its order.  A colour is the number of vertices
+ * in earlier cells, as in the twin.  The refinement orders the vertices of a
+ * cell by the sorted colours of their neighbours; the vertices of a cell
+ * have equal degree, so of two such lists the first is the smaller exactly
+ * when it has more neighbours in the first cell where their counts differ,
+ * and the counts are word operations.  The leaves live in a hash table keyed
+ * by their relabelled rows, each with the colouring that reached it first,
+ * which is where an automorphism found at an equal leaf maps to. */
+
+typedef struct {
+    int n;
+    const uint64_t *adj;
+    uint64_t *keys;         /* the rows of leaf i at keys[i * n] */
+    unsigned char *firsts;  /* the colouring that reached leaf i first */
+    size_t leaves, cap, best;
+    size_t *slots;          /* open addressing: leaf index + 1, or 0 if free */
+    size_t nslots;
+    unsigned char *autos;   /* automorphism i (v -> autos[i * n + v]) */
+    size_t nautos, autos_cap;
+    int twin_of[MAXV];      /* union-find over the twin transpositions kept */
+    int twins[MAXV][2];     /* each kept one joins two classes: at most n - 1 */
+    int ntwins;
+} Canon;
+
+/* refine: colors[] into the coarsest equitable colouring below it. */
+static void refine(const uint64_t *adj, int n, unsigned char *colors)
+{
+    for (;;) {
+        uint64_t cell[MAXV] = {0};
+        for (int v = 0; v < n; v++)
+            cell[colors[v]] |= BIT(v);
+        int starts[MAXV], cells = 0;
+        for (int c = 0; c < n; c++)
+            if (cell[c])
+                starts[cells++] = c;
+        if (cells == n)
+            return;
+        /* count[v][i]: neighbours of v in the i-th cell, for v in a cell of two or more */
+        unsigned char count[MAXV][MAXV], fresh[MAXV];
+        int split = 0;
+        for (int i = 0; i < cells; i++) {
+            int c = starts[i], size = popcount(cell[c]), member[MAXV], k = 0;
+            for (uint64_t rest = cell[c]; rest; rest &= rest - 1)
+                member[k++] = lowest_bit(rest);
+            if (size > 1)
+                for (k = 0; k < size; k++)
+                    for (int j = 0; j < cells; j++)
+                        count[member[k]][j] = (unsigned char)popcount(adj[member[k]] & cell[starts[j]]);
+            /* insertion sort: more neighbours in the first differing cell first */
+            for (k = 1; k < size; k++) {
+                int v = member[k], at = k;
+                while (at > 0 && memcmp(count[member[at - 1]], count[v], cells) != 0) {
+                    const unsigned char *a = count[member[at - 1]], *b = count[v];
+                    int j = 0;
+                    while (a[j] == b[j])
+                        j++;
+                    if (a[j] > b[j])
+                        break;
+                    member[at] = member[at - 1];
+                    at--;
+                }
+                member[at] = v;
+            }
+            int start = c;
+            for (k = 0; k < size; k++) {
+                if (k == 0 || memcmp(count[member[k - 1]], count[member[k]], cells) != 0) {
+                    start = c + k;
+                    split++;
+                }
+                fresh[member[k]] = (unsigned char)start;
+            }
+        }
+        if (split == cells)
+            return;
+        memcpy(colors, fresh, n);
+    }
+}
+
+static size_t key_hash(const uint64_t *key, int n)
+{
+    uint64_t h = 0x9e3779b97f4a7c15u;
+    for (int i = 0; i < n; i++) {
+        h = (h ^ key[i]) * 0xff51afd7ed558ccdu;
+        h ^= h >> 32;
+    }
+    return (size_t)h;
+}
+
+/* The slot of key: the one that holds it, or the free one it would go in. */
+static size_t key_slot(const Canon *cs, const uint64_t *key)
+{
+    size_t mask = cs->nslots - 1, s = key_hash(key, cs->n) & mask;
+    while (cs->slots[s] && memcmp(&cs->keys[(cs->slots[s] - 1) * cs->n], key, cs->n * sizeof *key))
+        s = (s + 1) & mask;
+    return s;
+}
+
+/* Room for one more leaf, with the table at most half full; -1 on no memory. */
+static int reserve_leaf(Canon *cs)
+{
+    int n = cs->n;
+    if (cs->leaves == cs->cap) {
+        size_t cap = cs->cap ? 2 * cs->cap : 16;
+        uint64_t *keys = PyMem_Realloc(cs->keys, cap * n * sizeof *keys);
+        if (keys == NULL)
+            return -1;
+        cs->keys = keys;
+        unsigned char *firsts = PyMem_Realloc(cs->firsts, cap * n);
+        if (firsts == NULL)
+            return -1;
+        cs->firsts = firsts;
+        cs->cap = cap;
+    }
+    if (2 * (cs->leaves + 1) > cs->nslots) {
+        size_t nslots = cs->nslots ? 2 * cs->nslots : 32;
+        size_t *slots = PyMem_Calloc(nslots, sizeof *slots);
+        if (slots == NULL)
+            return -1;
+        PyMem_Free(cs->slots);
+        cs->slots = slots;
+        cs->nslots = nslots;
+        for (size_t i = 0; i < cs->leaves; i++)
+            slots[key_slot(cs, &cs->keys[i * n])] = i + 1;
+    }
+    return 0;
+}
+
+/* A leaf: a discrete colouring.  Its key is the rows relabelled by colour;
+ * a key met before gives the automorphism onto the colouring that first
+ * reached it.  -1 on no memory. */
+static int leaf(Canon *cs, const unsigned char *colors)
+{
+    int n = cs->n;
+    if (reserve_leaf(cs) < 0)
+        return -1;
+    uint64_t *key = &cs->keys[cs->leaves * n];
+    for (int v = 0; v < n; v++) {
+        uint64_t row = 0;
+        for (uint64_t rest = cs->adj[v]; rest; rest &= rest - 1)
+            row |= BIT(colors[lowest_bit(rest)]);
+        key[colors[v]] = row;
+    }
+    size_t s = key_slot(cs, key);
+    if (cs->slots[s] == 0) {
+        memcpy(&cs->firsts[cs->leaves * n], colors, n);
+        cs->slots[s] = ++cs->leaves;
+        const uint64_t *best = &cs->keys[cs->best * n];
+        int i = 0;
+        while (i < n && key[i] == best[i])
+            i++;
+        if (i < n && key[i] < best[i])
+            cs->best = cs->leaves - 1;
+        return 0;
+    }
+    if (cs->nautos == cs->autos_cap) {
+        size_t cap = cs->autos_cap ? 2 * cs->autos_cap : 16;
+        unsigned char *autos = PyMem_Realloc(cs->autos, cap * n);
+        if (autos == NULL)
+            return -1;
+        cs->autos = autos;
+        cs->autos_cap = cap;
+    }
+    const unsigned char *first = &cs->firsts[(cs->slots[s] - 1) * n];
+    unsigned char where[MAXV], *gamma = &cs->autos[cs->nautos++ * n];
+    for (int v = 0; v < n; v++)
+        where[first[v]] = (unsigned char)v;
+    for (int v = 0; v < n; v++)
+        gamma[v] = where[colors[v]];
+    return 0;
+}
+
+static int twin_root(const Canon *cs, int v)
+{
+    while (cs->twin_of[v] != v)
+        v = cs->twin_of[v];
+    return v;
+}
+
+/* The subtree below the equitable colouring colors, reached by
+ * individualizing prefix[0..depth); -1 on no memory. */
+static int canon_search(Canon *cs, const unsigned char *colors, unsigned char *prefix, int depth)
+{
+    int n = cs->n, held[MAXV] = {0}, target = -1;
+    for (int v = 0; v < n; v++)
+        held[colors[v]]++;
+    for (int c = 0; c < n && target < 0; c++)
+        if (held[c] > 1)
+            target = c;
+    if (target < 0)
+        return leaf(cs, colors);
+    int orbit[MAXV], done[MAXV], ndone = 0;
+    for (int x = 0; x < n; x++)
+        orbit[x] = x;
+    size_t seen = 0;
+    for (int v = 0; v < n; v++) {
+        if (colors[v] != target)
+            continue;
+        for (; seen < cs->nautos; seen++) {
+            const unsigned char *gamma = &cs->autos[seen * n];
+            int fixes = 1;
+            for (int p = 0; fixes && p < depth; p++)
+                fixes = gamma[prefix[p]] == prefix[p];
+            for (int x = 0; fixes && x < n; x++) {
+                int a = orbit[x], b = orbit[gamma[x]];
+                if (a != b)
+                    for (int o = 0; o < n; o++)
+                        if (orbit[o] == b)
+                            orbit[o] = a;
+            }
+        }
+        int skip = 0;
+        for (int k = 0; !skip && k < ndone; k++) {
+            int u = done[k];
+            if (orbit[u] == orbit[v]) {
+                skip = 1;
+            } else if (!((cs->adj[u] ^ cs->adj[v]) & ~(BIT(u) | BIT(v)))) {
+                int a = twin_root(cs, u), b = twin_root(cs, v);
+                if (a != b) {
+                    cs->twin_of[b] = a;
+                    cs->twins[cs->ntwins][0] = u;
+                    cs->twins[cs->ntwins++][1] = v;
+                }
+                skip = 1;
+            }
+        }
+        if (skip)
+            continue;
+        unsigned char child[MAXV];
+        for (int u = 0; u < n; u++)
+            child[u] = colors[u] == target && u != v ? (unsigned char)(target + 1) : colors[u];
+        refine(cs->adj, n, child);
+        prefix[depth] = (unsigned char)v;
+        if (canon_search(cs, child, prefix, depth + 1) < 0)
+            return -1;
+        done[ndone++] = v;
+    }
+    return 0;
+}
+
+/* The permutation perm[0..n) as a tuple. */
+static PyObject *perm_tuple(const unsigned char *perm, int n)
+{
+    PyObject *t = PyTuple_New(n);
+    for (int v = 0; t != NULL && v < n; v++) {
+        PyObject *x = PyLong_FromLong(perm[v]);
+        if (x == NULL) {
+            Py_CLEAR(t);
+            break;
+        }
+        PyTuple_SET_ITEM(t, v, x);
+    }
+    return t;
+}
+
+/* (rows, generators) of the finished search, or NULL with an exception set. */
+static PyObject *canon_result(const Canon *cs)
+{
+    int n = cs->n;
+    PyObject *rows = PyTuple_New(n), *gens = PyList_New(0);
+    for (int c = 0; rows != NULL && c < n; c++) {
+        PyObject *x = PyLong_FromUnsignedLongLong(cs->keys[cs->best * n + c]);
+        if (x == NULL)
+            Py_CLEAR(rows);
+        else
+            PyTuple_SET_ITEM(rows, c, x);
+    }
+    int ok = rows != NULL && gens != NULL;
+    for (size_t i = 0; ok && i < cs->nautos; i++) {
+        PyObject *t = perm_tuple(&cs->autos[i * n], n);
+        ok = t != NULL && PyList_Append(gens, t) == 0;
+        Py_XDECREF(t);
+    }
+    for (int i = 0; ok && i < cs->ntwins; i++) {
+        unsigned char swap[MAXV];
+        for (int v = 0; v < n; v++)
+            swap[v] = (unsigned char)v;
+        swap[cs->twins[i][0]] = (unsigned char)cs->twins[i][1];
+        swap[cs->twins[i][1]] = (unsigned char)cs->twins[i][0];
+        PyObject *t = perm_tuple(swap, n);
+        ok = t != NULL && PyList_Append(gens, t) == 0;
+        Py_XDECREF(t);
+    }
+    PyObject *out = ok ? PyTuple_Pack(2, rows, gens) : NULL;
+    Py_XDECREF(rows);
+    Py_XDECREF(gens);
+    return out;
+}
+
+/* (h) -> (rows, generators): the canonical rows, and the automorphisms found
+ * followed by the transpositions of the skipped twins. */
+static PyObject *canon(PyObject *self, PyObject *arg)
+{
+    GraphHandle *h = parse_handle("canon", &arg, 1, 1);
+    if (h == NULL)
+        return NULL;
+    int n = h->n;
+    if (n == 0)
+        return Py_BuildValue("(()[])");
+    Canon cs = {.n = n, .adj = h->adj};
+    unsigned char colors[MAXV], prefix[MAXV];
+    for (int v = 0; v < n; v++) {
+        int below = 0, d = popcount(h->adj[v]);
+        for (int u = 0; u < n; u++)
+            below += popcount(h->adj[u]) < d;
+        colors[v] = (unsigned char)below;
+        cs.twin_of[v] = v;
+    }
+    refine(h->adj, n, colors);
+    PyObject *out = canon_search(&cs, colors, prefix, 0) < 0 ? PyErr_NoMemory() : canon_result(&cs);
+    PyMem_Free(cs.keys);
+    PyMem_Free(cs.firsts);
+    PyMem_Free(cs.slots);
+    PyMem_Free(cs.autos);
+    return out;
+}
+
+
+/* ------------------------------------------------------------------------
  * module */
 
 #define FASTCALL(f) (PyCFunction)(void (*)(void))(f), METH_FASTCALL
@@ -1157,6 +1484,9 @@ static PyMethodDef methods[] = {
     {"class_flags", class_flags, METH_O,
      "class_flags($module, h, /)\n--\n\n"
      "The graph's class flags and the colour-0 side of its 2-colouring."},
+    {"canon", canon, METH_O,
+     "canon($module, h, /)\n--\n\n"
+     "Canonical adjacency rows and generators of the automorphism group, from one search."},
     {NULL, NULL, 0, NULL},
 };
 

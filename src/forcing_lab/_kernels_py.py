@@ -18,6 +18,13 @@ Conventions: a graph handle is the adjacency row tuple itself (row ``u``
 has bit ``v`` set iff ``uv`` is an edge); vertex sets are int bitmasks;
 matchings are tuples of ``(u, v)`` pairs with ``u < v``.
 
+``canon(handle)`` returns ``(rows, generators)`` from one refinement and
+individualization search (``_individualize``): the canonical adjacency rows,
+the smallest relabelled rows over the search tree's leaves, and vertex
+permutations generating Aut(G), with the transpositions of the twins the
+search prunes.  The compiled kernel walks the same tree with the same
+pruning, so the two agree on both, generator lists included.
+
 ``class_flags(handle)`` returns ``(flags, side_u)``, the class facts the
 theorem table reads: ``flags`` has bit 0 connected, 1 bipartite, 2
 balanced (bipartite with equal sides), 3 split, 4 cograph, 5 the f = n-1
@@ -562,3 +569,111 @@ def class_flags(handle):
         | g2 << 7
     )
     return flags, side_u or 0
+
+
+# ---------------------------------------------------------------------------
+# canonical labelling (refinement plus individualization, after McKay and
+# Piperno, "Practical graph isomorphism II", 2014)
+
+
+def _refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
+    """Coarsest equitable colouring below ``colors``.  A colour is the number
+    of vertices in earlier cells, so cells only split in place, ordered by
+    the sorted colours of their neighbours and never by vertex labels."""
+    n = len(colors)
+    cells = len(set(colors))
+    while cells < n:
+        sig = [(colors[v], sorted([colors[u] for u in nbrs[v]])) for v in range(n)]
+        new = colors[:]
+        prev, split = None, 0
+        for i, v in enumerate(sorted(range(n), key=sig.__getitem__)):
+            if sig[v] != prev:
+                prev, start, split = sig[v], i, split + 1
+            new[v] = start
+        if split == cells:
+            break
+        colors, cells = new, split
+    return colors
+
+
+def _individualize(adj):
+    """Canonical rows, the automorphisms found and the twin pairs skipped,
+    from one search.
+
+    The rows are the smallest relabelled rows over the leaves of the
+    individualization tree.  A child is skipped when an automorphism fixing
+    the individualized prefix maps it onto an explored sibling: a twin of
+    one (same neighbourhood apart from each other), or a vertex in its
+    orbit under the automorphisms found so far.  Every skipped subtree is
+    then the image of an explored one, so the automorphisms found at equal
+    leaves, with the transpositions of the skipped twins, generate Aut(g);
+    a twin transposition already implied by earlier ones is left out."""
+    n = len(adj)
+    nbrs = [[u for u in range(n) if row >> u & 1] for row in adj]
+    degrees = sorted(row.bit_count() for row in adj)
+    leaves: dict[tuple[int, ...], list[int]] = {}
+    autos: list[list[int]] = []
+    twin_of = list(range(n))  # union-find over the twin transpositions kept
+    twins: list[tuple[int, int]] = []
+
+    def twin_root(v: int) -> int:
+        while twin_of[v] != v:
+            v = twin_of[v]
+        return v
+
+    def search(colors: list[int], prefix: list[int]) -> None:
+        ranked = sorted(colors)
+        target = next((c for c, d in zip(ranked, ranked[1:]) if c == d), None)
+        if target is None:
+            bits = [1 << c for c in colors]
+            rows = [0] * n
+            for v, c in enumerate(colors):
+                for u in nbrs[v]:
+                    rows[c] |= bits[u]
+            key = tuple(rows)
+            first = leaves.setdefault(key, colors)
+            if first is not colors:
+                where = {c: v for v, c in enumerate(first)}
+                autos.append([where[c] for c in colors])
+            return
+        orbit = list(range(n))
+        seen = 0
+        done: list[int] = []
+        for v in (v for v in range(n) if colors[v] == target):
+            for gamma in autos[seen:]:
+                if all(gamma[p] == p for p in prefix):
+                    for x in range(n):
+                        a, b = orbit[x], orbit[gamma[x]]
+                        if a != b:
+                            orbit = [a if o == b else o for o in orbit]
+            seen = len(autos)
+            for u in done:
+                if orbit[u] == orbit[v]:
+                    break
+                if not (adj[u] ^ adj[v]) & ~(1 << u | 1 << v):
+                    a, b = twin_root(u), twin_root(v)
+                    if a != b:
+                        twin_of[b] = a
+                        twins.append((u, v))
+                    break
+            else:
+                child = [target + 1 if c == target and u != v else c for u, c in enumerate(colors)]
+                search(_refine(nbrs, child), prefix + [v])
+                done.append(v)
+
+    search(_refine(nbrs, [degrees.index(row.bit_count()) for row in adj]), [])
+    return min(leaves), autos, twins
+
+
+def canon(handle):
+    """``(rows, generators)`` from one search (``_individualize``): the
+    canonical adjacency rows, and vertex permutations ``p`` (v -> p[v])
+    generating Aut(g), the automorphisms found first and the transpositions
+    of the skipped twins after them."""
+    rows, autos, twins = _individualize(handle)
+    generators = [tuple(gamma) for gamma in autos]
+    for u, v in twins:
+        swap = list(range(len(handle)))
+        swap[u], swap[v] = v, u
+        generators.append(tuple(swap))
+    return rows, generators

@@ -3,6 +3,12 @@
 Graphs are simple, undirected, on at most 32 densely numbered vertices, so
 every vertex set fits in one machine word.  Instances are immutable after
 construction and safe to share across workers.
+
+Canonical labelling has one engine, the backend's ``canon`` kernel: one
+search gives a graph's canonical rows and the generators of its
+automorphism group, and a graph keeps them.  ``canonical_graph6``,
+``are_isomorphic``, ``automorphism_generators`` and ``graph_classes`` all
+read it.
 """
 
 from __future__ import annotations
@@ -339,123 +345,27 @@ def graph6_decode(text: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# canonical labelling (refinement plus individualization, after McKay and
-# Piperno, "Practical graph isomorphism II", 2014)
+# canonical labelling: one engine, the backend's ``canon`` kernel
 
 
-def _refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
-    """Coarsest equitable colouring below ``colors``.  A colour is the number
-    of vertices in earlier cells, so cells only split in place, ordered by
-    the sorted colours of their neighbours and never by vertex labels."""
-    n = len(colors)
-    cells = len(set(colors))
-    while cells < n:
-        sig = [(colors[v], sorted([colors[u] for u in nbrs[v]])) for v in range(n)]
-        new = colors[:]
-        prev, split = None, 0
-        for i, v in enumerate(sorted(range(n), key=sig.__getitem__)):
-            if sig[v] != prev:
-                prev, start, split = sig[v], i, split + 1
-            new[v] = start
-        if split == cells:
-            break
-        colors, cells = new, split
-    return colors
-
-
-def _individualize(g: Graph):
-    """Canonical rows, the automorphisms found and the twin pairs skipped,
-    from one search.
-
-    The rows are the smallest relabelled rows over the leaves of the
-    individualization tree.  A child is skipped when an automorphism fixing
-    the individualized prefix maps it onto an explored sibling: a twin of
-    one (same neighbourhood apart from each other), or a vertex in its
-    orbit under the automorphisms found so far.  Every skipped subtree is
-    then the image of an explored one, so the automorphisms found at equal
-    leaves, with the transpositions of the skipped twins, generate Aut(g);
-    a twin transposition already implied by earlier ones is left out."""
-    n, adj = g.order, g.adj
-    nbrs = [[u for u in range(n) if row >> u & 1] for row in adj]
-    degrees = sorted(g.degrees)
-    leaves: dict[tuple[int, ...], list[int]] = {}
-    autos: list[list[int]] = []
-    twin_of = list(range(n))  # union-find over the twin transpositions kept
-    twins: list[tuple[int, int]] = []
-
-    def twin_root(v: int) -> int:
-        while twin_of[v] != v:
-            v = twin_of[v]
-        return v
-
-    def search(colors: list[int], prefix: list[int]) -> None:
-        ranked = sorted(colors)
-        target = next((c for c, d in zip(ranked, ranked[1:]) if c == d), None)
-        if target is None:
-            bits = [1 << c for c in colors]
-            rows = [0] * n
-            for v, c in enumerate(colors):
-                for u in nbrs[v]:
-                    rows[c] |= bits[u]
-            key = tuple(rows)
-            first = leaves.setdefault(key, colors)
-            if first is not colors:
-                where = {c: v for v, c in enumerate(first)}
-                autos.append([where[c] for c in colors])
-            return
-        orbit = list(range(n))
-        seen = 0
-        done: list[int] = []
-        for v in (v for v in range(n) if colors[v] == target):
-            for gamma in autos[seen:]:
-                if all(gamma[p] == p for p in prefix):
-                    for x in range(n):
-                        a, b = orbit[x], orbit[gamma[x]]
-                        if a != b:
-                            orbit = [a if o == b else o for o in orbit]
-            seen = len(autos)
-            for u in done:
-                if orbit[u] == orbit[v]:
-                    break
-                if not (adj[u] ^ adj[v]) & ~(1 << u | 1 << v):
-                    a, b = twin_root(u), twin_root(v)
-                    if a != b:
-                        twin_of[b] = a
-                        twins.append((u, v))
-                    break
-            else:
-                child = [target + 1 if c == target and u != v else c for u, c in enumerate(colors)]
-                search(_refine(nbrs, child), prefix + [v])
-                done.append(v)
-
-    search(_refine(nbrs, [degrees.index(d) for d in g.degrees]), [])
-    return min(leaves), autos, twins
-
-
-def _canonical_rows(g: Graph) -> tuple[int, ...]:
-    """Adjacency rows of the canonical relabelling (see ``_individualize``),
-    computed once per graph."""
+def _canon(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The canonical rows and the Aut(g) generators of ``g``, from one
+    kernel search on first use."""
     if g._canon is None:
-        object.__setattr__(g, "_canon", _individualize(g)[0])
+        object.__setattr__(g, "_canon", _backend.canon(g.handle))
     return g._canon
 
 
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     """Generators of Aut(g), each a vertex permutation ``p`` (v -> p[v]),
     found by the canonical-labelling search."""
-    _, autos, twins = _individualize(g)
-    generators = [tuple(gamma) for gamma in autos]
-    for u, v in twins:
-        swap = list(range(g.order))
-        swap[u], swap[v] = v, u
-        generators.append(tuple(swap))
-    return generators
+    return list(_canon(g)[1])
 
 
 def canonical_graph6(g: Graph) -> str:
     """graph6 of the canonical relabelling: equal for two graphs exactly when
     they are isomorphic."""
-    return graph6_encode(_raw_graph(g.order, _canonical_rows(g)))
+    return graph6_encode(_raw_graph(g.order, _canon(g)[0]))
 
 
 def graph_classes(
@@ -473,6 +383,7 @@ def graph_classes(
     canonical rows of those children are the classes of order k.  Deleting
     a vertex keeps a graph bipartite, so filtering each order keeps the
     bipartite generation complete."""
+    make_handle, class_flags, canon = _backend.make_handle, _backend.class_flags, _backend.canon
     level: list[tuple[int, ...]] = [()]
     for order in range(1, max_order + 1):
         new = order - 1
@@ -487,10 +398,9 @@ def graph_classes(
                 size = s.bit_count()
                 if size < top or s & tied[size]:
                     continue
-                child = [row | (s >> v & 1) << new for v, row in enumerate(rows)]
-                g = _raw_graph(order, child + [s])
-                if not bipartite or bipartition_of(g) is not None:
-                    seen.add(_canonical_rows(g))
+                h = make_handle([row | (s >> v & 1) << new for v, row in enumerate(rows)] + [s])
+                if not bipartite or class_flags(h)[0] & BIPARTITE:
+                    seen.add(canon(h)[0])
         level = sorted(seen)
         yield order, level
 
@@ -501,4 +411,4 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
         return False
     if sorted(g.degrees) != sorted(h.degrees):
         return False
-    return _canonical_rows(g) == _canonical_rows(h)
+    return _canon(g)[0] == _canon(h)[0]

@@ -184,17 +184,16 @@ def cycle_packing(
 
 # Below this many perfect matchings every matching is solved directly; from
 # it on, once per orbit.  K6 has 15, so sweeps of order <= 6 never take the
-# orbit path.  Re-measured with the branching searches, as the median of
-# in-process runs of spectrum(with_anti_forcing=True), on a 2-vCPU host
-# whose speed drifted by half between measurements, so compare within a row:
-# on the 1,811 graphs of the seed-1 order-8 sample with at least 16
-# matchings (seven runs), 0.63 s at 12, 0.66 s at 16, 0.37 s at 24, 0.30 s
-# at 32, 0.25 s at 48 and 0.24 s with no orbit search; on the 13
-# compute-families specs (with C(G,M) too; 31 runs, alternating order),
-# 0.116 s at 16 and 24, 0.118 s at 32, 0.122 s at 48, 0.143 s at 64 and
-# 2.03 s with none.  On the sample the automorphism search now costs more
-# than it saves, but no other value wins on the families, so 16 stays.
-_ORBIT_MIN_MATCHINGS = 16
+# orbit path.  Re-measured with the compiled canonical search, as the median
+# of 21 in-process runs of spectrum(with_anti_forcing=True) in alternating
+# order on a 2-vCPU host: on the 1,811 graphs of the seed-1 order-8 sample
+# with at least 16 matchings, 0.189 s at 16, 0.146 s at 24, 0.128 s at 32
+# and 0.122 s with no orbit search; on the 13 compute-families specs (with
+# C(G,M) too), 0.046 s at 16, 0.044 s at 24, 0.045 s at 32 and 0.93 s with
+# none.  No spec has 16-23 matchings, so 16 and 24 run the families alike;
+# Knn:4 has 24, and its orbit pass takes it from 1.8 ms to 0.34 ms, which 32
+# would lose.  So 24 wins on the sample and costs the families nothing.
+_ORBIT_MIN_MATCHINGS = 24
 
 
 def _perfect_matchings(g: Graph, limits: SolverLimits) -> list[Matching]:

@@ -67,15 +67,16 @@ def random_graph(order: int, p: float, rng: random.Random):
     return build_graph(order, edges)
 
 
-def order8_sample_lines() -> list[str]:
-    """graph6 lines of 2,000 labelled order-8 graphs with a perfect matching,
-    from seeded random edge masks."""
+def order8_sample_lines(seed: int = 8, count: int = 2000) -> list[str]:
+    """graph6 lines of ``count`` labelled order-8 graphs with a perfect
+    matching, from seeded random edge masks.  Seed 1 and 20,000 graphs give
+    the input of the benchmark's verify-o8-sample workload."""
     from forcing_lab import sweep
     from forcing_lab.graphs import graph6_encode
     from forcing_lab.matchings import has_perfect_matching
 
-    rng, pairs, lines = random.Random(8), sweep._all_pairs(8), []
-    while len(lines) < 2000:
+    rng, pairs, lines = random.Random(seed), sweep._all_pairs(8), []
+    while len(lines) < count:
         g = sweep.graph_from_edge_mask(8, pairs, rng.getrandbits(28))
         if has_perfect_matching(g):
             lines.append(graph6_encode(g))

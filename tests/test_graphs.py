@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_graph
 from oracles import oracle_automorphisms
+from forcing_lab import BACKEND_NAME
 from forcing_lab.errors import GraphError
 from forcing_lab.families import instantiate_family, parse_family_spec
 from forcing_lab.graphs import (
@@ -294,6 +295,14 @@ class TestGraphClasses:
         assert counts == [1, 2, 4, 11, 34, 156, 1044]
         counts = [len(classes) for _, classes in graph_classes(7, bipartite=True)]
         assert counts == [1, 2, 3, 7, 13, 35, 88]
+
+    @pytest.mark.skipif(BACKEND_NAME != "compiled", reason="needs the compiled kernels")
+    def test_class_counts_match_oeis_past_order_7(self):
+        # graphs on 8 vertices (A000088), bipartite graphs on 10 (A033995)
+        *_, (order, classes) = graph_classes(8)
+        assert (order, len(classes)) == (8, 12_346)
+        *_, (order, classes) = graph_classes(10, bipartite=True)
+        assert (order, len(classes)) == (10, 5_479)
 
     @pytest.mark.parametrize("bipartite", [False, True])
     def test_one_canonical_member_per_labelled_class(self, bipartite):

@@ -322,6 +322,97 @@ def test_class_flags_parity():
     assert seen_set & 0xFF == seen_clear & 0xFF == 0xFF
 
 
+def closure(order, generators, cap=10**5):
+    """The group the permutations generate, or None past ``cap`` elements."""
+    identity = tuple(range(order))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for gamma in generators:
+                q = tuple(gamma[p[v]] for v in range(order))
+                if q not in group:
+                    group.add(q)
+                    nxt.append(q)
+        if len(group) > cap:
+            return None
+        frontier = nxt
+    return group
+
+
+def vertex_orbits(order, generators):
+    """The vertex orbits of the group the permutations generate, as sets."""
+    orbit = {v: {v} for v in range(order)}
+    for gamma in generators:
+        for v in range(order):
+            if orbit[v] is not orbit[gamma[v]]:
+                merged = orbit[v] | orbit[gamma[v]]
+                for u in merged:
+                    orbit[u] = merged
+    return {frozenset(o) for o in orbit.values()}
+
+
+def canon_rows():
+    """Adjacency rows of every labelled graph of orders 1-6, of every class
+    of orders 1-8 and of the benchmark's seed-1 order-8 sample."""
+    from forcing_lab.graphs import graph6_decode, graph_classes
+
+    for order in range(1, 7):
+        for bits in range(1 << (order * (order - 1) // 2)):
+            yield graph_rows(order, bits)
+    for _order, classes in graph_classes(8):
+        yield from classes
+    for line in order8_sample_lines(seed=1, count=20_000):
+        yield graph6_decode(line).adj
+
+
+def test_canon_parity():
+    # equal canonical rows, and generators of one group: by closure (every
+    # group here has at most 8! elements), the lists themselves may differ
+    closures = {}
+
+    def group(order, generators):
+        key = (order, tuple(generators))
+        if key not in closures:
+            closures[key] = closure(order, generators)
+        return closures[key]
+
+    count = 0
+    for rows in canon_rows():
+        got, generators = compiled.canon(compiled.make_handle(rows))
+        want, twin_generators = _kernels_py.canon(rows)
+        assert got == want, rows
+        aut = group(len(rows), generators)
+        assert aut is not None and aut == group(len(rows), twin_generators), rows
+        count += 1
+    assert count == 33_867 + 13_598 + 20_000  # A000088 sums to 13,598 over orders 1-8
+
+
+@pytest.mark.parametrize("copies,component", [(16, "K2"), (10, "K3"), (8, "C4")])
+def test_canon_parity_on_equal_components(copies, component, monkeypatch):
+    # Aut has 2**16 * 16!, 6**10 * 10! and 8**8 * 8! elements: compare the
+    # vertex orbits and the matching orbits instead of the groups
+    from forcing_lab import graphs
+    from forcing_lab.matchings import enumerate_perfect_matchings
+    from forcing_lab.solver import matching_orbit_firsts
+
+    part = {"K2": (0b10, 0b01), "K3": (0b110, 0b101, 0b011), "C4": C4}[component]
+    rows = tuple(row << len(part) * k for k in range(copies) for row in part)
+    got, generators = compiled.canon(compiled.make_handle(rows))
+    want, twin_generators = _kernels_py.canon(rows)
+    assert got == want
+    orbits = vertex_orbits(len(rows), generators)
+    assert orbits == vertex_orbits(len(rows), twin_generators) == {frozenset(range(len(rows)))}
+
+    pms = enumerate_perfect_matchings(graphs.Graph(len(rows), rows))
+    compiled_firsts = matching_orbit_firsts(graphs.Graph(len(rows), rows), pms)
+    monkeypatch.setattr(_backend, "make_handle", _kernels_py.make_handle)
+    monkeypatch.setattr(_backend, "canon", _kernels_py.canon)
+    assert matching_orbit_firsts(graphs.Graph(len(rows), rows), pms) == compiled_firsts
+    # 16K2 has one perfect matching, 10K3 none; 8C4's 256 form one orbit
+    assert compiled_firsts == [0] * {"K2": 1, "K3": 0, "C4": 256}[component]
+
+
 def threshold_rows(order):
     """Vertex v joined to every earlier vertex when v is odd: the cograph
     recursion peels one vertex a level, in the graph and its complement by
@@ -391,6 +482,7 @@ KERNELS = {
     "forcing_set",
     "anti_forcing_set",
     "class_flags",
+    "canon",
 }
 
 
@@ -418,6 +510,7 @@ def test_tracked_c_compiles_without_warnings():
 K4 = (0b1110, 0b1101, 0b1011, 0b0111)
 K4_M = ((0, 1), (2, 3))
 C4 = (0b1010, 0b0101, 0b1010, 0b0101)  # the cycle 0-1-2-3-0
+FOUR_C4 = tuple(row << 4 * k for k in range(4) for row in C4)  # four disjoint copies
 
 # (exception, matching of K4) that every kernel reading a matching refuses:
 # it must be a sequence of (u, v) edges covering every vertex once
@@ -464,6 +557,11 @@ def bad_calls(h):
         (TypeError, lambda: compiled.class_flags(None)),
         (TypeError, lambda: compiled.class_flags(h, h)),
         (TypeError, lambda: compiled.class_flags(h=h)),  # positional only
+        (TypeError, lambda: compiled.canon(None)),
+        (TypeError, lambda: compiled.canon(K4)),  # rows, not a handle
+        (TypeError, lambda: compiled.canon()),
+        (TypeError, lambda: compiled.canon(h, h)),
+        (TypeError, lambda: compiled.canon(h=h)),  # positional only
         (TypeError, lambda: compiled.pm_count(h, 15, cap=2)),  # positional only
         (TypeError, lambda: compiled.pm_count(h, 15, 2, ())),
         (TypeError, lambda: compiled.pm_enumerate(h, 15, -1, ())),
@@ -527,6 +625,15 @@ def kernel_round(h, wide, calls):
     # sides {0, 2} and {1, 3}, cograph, f = n-1
     assert compiled.class_flags(h) == (0b00111001, 0)
     assert compiled.class_flags(compiled.make_handle(C4)) == (0b00110111, 0b0101)
+    # K4: three twin transpositions; C4: two automorphisms and one twin
+    # transposition; 4C4: 25 automorphisms and 8 twin transpositions, past
+    # the first sizes of the leaf table and the automorphism list
+    assert compiled.canon(h) == (K4, [(0, 1, 3, 2), (0, 2, 1, 3), (1, 0, 2, 3)])
+    assert compiled.canon(compiled.make_handle(C4)) == (
+        (6, 9, 9, 6),
+        [(1, 0, 3, 2), (0, 3, 2, 1), (2, 1, 0, 3)],
+    )
+    assert len(compiled.canon(compiled.make_handle(FOUR_C4))[1]) == 33
     refuse(calls)
 
 
